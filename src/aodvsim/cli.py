@@ -15,6 +15,7 @@ from .engine import Engine
 from .metrics import (
     CSV_COLUMNS,
     EmptyComparison,
+    MalformedCsv,
     MetricsReport,
     compare,
     parse_run_csv,
@@ -249,7 +250,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if not os.path.exists(path):
                 raise CliError(f"metrics file not found: {path}")
             with open(path, encoding="utf-8") as fh:
-                labeled.extend(parse_run_csv(fh.read()))
+                text = fh.read()
+            try:
+                labeled.extend(parse_run_csv(text))
+            except MalformedCsv as exc:
+                raise CliError(f"{path}: {exc}") from None
     else:
         if not args.strategies:
             raise CliError("--strategies is required unless --inputs is given")

@@ -28,7 +28,7 @@ from .node import (
     SetTimer,
     TimerKind,
 )
-from .protocol import Data, Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
+from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
 from .scenario import RandomWaypoint, Scenario
 from .suppression import Connectivity, ConnectivityState
 
@@ -37,9 +37,11 @@ from .suppression import Connectivity, ConnectivityState
 
 @dataclass(frozen=True)
 class Deliver:
-    to: NodeId
+    """Every packet one handler call sent that lands on the same tick, in
+    send order. Nothing can run between them (their heap entries would have
+    been adjacent), so one entry replaces one per packet."""
     frm: NodeId
-    packet: Packet
+    items: list[tuple[NodeId, Packet]]      # (recipient, packet)
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ class Engine:
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = itertools.count()
 
-        # link state: current set plus the configured delay for every known pair
-        self.base_delay: dict[frozenset, int] = {}
-        self.live_links: dict[frozenset, int] = {}
+        # link state: each node's live peers with their delay, plus the
+        # configured delay for every known pair; pairs are keyed (low, high)
+        self._adj: list[dict[NodeId, int]] = [{} for _ in range(scenario.node_count)]
+        self.base_delay: dict[tuple[NodeId, NodeId], int] = {}
         for a, b, delay in scenario.links_by_id():
-            key = frozenset((a, b))
-            self.base_delay[key] = delay
-            self.live_links[key] = delay
-        self.new_links: set[frozenset] = set()
+            self.base_delay[(min(a, b), max(a, b))] = delay
+            self._adj[a][b] = self._adj[b][a] = delay
+        self.new_links: set[tuple[NodeId, NodeId]] = set()
         self.loss_filter = {
             (ev.at, scenario.id_of(ev.frm), scenario.id_of(ev.to))
             for ev in scenario.drop_events
@@ -134,10 +136,9 @@ class Engine:
                 connectivity=conn,
                 position_of=self.positions.get if self.positions else None,
             ))
-        for key in self.live_links:
-            a, b = sorted(key)
-            self.nodes[a].neighbors[b] = 0
-            self.nodes[b].neighbors[a] = 0
+        for a, peers in enumerate(self._adj):
+            for b in peers:
+                self.nodes[a].neighbors[b] = 0
 
         # scripted events first so same-tick ordering favors topology changes,
         # then traffic, then the recurring ticks
@@ -159,10 +160,10 @@ class Engine:
     def _push(self, at: int, event: Event) -> None:
         heapq.heappush(self._queue, (at, next(self._seq), event))
 
-    def _trace(self, node: NodeId | None, kind: str, detail: str = "") -> None:
-        if self.trace is not None:
-            label = "-" if node is None else self.scenario.label_of(node)
-            self.trace.write(f"{self.now}\t{label}\t{kind}\t{detail}\n")
+    def _trace(self, node: NodeId, kind: str, detail: str = "") -> None:
+        """Write one trace line. Every caller tests `self.trace is not None`
+        first, so a run without a trace file formats nothing."""
+        self.trace.write(f"{self.now}\t{self.scenario.label_of(node)}\t{kind}\t{detail}\n")
 
     def _init_mobility(self, spec: RandomWaypoint) -> None:
         self._mobility_spec = spec
@@ -180,75 +181,85 @@ class Engine:
                 pause_left=0,
             )
         # under mobility the link set is purely position-derived
-        self.live_links = {}
+        self._adj = [{} for _ in range(self.scenario.node_count)]
         self._recompute_links()
 
     # -- link handling
 
+    @property
+    def live_links(self) -> dict[frozenset, int]:
+        """The current links as {frozenset((a, b)): delay}; a copy."""
+        return {frozenset((a, b)): delay for a, peers in enumerate(self._adj)
+                for b, delay in peers.items() if a < b}
+
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""
-        key = frozenset((a, b))
+        key = (min(a, b), max(a, b))
         if kind == "link_down":
-            self.live_links.pop(key, None)
+            self._adj[a].pop(b, None)
+            self._adj[b].pop(a, None)
             self.new_links.discard(key)
-        else:
-            if key not in self.live_links:
-                self.live_links[key] = self.base_delay.get(key, 1)
-                self.new_links.add(key)
+        elif b not in self._adj[a]:
+            self._adj[a][b] = self._adj[b][a] = self.base_delay.get(key, 1)
+            self.new_links.add(key)
 
     def link_peers(self, node: NodeId) -> list[NodeId]:
-        peers = []
-        for key in self.live_links:
-            a, b = sorted(key)
-            if a == node:
-                peers.append(b)
-            elif b == node:
-                peers.append(a)
-        return sorted(peers)
+        return sorted(self._adj[node])
 
-    def transmit(self, frm: NodeId, to: NodeId, packet: Packet) -> None:
-        key = frozenset((frm, to))
-        delay = self.live_links.get(key)
+    def transmit(self, frm: NodeId, to: NodeId, packet: Packet) -> int | None:
+        """Count one send and return its link delay, or None if it is lost."""
+        delay = self._adj[frm].get(to)
         if delay is None:
-            self.metrics.record("losses")
-            self._trace(frm, "loss", f"link-absent to={self.scenario.label_of(to)}")
-            return
+            self.metrics.losses += 1
+            if self.trace is not None:
+                self._trace(frm, "loss", f"link-absent to={self.scenario.label_of(to)}")
+            return None
         if (self.now, frm, to) in self.loss_filter:
-            self.metrics.record("losses")
-            self._trace(frm, "loss", f"scripted to={self.scenario.label_of(to)} {summarize(packet)}")
-            return
-        if isinstance(packet, Rreq):
-            self.metrics.record("rreq_tx", node=frm, link=(frm, to))
-        elif isinstance(packet, Rrep):
-            self.metrics.record("rrep_tx")
-        elif isinstance(packet, Rerr):
-            self.metrics.record("rerr_tx")
-        elif isinstance(packet, Hello):
-            self.metrics.record("hello_tx")
+            self.metrics.losses += 1
+            if self.trace is not None:
+                self._trace(frm, "loss",
+                            f"scripted to={self.scenario.label_of(to)} {summarize(packet)}")
+            return None
+        metrics = self.metrics
+        kind = type(packet)
+        if kind is Hello:
+            metrics.hello_tx += 1
+        elif kind is Rreq:
+            metrics.record("rreq_tx", node=frm, link=(frm, to))
+        elif kind is Rrep:
+            metrics.rrep_tx += 1
+        elif kind is Rerr:
+            metrics.rerr_tx += 1
         else:
-            self.metrics.record("data_tx")
-        self._push(self.now + delay, Deliver(to, frm, packet))
+            metrics.data_tx += 1
+        return delay
 
     # -- mobility
 
     def _recompute_links(self) -> None:
-        spec = self._mobility_spec
+        radio_range = self._mobility_spec.radio_range
         n = self.scenario.node_count
+        pos = [self.positions[i] for i in range(n)]
         wanted = set()
         for i in range(n):
+            xi, yi = pos[i]
             for j in range(i + 1, n):
-                xi, yi = self.positions[i]
-                xj, yj = self.positions[j]
-                if math.hypot(xi - xj, yi - yj) <= spec.radio_range:
-                    wanted.add(frozenset((i, j)))
-        for key in sorted(self.live_links.keys() - wanted, key=sorted):
-            a, b = sorted(key)
+                xj, yj = pos[j]
+                dx = xi - xj
+                # hypot is never below |dx|, so this skip cannot change the result
+                if dx > radio_range or -dx > radio_range:
+                    continue
+                if math.hypot(dx, yi - yj) <= radio_range:
+                    wanted.add((i, j))
+        live = {(a, b) for a, peers in enumerate(self._adj) for b in peers if a < b}
+        for a, b in sorted(live - wanted):
             self.apply_link_event("link_down", a, b)
-            self._trace(a, "link-down", f"range {self.scenario.label_of(b)}")
-        for key in sorted(wanted - self.live_links.keys(), key=sorted):
-            a, b = sorted(key)
+            if self.trace is not None:
+                self._trace(a, "link-down", f"range {self.scenario.label_of(b)}")
+        for a, b in sorted(wanted - live):
             self.apply_link_event("link_up", a, b)
-            self._trace(a, "link-up", f"range {self.scenario.label_of(b)}")
+            if self.trace is not None:
+                self._trace(a, "link-up", f"range {self.scenario.label_of(b)}")
 
     def _advance_motion(self) -> None:
         rng = self._mobility_rng
@@ -275,33 +286,39 @@ class Engine:
     # -- event dispatch
 
     def _process(self, event: Event) -> None:
+        tracing = self.trace is not None
         if isinstance(event, Deliver):
-            key = frozenset((event.frm, event.to))
-            if key not in self.live_links:
-                self._trace(event.to, "deliver-cancelled",
-                            f"from={self.scenario.label_of(event.frm)} {summarize(event.packet)}")
-                return
-            self._trace(event.to, "deliver",
-                        f"from={self.scenario.label_of(event.frm)} {summarize(event.packet)}")
-            node = self.nodes[event.to]
-            node.note_alive(event.frm, self.now)
-            pkt = event.packet
-            if isinstance(pkt, Rreq):
-                emissions = node.on_rreq(pkt, event.frm, self.now)
-            elif isinstance(pkt, Rrep):
-                fresh = key in self.new_links
-                if fresh:
-                    self.new_links.discard(key)
-                emissions = node.on_rrep(pkt, event.frm, self.now, link_is_new=fresh)
-            elif isinstance(pkt, Rerr):
-                emissions = node.on_rerr(pkt, event.frm, self.now)
-            elif isinstance(pkt, Hello):
-                emissions = node.on_hello(pkt, event.frm, self.now)
-            else:
-                emissions = node.on_data(pkt, event.frm, self.now)
-            self._handle_emissions(event.to, emissions)
+            frm, now = event.frm, self.now
+            peers = self._adj[frm]
+            for to, pkt in event.items:
+                live = to in peers
+                if tracing:
+                    self._trace(to, "deliver" if live else "deliver-cancelled",
+                                f"from={self.scenario.label_of(frm)} {summarize(pkt)}")
+                if not live:
+                    continue
+                node = self.nodes[to]
+                node.note_alive(frm, now)
+                kind = type(pkt)
+                if kind is Hello:
+                    emissions = node.on_hello(pkt, frm, now)
+                elif kind is Rreq:
+                    emissions = node.on_rreq(pkt, frm, now)
+                elif kind is Rrep:
+                    key = (min(frm, to), max(frm, to))
+                    fresh = key in self.new_links
+                    if fresh:
+                        self.new_links.discard(key)
+                    emissions = node.on_rrep(pkt, frm, now, link_is_new=fresh)
+                elif kind is Rerr:
+                    emissions = node.on_rerr(pkt, frm, now)
+                else:
+                    emissions = node.on_data(pkt, frm, now)
+                if emissions:
+                    self._handle_emissions(to, emissions)
         elif isinstance(event, Timer):
-            self._trace(event.node, "timer", type(event.kind).__name__)
+            if tracing:
+                self._trace(event.node, "timer", type(event.kind).__name__)
             node = self.nodes[event.node]
             kind = event.kind
             if isinstance(kind, DiscoveryDeadline):
@@ -314,7 +331,8 @@ class Engine:
                 emissions = node.on_route_sweep(self.now)
             self._handle_emissions(event.node, emissions)
         elif isinstance(event, HelloTick):
-            self._trace(event.node, "hello-tick")
+            if tracing:
+                self._trace(event.node, "hello-tick")
             peers = self.link_peers(event.node)
             emissions = self.nodes[event.node].on_hello_tick(self.now, peers)
             self._handle_emissions(event.node, emissions)
@@ -322,14 +340,16 @@ class Engine:
             if nxt <= self.scenario.t_max:
                 self._push(nxt, HelloTick(event.node))
         elif isinstance(event, Inject):
-            self._trace(event.node, "inject",
-                        f"dest={self.scenario.label_of(event.dest)} round={event.round_index}")
+            if tracing:
+                self._trace(event.node, "inject",
+                            f"dest={self.scenario.label_of(event.dest)} round={event.round_index}")
             emissions = self.nodes[event.node].send_data(
                 event.dest, event.payload_id, self.now, event.round_index)
             self._handle_emissions(event.node, emissions)
         elif isinstance(event, LinkChange):
-            self._trace(event.a, event.kind.replace("_", "-"),
-                        self.scenario.label_of(event.b))
+            if tracing:
+                self._trace(event.a, event.kind.replace("_", "-"),
+                            self.scenario.label_of(event.b))
             self.apply_link_event(event.kind, event.a, event.b)
         else:  # MobilityTick
             self._advance_motion()
@@ -338,18 +358,36 @@ class Engine:
                 self._push(self.now + 1, MobilityTick())
 
     def _handle_emissions(self, node: NodeId, emissions) -> None:
+        # consecutive sends are grouped by delay into one Deliver per tick; the
+        # groups are pushed before any other emission, so a timer set between
+        # two sends keeps its place in the queue between them
+        pending: dict[int, list[tuple[NodeId, Packet]]] = {}
         for e in emissions:
-            if isinstance(e, Send):
-                self.transmit(node, e.to, e.packet)
-            elif isinstance(e, SetTimer):
+            if type(e) is Send:
+                delay = self.transmit(node, e.to, e.packet)
+                if delay is not None:
+                    pending.setdefault(delay, []).append((e.to, e.packet))
+                continue
+            if pending:
+                self._push_sends(node, pending)
+                pending = {}
+            if isinstance(e, SetTimer):
                 self._push(max(e.at, self.now), Timer(node, e.kind))
             elif isinstance(e, DeliverUp):
-                self._trace(node, "deliver-up",
-                            f"payload={e.payload_id} src={self.scenario.label_of(e.src)}")
+                if self.trace is not None:
+                    self._trace(node, "deliver-up",
+                                f"payload={e.payload_id} src={self.scenario.label_of(e.src)}")
             elif isinstance(e, Drop):
-                self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
+                if self.trace is not None:
+                    self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
                 if e.reason == "duplicate-rreq":
                     self.metrics.record("redundant_rreq_rx", node=node)
+        if pending:
+            self._push_sends(node, pending)
+
+    def _push_sends(self, frm: NodeId, by_delay: dict[int, list[tuple[NodeId, Packet]]]) -> None:
+        for delay, items in by_delay.items():
+            self._push(self.now + delay, Deliver(frm, items))
 
     # -- main loop
 
@@ -361,8 +399,9 @@ class Engine:
             self._process(event)
         truncated = False
         for _, _, event in self._queue:
-            if isinstance(event, Deliver) and not isinstance(event.packet, Hello):
-                truncated = True
+            if isinstance(event, Deliver):
+                if any(type(pkt) is not Hello for _, pkt in event.items):
+                    truncated = True
             elif isinstance(event, Inject):
                 truncated = True
             elif isinstance(event, Timer) and isinstance(event.kind, _TRUNCATION_TIMERS):

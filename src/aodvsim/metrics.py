@@ -11,6 +11,10 @@ class EmptyComparison(Exception):
     """compare() needs at least one report."""
 
 
+class MalformedCsv(ValueError):
+    """A metrics CSV that cannot be read back; the message names the line and column."""
+
+
 CSV_COLUMNS = [
     "scenario",
     "strategy",
@@ -264,6 +268,11 @@ def compare(labeled: list[tuple[str, MetricsReport]]) -> ComparisonTable:
     return ComparisonTable(rows=rows, baseline=baseline.strategy)
 
 
+_REQUIRED_CSV_COLUMNS = ("strategy", "rreq_tx", "discoveries_ok")
+_CSV_TOTALS = ("rreq_tx", "rrep_tx", "rerr_tx", "hello_tx", "data_tx",
+               "redundant_rreq_rx", "suppressed_forwards")
+
+
 def parse_run_csv(text: str) -> list[tuple[str, MetricsReport]]:
     """Rebuild (label, report) pairs from a produced CSV.
 
@@ -275,24 +284,21 @@ def parse_run_csv(text: str) -> list[tuple[str, MetricsReport]]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise EmptyComparison("empty CSV input")
-    missing = [c for c in ("strategy", "rreq_tx", "discoveries_ok") if c not in reader.fieldnames]
+    missing = [c for c in _REQUIRED_CSV_COLUMNS if c not in reader.fieldnames]
     if missing:
-        raise ValueError(f"CSV lacks required columns: {', '.join(missing)}")
+        raise MalformedCsv(f"CSV lacks required columns: {', '.join(missing)}")
     out: list[tuple[str, MetricsReport]] = []
     for row in reader:
-        rep = MetricsReport(
-            rreq_tx=int(row["rreq_tx"]),
-            rrep_tx=int(row.get("rrep_tx", "0") or 0),
-            rerr_tx=int(row.get("rerr_tx", "0") or 0),
-            hello_tx=int(row.get("hello_tx", "0") or 0),
-            data_tx=int(row.get("data_tx", "0") or 0),
-            redundant_rreq_rx=int(row.get("redundant_rreq_rx", "0") or 0),
-            suppressed_forwards=int(row.get("suppressed_forwards", "0") or 0),
-        )
-        ok = int(row.get("discoveries_ok", "0") or 0)
-        failed = int(row.get("discoveries_failed", "0") or 0)
-        mean = row.get("mean_latency_ticks", "")
-        latency = round(float(mean)) if mean else 0
+        line = reader.line_num
+        rep = MetricsReport(**{c: _csv_count(row, c, line) for c in _CSV_TOTALS})
+        ok = _csv_count(row, "discoveries_ok", line)
+        failed = _csv_count(row, "discoveries_failed", line)
+        mean = row.get("mean_latency_ticks") or ""
+        try:
+            latency = round(float(mean)) if mean else 0
+        except (OverflowError, ValueError):
+            raise MalformedCsv(f"line {line}, column mean_latency_ticks: "
+                               f"expected a number, got {mean!r}") from None
         for _ in range(ok):
             rec = rep.begin_discovery(0, 0, None, 0)
             rep.resolve_discovery(rec, latency, 0)
@@ -301,3 +307,18 @@ def parse_run_csv(text: str) -> list[tuple[str, MetricsReport]]:
             rep.fail_discovery(rec, 0)
         out.append((row["strategy"], rep))
     return out
+
+
+def _csv_count(row: dict, column: str, line: int) -> int:
+    """A non-negative integer cell; an optional column may be absent or blank."""
+    text = row.get(column)
+    if not text and column not in _REQUIRED_CSV_COLUMNS:
+        return 0
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        value = -1
+    if value < 0:
+        raise MalformedCsv(f"line {line}, column {column}: "
+                           f"expected a count, got {text!r}")
+    return value

@@ -414,7 +414,8 @@ class Node:
     # -- liveness and failure
 
     def on_hello_tick(self, now: int, link_peers: list[NodeId]) -> list[Emission]:
-        emissions: list[Emission] = [Send(p, Hello(self.me, self.seq)) for p in sorted(link_peers)]
+        hello = Hello(self.me, self.seq)        # packets are immutable: one serves every peer
+        emissions: list[Emission] = [Send(p, hello) for p in sorted(link_peers)]
         cutoff = now - self.config.hello_timeout
         stale = sorted(n for n, last in self.neighbors.items() if last < cutoff)
         for neighbor in stale:

@@ -166,6 +166,8 @@ class Scenario:
             for end in (ev.a, ev.b):
                 if end not in seen_names:
                     raise ValidationError(f"events[{i}]: unknown node {end!r}")
+            if ev.a == ev.b:
+                raise ValidationError(f"events[{i}]: self-link on {ev.a!r}")
             if ev.at < 0:
                 raise ValidationError(f"events[{i}].at: negative")
         for i, ev in enumerate(self.drop_events):
@@ -195,7 +197,18 @@ class Scenario:
                 )
         if self.t_max <= 0:
             raise ValidationError("t_max: must be positive")
+        self._validate_params()
         self._validate_strategy(seen_names)
+
+    def _validate_params(self) -> None:
+        for key in _PARAM_FIELDS:
+            value = getattr(self.params, key)
+            if key == "intermediate_reply":
+                _bool(value, f"params.{key}")
+            elif value is not None or key not in _OPTIONAL_PARAMS:
+                # a zero interval would requeue its event at the same tick forever
+                if _int(value, f"params.{key}") < 1:
+                    raise ValidationError(f"params.{key}: must be >= 1, got {value!r}")
 
     def _validate_strategy(self, names: set[str]) -> None:
         s = self.strategy
@@ -236,6 +249,30 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _num_pair(value, path: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (int, float)) for v in value)):
@@ -254,31 +291,33 @@ def _strategy_from_json(obj, path: str) -> Strategy:
         allowed = {"kind", "mode", "alpha", "threshold", "initial_index",
                    "warmup_attempts", "new_link_bonus", "attempt_timeout"}
         _check_keys(obj, allowed, path)
+        timeout = obj.get("attempt_timeout")
         cfg = ConnectivityConfig(
             mode=obj.get("mode", "raw"),
-            alpha=float(obj.get("alpha", 0.3)),
-            threshold=float(obj.get("threshold", 0.5)),
-            initial_index=float(obj.get("initial_index", 1.0)),
-            warmup_attempts=int(obj.get("warmup_attempts", 10)),
-            new_link_bonus=float(obj.get("new_link_bonus", 0.1)),
-            attempt_timeout=obj.get("attempt_timeout"),
+            alpha=_number(obj.get("alpha", 0.3), f"{path}.alpha"),
+            threshold=_number(obj.get("threshold", 0.5), f"{path}.threshold"),
+            initial_index=_number(obj.get("initial_index", 1.0), f"{path}.initial_index"),
+            warmup_attempts=_int(obj.get("warmup_attempts", 10), f"{path}.warmup_attempts"),
+            new_link_bonus=_number(obj.get("new_link_bonus", 0.1), f"{path}.new_link_bonus"),
+            attempt_timeout=None if timeout is None else _int(timeout, f"{path}.attempt_timeout"),
         )
         return Connectivity(cfg)
     if kind == "probabilistic":
         _check_keys(obj, {"kind", "p"}, path)
-        return Probabilistic(p=float(obj.get("p", 0.5)))
+        return Probabilistic(p=_number(obj.get("p", 0.5), f"{path}.p"))
     if kind == "counter":
         _check_keys(obj, {"kind", "max_copies"}, path)
-        return CounterBased(max_copies=int(obj.get("max_copies", 3)))
+        return CounterBased(max_copies=_int(obj.get("max_copies", 3), f"{path}.max_copies"))
     if kind == "distance":
         _check_keys(obj, {"kind", "min_distance"}, path)
-        return DistanceBased(min_distance=float(obj.get("min_distance", 0.0)))
+        return DistanceBased(min_distance=_number(obj.get("min_distance", 0.0),
+                                                  f"{path}.min_distance"))
     if kind == "expanding_ring":
         _check_keys(obj, {"kind", "ttl_start", "ttl_increment", "ttl_threshold"}, path)
         return ExpandingRing(
-            ttl_start=int(obj.get("ttl_start", 1)),
-            ttl_increment=int(obj.get("ttl_increment", 2)),
-            ttl_threshold=int(obj.get("ttl_threshold", 7)),
+            ttl_start=_int(obj.get("ttl_start", 1), f"{path}.ttl_start"),
+            ttl_increment=_int(obj.get("ttl_increment", 2), f"{path}.ttl_increment"),
+            ttl_threshold=_int(obj.get("ttl_threshold", 7), f"{path}.ttl_threshold"),
         )
     raise ValidationError(f"{path}.kind: unknown strategy {kind!r}")
 
@@ -307,6 +346,7 @@ def _strategy_to_json(s: Strategy) -> dict:
 _PARAM_FIELDS = {"hello_interval", "hello_timeout", "route_lifetime", "max_retries",
                  "discovery_deadline", "attempt_timeout", "intermediate_reply",
                  "default_ttl"}
+_OPTIONAL_PARAMS = {"discovery_deadline", "attempt_timeout", "default_ttl"}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -324,7 +364,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"schema: unsupported version {schema!r} (expected {SCHEMA_VERSION})")
 
     nodes = []
-    for i, n in enumerate(_require(raw, "nodes", "top level")):
+    for i, n in enumerate(_list(_require(raw, "nodes", "top level"), "nodes")):
         path = f"nodes[{i}]"
         if not isinstance(n, dict):
             raise ValidationError(f"{path}: expected an object")
@@ -333,13 +373,13 @@ def parse_scenario(text: str) -> Scenario:
         nodes.append(NodeSpec(name=str(_require(n, "name", path)), pos=pos))
 
     links = []
-    for i, l in enumerate(_require(raw, "links", "top level")):
+    for i, l in enumerate(_list(_require(raw, "links", "top level"), "links")):
         path = f"links[{i}]"
         if not isinstance(l, dict):
             raise ValidationError(f"{path}: expected an object")
         _check_keys(l, {"a", "b", "delay"}, path)
         links.append(LinkSpec(a=str(_require(l, "a", path)), b=str(_require(l, "b", path)),
-                              delay=int(l.get("delay", 1))))
+                              delay=_int(l.get("delay", 1), f"{path}.delay")))
 
     mobility: Mobility = Static()
     if "mobility" in raw:
@@ -354,33 +394,34 @@ def parse_scenario(text: str) -> Scenario:
             mobility = RandomWaypoint(
                 area=_num_pair(m.get("area", [100, 100]), "mobility.area"),
                 speed=_num_pair(m.get("speed", [1, 3]), "mobility.speed"),
-                pause=int(m.get("pause", 5)),
-                radio_range=float(m.get("range", 40.0)),
+                pause=_int(m.get("pause", 5), "mobility.pause"),
+                radio_range=_number(m.get("range", 40.0), "mobility.range"),
             )
         else:
             raise ValidationError(f"mobility.model: unknown {model!r}")
 
     link_events, drop_events = [], []
-    for i, ev in enumerate(raw.get("events", [])):
+    for i, ev in enumerate(_list(raw.get("events", []), "events")):
         path = f"events[{i}]"
         if not isinstance(ev, dict):
             raise ValidationError(f"{path}: expected an object")
         kind = _require(ev, "kind", path)
         if kind in ("link_up", "link_down"):
             _check_keys(ev, {"kind", "at", "a", "b"}, path)
-            link_events.append(LinkEvent(at=int(_require(ev, "at", path)), kind=kind,
+            link_events.append(LinkEvent(at=_int(_require(ev, "at", path), f"{path}.at"),
+                                         kind=kind,
                                          a=str(_require(ev, "a", path)),
                                          b=str(_require(ev, "b", path))))
         elif kind == "drop":
             _check_keys(ev, {"kind", "at", "from", "to"}, path)
-            drop_events.append(DropEvent(at=int(_require(ev, "at", path)),
+            drop_events.append(DropEvent(at=_int(_require(ev, "at", path), f"{path}.at"),
                                          frm=str(_require(ev, "from", path)),
                                          to=str(_require(ev, "to", path))))
         else:
             raise ValidationError(f"{path}.kind: unknown {kind!r}")
 
     traffic = []
-    for i, t in enumerate(_require(raw, "traffic", "top level")):
+    for i, t in enumerate(_list(_require(raw, "traffic", "top level"), "traffic")):
         path = f"traffic[{i}]"
         if not isinstance(t, dict):
             raise ValidationError(f"{path}: expected an object")
@@ -388,9 +429,9 @@ def parse_scenario(text: str) -> Scenario:
         traffic.append(TrafficSpec(
             origin=str(_require(t, "origin", path)),
             dest=str(_require(t, "dest", path)),
-            start=int(t.get("start", 0)),
-            rounds=int(t.get("rounds", 1)),
-            spacing=int(t.get("spacing", 100)),
+            start=_int(t.get("start", 0), f"{path}.start"),
+            rounds=_int(t.get("rounds", 1), f"{path}.rounds"),
+            spacing=_int(t.get("spacing", 100), f"{path}.spacing"),
         ))
 
     strategy: Strategy = Flood()
@@ -421,10 +462,11 @@ def parse_scenario(text: str) -> Scenario:
         drop_events=drop_events,
         traffic=traffic,
         strategy=strategy,
-        seed=int(raw.get("seed", 0)),
-        t_max=int(_require(raw, "t_max", "top level")),
-        intermediate_reply=bool(flags.get("intermediate_reply", True)),
-        per_neighbor_aggregate=bool(flags.get("per_neighbor_aggregate", False)),
+        seed=_int(raw.get("seed", 0), "seed"),
+        t_max=_int(_require(raw, "t_max", "top level"), "t_max"),
+        intermediate_reply=_bool(flags.get("intermediate_reply", True), "flags.intermediate_reply"),
+        per_neighbor_aggregate=_bool(flags.get("per_neighbor_aggregate", False),
+                                     "flags.per_neighbor_aggregate"),
         params=params,
     )
     scenario.validate()

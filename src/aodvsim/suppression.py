@@ -133,6 +133,9 @@ class ConnectivityState:
         self.config = config
         self.aggregate = per_neighbor_aggregate
         self.records: dict[tuple, ConnectivityRecord] = {}
+        # records each request opened an attempt on; fail_pending visits only
+        # these, skipping any the reply already resolved
+        self._opened: dict[RreqId, list[ConnectivityRecord]] = {}
 
     def _key(self, dest: NodeId, neighbor: NodeId) -> tuple:
         return (neighbor,) if self.aggregate else (dest, neighbor)
@@ -155,6 +158,7 @@ class ConnectivityState:
             raise InvariantViolation(f"attempt {rreq_id} already open toward {neighbor}")
         rec.attempts += 1
         rec.pending[rreq_id] = now
+        self._opened.setdefault(rreq_id, []).append(rec)
 
     def resolve_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, success: bool) -> bool:
         """Close one attempt; returns False (no-op) when nothing was pending."""
@@ -180,9 +184,11 @@ class ConnectivityState:
             raise InvariantViolation(f"index out of range: {rec.index}")
 
     def fail_pending(self, rreq_id: RreqId) -> None:
-        """Resolve every still-open attempt for this request as a failure."""
-        for key in sorted(self.records):
-            rec = self.records[key]
+        """Resolve every still-open attempt for this request as a failure.
+
+        Each record's update depends on that record alone, so visiting them
+        in the order they were opened gives the same tables as any other."""
+        for rec in self._opened.pop(rreq_id, ()):
             if rreq_id in rec.pending:
                 del rec.pending[rreq_id]
                 self._recompute(rec, success=False)

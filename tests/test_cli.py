@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from aodvsim.cli import main
 from aodvsim.metrics import CSV_COLUMNS
 
@@ -165,3 +169,62 @@ def test_trace_to_file_matches_run_trace(tmp_path):
     assert run_cli("trace", "--scenario", "fig1", "--out", str(via_trace)) == 0
     assert run_cli("run", "--scenario", "fig1", "--trace", str(via_run)) == 0
     assert via_trace.read_text() == via_run.read_text()
+
+
+# --- bad input exits 1 and names where -------------------------------------
+
+def _scenario_doc(**overrides):
+    doc = {"schema": 1, "name": "tiny", "t_max": 100,
+           "nodes": [{"name": "a"}, {"name": "b"}],
+           "links": [{"a": "a", "b": "b"}],
+           "traffic": [{"origin": "a", "dest": "b"}]}
+    doc.update(overrides)
+    return doc
+
+
+MOBILE = {"model": "random_waypoint", "area": [50, 50]}
+
+
+@pytest.mark.parametrize("overrides,path", [
+    ({"links": [{"a": "a", "b": "b", "delay": "x"}]}, "links[0].delay"),
+    ({"events": [{"kind": "link_down", "at": "soon", "a": "a", "b": "b"}]}, "events[0].at"),
+    ({"events": [{"kind": "drop", "at": 1.5, "from": "a", "to": "b"}]}, "events[0].at"),
+    ({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]}, "events[0]"),
+    ({"traffic": [{"origin": "a", "dest": "b", "start": "x"}]}, "traffic[0].start"),
+    ({"traffic": [{"origin": "a", "dest": "b", "rounds": "two"}]}, "traffic[0].rounds"),
+    ({"traffic": [{"origin": "a", "dest": "b", "spacing": None}]}, "traffic[0].spacing"),
+    ({"mobility": {**MOBILE, "pause": "x"}}, "mobility.pause"),
+    ({"mobility": {**MOBILE, "range": "far"}}, "mobility.range"),
+    ({"strategy": {"kind": "connectivity", "attempt_timeout": "x"}},
+     "strategy.attempt_timeout"),
+    ({"strategy": {"kind": "probabilistic", "p": [1]}}, "strategy.p"),
+    ({"flags": {"intermediate_reply": "no"}}, "flags.intermediate_reply"),
+    ({"seed": "x"}, "seed"),
+    ({"events": 7}, "events"),
+    ({"params": {"hello_interval": 0}}, "params.hello_interval"),
+    ({"params": {"max_retries": "two"}}, "params.max_retries"),
+    ({"params": {"route_lifetime": True}}, "params.route_lifetime"),
+    ({"params": {"discovery_deadline": -5}}, "params.discovery_deadline"),
+    ({"params": {"intermediate_reply": 1}}, "params.intermediate_reply"),
+])
+def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_scenario_doc(**overrides)))
+    assert run_cli("run", "--scenario", str(scenario)) == 1
+    err = capsys.readouterr().err
+    assert path in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("strategy,rreq_tx,discoveries_ok\nflood,abc,1\n", "line 2, column rreq_tx"),
+    ("strategy,rreq_tx,discoveries_ok,rrep_tx\nflood,3,1,-2\n", "line 2, column rrep_tx"),
+    ("strategy,rreq_tx,discoveries_ok,mean_latency_ticks\nflood,3,1,soon\n",
+     "line 2, column mean_latency_ticks"),
+    ("strategy,discoveries_ok\nflood,1\n", "rreq_tx"),
+])
+def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run_cli("compare", "--inputs", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and where in err

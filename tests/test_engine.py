@@ -1,13 +1,15 @@
 import io
 from dataclasses import replace
 
-from aodvsim.engine import Engine, run
+from aodvsim.engine import Deliver, Engine, run
 from aodvsim.node import ProtocolConfig
+from aodvsim.protocol import Hello
 from aodvsim.scenario import (
     DropEvent,
     LinkEvent,
     LinkSpec,
     NodeSpec,
+    RandomWaypoint,
     Scenario,
     TrafficSpec,
     builtin,
@@ -173,3 +175,49 @@ def test_engine_introspection_helpers():
     entry = eng.route_of("S", "D")
     assert entry is not None and entry.hop_count == 4
     assert eng.connectivity_index("S", "D", "N1") is None   # flood has no table
+
+
+# --- engine contract ------------------------------------------------------
+
+def test_untraced_run_formats_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("trace formatting ran with tracing off")
+    monkeypatch.setattr("aodvsim.engine.summarize", refuse)
+    monkeypatch.setattr(Scenario, "label_of", refuse)
+    scenarios = [builtin("fig1-tables"), builtin("random-20", seed=4),
+                 chain("abcd", delay=2, t_max=300,
+                       traffic=[TrafficSpec("a", "d", rounds=3, spacing=64)],
+                       link_events=[LinkEvent(at=41, kind="link_down", a="c", b="d"),
+                                    LinkEvent(at=90, kind="link_up", a="c", b="d")],
+                       drop_events=[DropEvent(at=0, frm="a", to="b")]),
+                 chain("abcdef", links=[], t_max=80,
+                       mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0))]
+    for sc in scenarios:
+        run(sc)         # any trace formatting raises
+
+
+def test_live_links_is_the_frozenset_keyed_delay_map():
+    sc = chain("abcd", delay=3)
+    sc.links[1] = LinkSpec("b", "c", 2)
+    eng = Engine(sc)
+    full = {frozenset((0, 1)): 3, frozenset((1, 2)): 2, frozenset((2, 3)): 3}
+    assert eng.live_links == full
+    eng.apply_link_event("link_down", 2, 1)
+    assert eng.live_links == {k: v for k, v in full.items() if k != frozenset((1, 2))}
+    assert eng.link_peers(1) == [0] and eng.link_peers(2) == [3]
+    eng.apply_link_event("link_up", 1, 2)
+    assert eng.live_links == full
+    assert eng.link_peers(1) == [0, 2]
+    eng.apply_link_event("link_up", 0, 3)          # never configured: delay 1
+    assert eng.live_links == {**full, frozenset((0, 3)): 1}
+
+
+def test_hello_only_queue_tail_is_not_a_truncation():
+    # hellos sent at tick 40 are still in flight at t_max; nothing else is
+    sc = chain("ab", delay=3, t_max=41, params=ProtocolConfig(discovery_deadline=30))
+    eng = Engine(sc)
+    rep = eng.run()
+    assert rep.discoveries_ok == 1
+    tail = [ev for _, _, ev in eng._queue if isinstance(ev, Deliver)]
+    assert tail and all(isinstance(p, Hello) for ev in tail for _, p in ev.items)
+    assert not rep.timed_out

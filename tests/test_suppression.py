@@ -105,6 +105,27 @@ def test_fail_pending_closes_every_record_for_that_request():
     assert not s.peek(9, 1).pending and not s.peek(9, 2).pending
 
 
+@pytest.mark.parametrize("aggregate", [False, True])
+def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregate):
+    s = ConnectivityState(ConnectivityConfig(), per_neighbor_aggregate=aggregate)
+    r, other = RreqId(0, 1), RreqId(3, 1)
+    s.open_attempt(9, 1, r, now=0)
+    s.open_attempt(9, 2, r, now=0)
+    s.open_attempt(8, 3, r, now=0)
+    s.open_attempt(7, 1, other, now=1)
+    s.open_attempt(7, 4, other, now=1)
+    s.resolve_attempt(9, 2, r, success=True)
+    before = s.snapshot()
+    s.fail_pending(r)
+    assert not any(r in rec.pending for rec in s.records.values())
+    assert s.peek(7, 1).pending == {other: 1} and s.peek(7, 4).pending == {other: 1}
+    assert s.peek(9, 2).index == before[s._key(9, 2)][2]    # already resolved: untouched
+    assert s.peek(8, 3).index == 0.0
+    after = s.snapshot()
+    s.fail_pending(r)                                       # nothing left to close
+    assert s.snapshot() == after
+
+
 def test_boost_caps_at_one():
     s = state(new_link_bonus=0.4)
     rid = RreqId(0, 1)
