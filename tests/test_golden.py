@@ -1,8 +1,10 @@
-"""Golden digests: `aodvsim run` output must stay byte-identical.
+"""Golden digests: `aodvsim run` and `compare` output must stay byte-identical.
 
-Each corpus entry runs one scenario under one strategy through the CLI and
-hashes the metrics CSV, the trace file and the printed summary. A change that
-is meant to move any of them re-records the digests and says why:
+Each run entry runs one scenario under one strategy through the CLI and
+hashes the metrics CSV, the trace file and the printed summary. Each compare
+entry runs one scenario under every corpus strategy and hashes the comparison
+CSV, the SVG chart and the printed table. A change that is meant to move any
+of them re-records the digests and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +27,7 @@ DIGESTS = GOLDEN / "digests.json"
 
 STRATEGIES = ["flood", "connectivity", "probabilistic:0.6", "counter:3", "ring:1:2:7"]
 BUILTINS = ["fig1", "fig1-tables", "ring-demo", "random-20", "random-50"]
+COMPARED = ["fig1", "mixed.json"]
 
 
 def corpus() -> list[tuple[str, str]]:
@@ -39,18 +42,48 @@ def entry_id(scenario: str, strategy: str) -> str:
     return f"{scenario}/{strategy}"
 
 
-def digests_of(scenario: str, strategy: str, workdir: Path) -> dict[str, str]:
-    source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
-    csv_path, trace_path = workdir / "out.csv", workdir / "out.trace"
+def compare_id(scenario: str) -> str:
+    return f"compare/{scenario}"
+
+
+def _source(scenario: str) -> str:
+    return str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _main(argv: list[str], what: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["run", "--scenario", source, "--strategy", strategy,
-                     "--out", str(csv_path), "--trace", str(trace_path)])
-    assert code == 0, f"{entry_id(scenario, strategy)} exited {code}"
+        code = main(argv)
+    assert code == 0, f"{what} exited {code}"
+    return out.getvalue()
+
+
+def digests_of(scenario: str, strategy: str, workdir: Path) -> dict[str, str]:
+    csv_path, trace_path = workdir / "out.csv", workdir / "out.trace"
+    summary = _main(["run", "--scenario", _source(scenario), "--strategy", strategy,
+                     "--out", str(csv_path), "--trace", str(trace_path)],
+                    entry_id(scenario, strategy))
     return {
-        "csv": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-        "trace": hashlib.sha256(trace_path.read_bytes()).hexdigest(),
-        "summary": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "csv": _sha(csv_path.read_bytes()),
+        "trace": _sha(trace_path.read_bytes()),
+        "summary": _sha(summary.encode()),
+    }
+
+
+def compare_digests_of(scenario: str, workdir: Path) -> dict[str, str]:
+    csv_path, svg_path = workdir / "cmp.csv", workdir / "cmp.svg"
+    table = _main(["compare", "--scenario", _source(scenario),
+                   "--strategies", ",".join(STRATEGIES),
+                   "--out", str(csv_path), "--svg", str(svg_path)],
+                  compare_id(scenario))
+    return {
+        "csv": _sha(csv_path.read_bytes()),
+        "svg": _sha(svg_path.read_bytes()),
+        "stdout": _sha(table.encode()),
     }
 
 
@@ -61,13 +94,21 @@ def test_output_matches_golden_digest(scenario, strategy, tmp_path):
     assert digests_of(scenario, strategy, tmp_path) == recorded
 
 
+@pytest.mark.parametrize("scenario", COMPARED, ids=[compare_id(s) for s in COMPARED])
+def test_compare_output_matches_golden_digest(scenario, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[compare_id(scenario)]
+    assert compare_digests_of(scenario, tmp_path) == recorded
+
+
 def test_corpus_and_recorded_digests_agree():
     recorded = json.loads(DIGESTS.read_text())
-    assert sorted(recorded) == sorted(entry_id(*e) for e in corpus())
+    expected = [entry_id(*e) for e in corpus()] + [compare_id(s) for s in COMPARED]
+    assert sorted(recorded) == sorted(expected)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {entry_id(*e): digests_of(*e, Path(tmp)) for e in corpus()}
+        table.update({compare_id(s): compare_digests_of(s, Path(tmp)) for s in COMPARED})
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} digests in {DIGESTS}")
