@@ -31,17 +31,7 @@ from .scenario import (
     parse_scenario,
     with_rounds,
 )
-from .suppression import (
-    ConfigError,
-    Connectivity,
-    ConnectivityConfig,
-    CounterBased,
-    DistanceBased,
-    ExpandingRing,
-    Flood,
-    Probabilistic,
-    strategy_label,
-)
+from .suppression import ConfigError, strategy_from_token
 
 
 class CliError(Exception):
@@ -109,38 +99,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --- strategy tokens ------------------------------------------------------
-
-def parse_strategy(token: str, args: argparse.Namespace):
-    name, _, rest = token.partition(":")
-    try:
-        if name == "flood":
-            return Flood()
-        if name == "connectivity":
-            defaults = ConnectivityConfig()
-            return Connectivity(ConnectivityConfig(
-                mode=args.mode or defaults.mode,
-                alpha=defaults.alpha if args.alpha is None else args.alpha,
-                threshold=(defaults.threshold if args.threshold is None
-                           else args.threshold),
-                warmup_attempts=(defaults.warmup_attempts if args.warmup is None
-                                 else args.warmup),
-            ))
-        if name == "probabilistic":
-            return Probabilistic(p=float(rest))
-        if name == "counter":
-            return CounterBased(max_copies=int(rest))
-        if name == "distance":
-            return DistanceBased(min_distance=float(rest))
-        if name == "ring":
-            start, inc, thresh = rest.split(":")
-            return ExpandingRing(ttl_start=int(start), ttl_increment=int(inc),
-                                 ttl_threshold=int(thresh))
-    except (ValueError, ConfigError) as exc:
-        raise CliError(f"bad strategy token {token!r}: {exc}") from exc
-    raise CliError(f"unknown strategy {token!r}")
-
-
 def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scenario:
     if not args.scenario:
         raise CliError("--scenario is required")
@@ -157,7 +115,9 @@ def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scena
         if args.rounds is not None:
             sc = with_rounds(sc, args.rounds)
     if strategy_token is not None:
-        sc = replace(sc, strategy=parse_strategy(strategy_token, args))
+        knobs = {"mode": args.mode, "alpha": args.alpha, "threshold": args.threshold,
+                 "warmup_attempts": args.warmup}
+        sc = replace(sc, strategy=strategy_from_token(strategy_token, knobs))
         sc.validate()
     return sc
 
@@ -173,7 +133,7 @@ def summary_lines(sc: Scenario, report: MetricsReport) -> list[str]:
     ok, failed = report.discoveries_ok, report.discoveries_failed
     mean = report.mean_latency()
     lines = [
-        f"scenario={sc.name} strategy={strategy_label(sc.strategy)} seed={sc.seed}",
+        f"scenario={sc.name} strategy={sc.strategy.label} seed={sc.seed}",
         f"rreq_tx={report.rreq_tx} rrep_tx={report.rrep_tx} "
         f"rerr_tx={report.rerr_tx} hello_tx={report.hello_tx} "
         f"data_tx={report.data_tx}",
@@ -235,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if trace_fh is not None:
             trace_fh.close()
     if args.out:
-        row = report.csv_row(sc.name, strategy_label(sc.strategy), sc.seed)
+        row = report.csv_row(sc.name, sc.strategy.label, sc.seed)
         _write(args.out, rows_to_csv([row], CSV_COLUMNS))
     print("\n".join(summary_lines(sc, report)))
     return 0
@@ -265,7 +225,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for token in tokens:
             sc = load_scenario(args, token)
             report = Engine(sc).run()
-            labeled.append((strategy_label(sc.strategy), report))
+            labeled.append((sc.strategy.label, report.totals()))
     table = compare(labeled)
     if args.out:
         _write(args.out, table.to_csv())

@@ -12,7 +12,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
 
 from .metrics import MetricsReport
@@ -29,8 +29,7 @@ from .node import (
     TimerKind,
 )
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
-from .scenario import RandomWaypoint, Scenario
-from .suppression import Connectivity, ConnectivityState
+from .scenario import DropEvent, RandomWaypoint, Scenario
 
 
 # --- engine events --------------------------------------------------------
@@ -99,6 +98,7 @@ class Engine:
         self.rng = random.Random(scenario.seed)
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = itertools.count()
+        self._ids = ids = scenario.node_ids()
 
         # link state: each node's live peers with their delay, plus the
         # configured delay for every known pair; pairs are keyed (low, high)
@@ -108,32 +108,24 @@ class Engine:
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
         self.new_links: set[tuple[NodeId, NodeId]] = set()
-        self.loss_filter = {
-            (ev.at, scenario.id_of(ev.frm), scenario.id_of(ev.to))
-            for ev in scenario.drop_events
-        }
+        self.loss_filter: set[tuple[int, NodeId, NodeId]] = set()
 
-        self.positions: dict[NodeId, tuple[float, float]] = dict(scenario.positions())
+        self.positions: dict[NodeId, tuple[float, float]] = {
+            i: n.pos for i, n in enumerate(scenario.nodes) if n.pos is not None}
         self._motion: dict[NodeId, _Motion] | None = None
         if isinstance(scenario.mobility, RandomWaypoint):
             self._init_mobility(scenario.mobility)
 
         self.nodes: list[Node] = []
         for i in range(scenario.node_count):
-            conn = None
-            if isinstance(scenario.strategy, Connectivity):
-                conn = ConnectivityState(scenario.strategy.config,
-                                         scenario.per_neighbor_aggregate)
-            params = replace(scenario.params,
-                             intermediate_reply=scenario.intermediate_reply)
             self.nodes.append(Node(
                 me=i,
-                config=params,
+                config=scenario.params,
                 strategy=scenario.strategy,
                 node_count=scenario.node_count,
                 metrics=self.metrics,
                 rng=self.rng,
-                connectivity=conn,
+                connectivity=scenario.strategy.node_state(scenario.per_neighbor_aggregate),
                 position_of=self.positions.get if self.positions else None,
             ))
         for a, peers in enumerate(self._adj):
@@ -142,14 +134,16 @@ class Engine:
 
         # scripted events first so same-tick ordering favors topology changes,
         # then traffic, then the recurring ticks
-        for ev in scenario.link_events:
-            self._push(ev.at, LinkChange(ev.kind, scenario.id_of(ev.a), scenario.id_of(ev.b)))
+        for ev in scenario.events:
+            if isinstance(ev, DropEvent):
+                self.loss_filter.add((ev.at, ids[ev.frm], ids[ev.to]))
+            else:
+                self._push(ev.at, LinkChange(ev.kind, ids[ev.a], ids[ev.b]))
         payload = itertools.count()
         for flow in scenario.traffic:
             for r in range(flow.rounds):
                 at = flow.start + r * flow.spacing
-                self._push(at, Inject(scenario.id_of(flow.origin),
-                                      scenario.id_of(flow.dest), next(payload), r))
+                self._push(at, Inject(ids[flow.origin], ids[flow.dest], next(payload), r))
         for i in range(scenario.node_count):
             self._push(0, HelloTick(i))
         if self._motion is not None:
@@ -417,17 +411,17 @@ class Engine:
     # -- introspection used by tests and the CLI summary
 
     def node_by_label(self, label: str) -> Node:
-        return self.nodes[self.scenario.id_of(label)]
+        return self.nodes[self._ids[label]]
 
     def connectivity_index(self, node: str, dest: str, neighbor: str) -> float | None:
         state = self.node_by_label(node).conn
         if state is None:
             return None
-        rec = state.peek(self.scenario.id_of(dest), self.scenario.id_of(neighbor))
+        rec = state.peek(self._ids[dest], self._ids[neighbor])
         return None if rec is None else rec.index
 
     def route_of(self, node: str, dest: str):
-        return self.node_by_label(node).routes.get(self.scenario.id_of(dest))
+        return self.node_by_label(node).routes.get(self._ids[dest])
 
 
 def run(scenario: Scenario, trace: TextIO | None = None) -> MetricsReport:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 
 class EmptyComparison(Exception):
@@ -15,24 +18,90 @@ class MalformedCsv(ValueError):
     """A metrics CSV that cannot be read back; the message names the line and column."""
 
 
-CSV_COLUMNS = [
-    "scenario",
-    "strategy",
-    "seed",
-    "rreq_tx",
-    "rrep_tx",
-    "rerr_tx",
-    "hello_tx",
-    "data_tx",
-    "redundant_rreq_rx",
-    "suppressed_forwards",
-    "discoveries_ok",
-    "discoveries_failed",
-    "mean_latency_ticks",
-]
+# CSV cell readers; a blank cell is an absent figure
 
-COUNTER_KINDS = ("rreq_tx", "rrep_tx", "rerr_tx", "hello_tx", "data_tx",
-                 "redundant_rreq_rx", "suppressed_forwards", "losses")
+def _count(text: str) -> int:
+    if not text:
+        return 0
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError("expected a count")
+    return value
+
+
+def _mean(text: str) -> float | None:
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("expected a number")
+    return value
+
+
+def _fixed(value: float | None) -> str:
+    return "" if value is None else f"{value:.3f}"
+
+
+@dataclass(frozen=True)
+class Column:
+    """One metrics column. The spec below lists them in the order every CSV
+    and the text table show them.
+
+    A run total (`read` set) comes off a MetricsReport as `value(report, name)`
+    and back out of a CSV through `read`. The other columns are labels the
+    caller gives or figures `compare` works out.
+    """
+
+    name: str
+    short: str = ""                 # text-table header; "" keeps it out of the table
+    run: bool = True                # in the per-run CSV
+    compared: bool = True           # in the comparison CSV and the text table
+    required: bool = False          # a CSV read back must have it
+    read: Callable[[str], Any] | None = _count
+    value: Callable[[Any, str], Any] = getattr
+    cell: Callable[[Any], str] = str    # CSV text
+    shown: Callable[[Any], str] = str   # text-table cell
+    per_node: str = ""              # the report's per-node breakdown of this counter
+
+
+STRATEGY = Column("strategy", required=True, read=None)     # labels each row of the table
+
+COLUMNS = (
+    Column("scenario", compared=False, read=None),
+    STRATEGY,
+    Column("seed", compared=False, read=None),
+    Column("rreq_tx", "rreq", required=True, per_node="per_node_rreq_tx"),
+    Column("rrep_tx", "rrep"),
+    Column("rerr_tx", "rerr"),
+    Column("hello_tx", "hello"),
+    Column("data_tx", "data"),
+    Column("redundant_rreq_rx", "redundant", per_node="per_node_redundant_rx"),
+    Column("suppressed_forwards", "suppressed"),
+    Column("discoveries_ok", "ok", required=True),
+    Column("discoveries_failed", "fail"),
+    Column("success_rate", run=False, read=None, cell=_fixed),
+    Column("mean_latency_ticks", "latency", read=_mean,
+           value=lambda report, _name: report.mean_latency(), cell=_fixed,
+           shown=lambda mean: "-" if mean is None else f"{mean:.1f}"),
+    Column("rreq_tx_delta", "d-rreq", run=False, read=None, shown=lambda d: f"{d:+d}"),
+)
+
+_COMPARED = [c for c in COLUMNS if c.compared]
+CSV_COLUMNS = [c.name for c in COLUMNS if c.run]
+COMPARISON_COLUMNS = [c.name for c in _COMPARED]
+_TOTALS = [c for c in COLUMNS if c.read is not None]
+_PER_NODE = {c.name: c.per_node for c in COLUMNS if c.per_node}
+
+# one run's totals, as a metrics CSV row carries them
+Totals = namedtuple("Totals", [c.name for c in _TOTALS])
+# one row of a comparison, in the comparison CSV's column order
+ComparisonRow = namedtuple("ComparisonRow", COMPARISON_COLUMNS)
 
 
 @dataclass
@@ -77,17 +146,16 @@ class MetricsReport:
 
     def record(self, kind: str, n: int = 1, node: int | None = None,
                link: tuple[int, int] | None = None) -> None:
-        """Bump one counter. Node/link breakdowns ride along where they apply."""
-        if kind not in COUNTER_KINDS:
+        """Bump one counter. A node breakdown rides along for the counters that
+        keep one, a link breakdown for request transmissions."""
+        if kind not in _COUNTERS:
             raise ValueError(f"unknown counter {kind!r}")
         setattr(self, kind, getattr(self, kind) + n)
-        if kind == "rreq_tx":
-            if node is not None:
-                self.per_node_rreq_tx[node] = self.per_node_rreq_tx.get(node, 0) + n
-            if link is not None:
-                self.per_link_rreq_tx[link] = self.per_link_rreq_tx.get(link, 0) + n
-        elif kind == "redundant_rreq_rx" and node is not None:
-            self.per_node_redundant_rx[node] = self.per_node_redundant_rx.get(node, 0) + n
+        if node is not None and kind in _PER_NODE:
+            per_node = getattr(self, _PER_NODE[kind])
+            per_node[node] = per_node.get(node, 0) + n
+        if link is not None:
+            self.per_link_rreq_tx[link] = self.per_link_rreq_tx.get(link, 0) + n
 
     def begin_discovery(self, origin: int, dest: int, round_index: int | None,
                         started_at: int) -> DiscoveryRecord:
@@ -129,73 +197,27 @@ class MetricsReport:
             self.discoveries_ok, self.discoveries_failed,
         )
 
+    def totals(self) -> Totals:
+        return Totals._make(c.value(self, c.name) for c in _TOTALS)
+
     def csv_row(self, scenario: str, strategy: str, seed: int) -> dict[str, str]:
-        mean = self.mean_latency()
-        return {
-            "scenario": scenario,
-            "strategy": strategy,
-            "seed": str(seed),
-            "rreq_tx": str(self.rreq_tx),
-            "rrep_tx": str(self.rrep_tx),
-            "rerr_tx": str(self.rerr_tx),
-            "hello_tx": str(self.hello_tx),
-            "data_tx": str(self.data_tx),
-            "redundant_rreq_rx": str(self.redundant_rreq_rx),
-            "suppressed_forwards": str(self.suppressed_forwards),
-            "discoveries_ok": str(self.discoveries_ok),
-            "discoveries_failed": str(self.discoveries_failed),
-            "mean_latency_ticks": "" if mean is None else f"{mean:.3f}",
-        }
+        values = dict(self.totals()._asdict(), scenario=scenario, strategy=strategy, seed=seed)
+        return {c.name: c.cell(values[c.name]) for c in COLUMNS if c.run}
+
+
+# the counters `record` may bump: the report's integer fields
+_COUNTERS = frozenset(f.name for f in fields(MetricsReport) if f.type == "int")
 
 
 def rows_to_csv(rows: list[dict[str, str]], columns: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 # --- comparison -----------------------------------------------------------
-
-COMPARISON_COLUMNS = [
-    "strategy",
-    "rreq_tx",
-    "rrep_tx",
-    "rerr_tx",
-    "hello_tx",
-    "data_tx",
-    "redundant_rreq_rx",
-    "suppressed_forwards",
-    "discoveries_ok",
-    "discoveries_failed",
-    "success_rate",
-    "mean_latency_ticks",
-    "rreq_tx_delta",
-]
-
-
-@dataclass
-class ComparisonRow:
-    strategy: str
-    rreq_tx: int
-    rrep_tx: int
-    rerr_tx: int
-    hello_tx: int
-    data_tx: int
-    redundant_rreq_rx: int
-    suppressed_forwards: int
-    discoveries_ok: int
-    discoveries_failed: int
-    mean_latency: float | None
-    rreq_tx_delta: int = 0
-
-    @property
-    def success_rate(self) -> float:
-        total = self.discoveries_ok + self.discoveries_failed
-        return self.discoveries_ok / total if total else 0.0
-
 
 @dataclass
 class ComparisonTable:
@@ -203,43 +225,23 @@ class ComparisonTable:
     baseline: str
 
     def to_csv(self) -> str:
-        out = []
-        for r in self.rows:
-            out.append({
-                "strategy": r.strategy,
-                "rreq_tx": str(r.rreq_tx),
-                "rrep_tx": str(r.rrep_tx),
-                "rerr_tx": str(r.rerr_tx),
-                "hello_tx": str(r.hello_tx),
-                "data_tx": str(r.data_tx),
-                "redundant_rreq_rx": str(r.redundant_rreq_rx),
-                "suppressed_forwards": str(r.suppressed_forwards),
-                "discoveries_ok": str(r.discoveries_ok),
-                "discoveries_failed": str(r.discoveries_failed),
-                "success_rate": f"{r.success_rate:.3f}",
-                "mean_latency_ticks": "" if r.mean_latency is None else f"{r.mean_latency:.3f}",
-                "rreq_tx_delta": str(r.rreq_tx_delta),
-            })
-        return rows_to_csv(out, COMPARISON_COLUMNS)
+        cells = [{c.name: c.cell(v) for c, v in zip(_COMPARED, r)} for r in self.rows]
+        return rows_to_csv(cells, COMPARISON_COLUMNS)
 
     def formatted(self) -> str:
-        """Fixed-width text table for terminal output."""
-        headers = ["strategy", "rreq", "rrep", "rerr", "hello", "data",
-                   "redundant", "suppressed", "ok", "fail", "latency", "d-rreq"]
-        name_w = max(len(headers[0]), *(len(r.strategy) for r in self.rows))
-        lines = [f"{headers[0]:<{name_w}}  "
-                 + "  ".join(f"{h:>10}" for h in headers[1:])]
+        """Fixed-width text table for terminal output: the strategy column
+        fits the longest name, every other column is ten wide."""
+        shown = [(i, c) for i, c in enumerate(_COMPARED) if c.short]
+        name_w = max(len(STRATEGY.name), *(len(r.strategy) for r in self.rows))
+        lines = [f"{STRATEGY.name:<{name_w}}  "
+                 + "  ".join(f"{c.short:>10}" for _, c in shown)]
         for r in self.rows:
-            lat = "-" if r.mean_latency is None else f"{r.mean_latency:.1f}"
-            cells = [r.rreq_tx, r.rrep_tx, r.rerr_tx, r.hello_tx,
-                     r.data_tx, r.redundant_rreq_rx, r.suppressed_forwards,
-                     r.discoveries_ok, r.discoveries_failed, lat, f"{r.rreq_tx_delta:+d}"]
             lines.append(f"{r.strategy:<{name_w}}  "
-                         + "  ".join(f"{str(c):>10}" for c in cells))
+                         + "  ".join(f"{c.shown(r[i]):>10}" for i, c in shown))
         return "\n".join(lines)
 
 
-def compare(labeled: list[tuple[str, MetricsReport]]) -> ComparisonTable:
+def compare(labeled: list[tuple[str, Totals]]) -> ComparisonTable:
     """Side-by-side totals with request-overhead deltas against the flood row.
 
     The baseline is the first row labeled "flood", falling back to the first
@@ -247,78 +249,41 @@ def compare(labeled: list[tuple[str, MetricsReport]]) -> ComparisonTable:
     """
     if not labeled:
         raise EmptyComparison("nothing to compare")
+    baseline, base = next((pair for pair in labeled if pair[0] == "flood"), labeled[0])
     rows = []
-    for label, rep in labeled:
-        rows.append(ComparisonRow(
-            strategy=label,
-            rreq_tx=rep.rreq_tx,
-            rrep_tx=rep.rrep_tx,
-            rerr_tx=rep.rerr_tx,
-            hello_tx=rep.hello_tx,
-            data_tx=rep.data_tx,
-            redundant_rreq_rx=rep.redundant_rreq_rx,
-            suppressed_forwards=rep.suppressed_forwards,
-            discoveries_ok=rep.discoveries_ok,
-            discoveries_failed=rep.discoveries_failed,
-            mean_latency=rep.mean_latency(),
-        ))
-    baseline = next((r for r in rows if r.strategy == "flood"), rows[0])
-    for r in rows:
-        r.rreq_tx_delta = r.rreq_tx - baseline.rreq_tx
-    return ComparisonTable(rows=rows, baseline=baseline.strategy)
+    for label, t in labeled:
+        runs = t.discoveries_ok + t.discoveries_failed
+        rows.append(ComparisonRow(strategy=label, rreq_tx_delta=t.rreq_tx - base.rreq_tx,
+                                  success_rate=t.discoveries_ok / runs if runs else 0.0,
+                                  **t._asdict()))
+    return ComparisonTable(rows=rows, baseline=baseline)
 
 
-_REQUIRED_CSV_COLUMNS = ("strategy", "rreq_tx", "discoveries_ok")
-_CSV_TOTALS = ("rreq_tx", "rrep_tx", "rerr_tx", "hello_tx", "data_tx",
-               "redundant_rreq_rx", "suppressed_forwards")
-
-
-def parse_run_csv(text: str) -> list[tuple[str, MetricsReport]]:
-    """Rebuild (label, report) pairs from a produced CSV.
+def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
+    """(label, totals) pairs read back from a produced CSV.
 
     Accepts both the per-run layout and the comparison layout, so anything
-    this package writes can be fed back into the compare subcommand. Latency
-    means cannot be decomposed, so they are represented by one synthetic
-    discovery per row.
+    this package writes can be fed back into the compare subcommand. An
+    optional column that is absent or blank reads as a count of 0 or as no
+    mean latency; a required one may not be blank.
     """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise EmptyComparison("empty CSV input")
-    missing = [c for c in _REQUIRED_CSV_COLUMNS if c not in reader.fieldnames]
+    missing = [c.name for c in COLUMNS if c.required and c.name not in reader.fieldnames]
     if missing:
         raise MalformedCsv(f"CSV lacks required columns: {', '.join(missing)}")
-    out: list[tuple[str, MetricsReport]] = []
+    out: list[tuple[str, Totals]] = []
     for row in reader:
-        line = reader.line_num
-        rep = MetricsReport(**{c: _csv_count(row, c, line) for c in _CSV_TOTALS})
-        ok = _csv_count(row, "discoveries_ok", line)
-        failed = _csv_count(row, "discoveries_failed", line)
-        mean = row.get("mean_latency_ticks") or ""
-        try:
-            latency = round(float(mean)) if mean else 0
-        except (OverflowError, ValueError):
-            raise MalformedCsv(f"line {line}, column mean_latency_ticks: "
-                               f"expected a number, got {mean!r}") from None
-        for _ in range(ok):
-            rec = rep.begin_discovery(0, 0, None, 0)
-            rep.resolve_discovery(rec, latency, 0)
-        for _ in range(failed):
-            rec = rep.begin_discovery(0, 0, None, 0)
-            rep.fail_discovery(rec, 0)
-        out.append((row["strategy"], rep))
+        values = []
+        for c in _TOTALS:
+            cell = row.get(c.name) or ""
+            try:
+                if c.required and not cell:
+                    raise ValueError("expected a value")
+                values.append(c.read(cell))
+            except ValueError as exc:
+                raise MalformedCsv(f"line {reader.line_num}, column {c.name}: "
+                                   f"{exc}, got {cell!r}") from None
+        out.append((row[STRATEGY.name] or "", Totals._make(values)))
     return out
-
-
-def _csv_count(row: dict, column: str, line: int) -> int:
-    """A non-negative integer cell; an optional column may be absent or blank."""
-    text = row.get(column)
-    if not text and column not in _REQUIRED_CSV_COLUMNS:
-        return 0
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        value = -1
-    if value < 0:
-        raise MalformedCsv(f"line {line}, column {column}: "
-                           f"expected a count, got {text!r}")
-    return value

@@ -28,20 +28,17 @@ from .protocol import (
     is_duplicate,
     relay_transform,
 )
-from .suppression import (
-    Connectivity,
-    ConnectivityState,
-    CounterBased,
-    ExpandingRing,
-    SelectionView,
-    Strategy,
-    expanding_ring_next_ttl,
-    select_targets,
-)
+from .suppression import ConnectivityState, SelectionView, Strategy
 
 
 class InvalidDestination(Exception):
     """A node asked to discover a route to itself."""
+
+
+def select_targets(strategy: Strategy, view: SelectionView, candidates: list[NodeId],
+                   rng: random.Random) -> list[NodeId]:
+    """The forwarding decision, one module-level name so it can be wrapped."""
+    return strategy.select(view, candidates, rng)
 
 
 # --- emissions ------------------------------------------------------------
@@ -109,6 +106,12 @@ class ProtocolConfig:
     intermediate_reply: bool = True
     default_ttl: int | None = None          # default: node_count
 
+    def deadline_for(self, node_count: int) -> int:
+        """How long a discovery attempt waits for its reply."""
+        if self.discovery_deadline is not None:
+            return self.discovery_deadline
+        return 2 * node_count
+
 
 @dataclass
 class _Discovery:
@@ -156,22 +159,12 @@ class Node:
     # -- derived constants
 
     @property
-    def deadline(self) -> int:
-        if self.config.discovery_deadline is not None:
-            return self.config.discovery_deadline
-        return 2 * self.node_count
-
-    @property
     def attempt_timeout(self) -> int:
         if self.conn is not None and self.conn.config.attempt_timeout is not None:
             return self.conn.config.attempt_timeout
         if self.config.attempt_timeout is not None:
             return self.config.attempt_timeout
-        return self.deadline
-
-    @property
-    def default_ttl(self) -> int:
-        return self.config.default_ttl if self.config.default_ttl is not None else self.node_count
+        return self.config.deadline_for(self.node_count)
 
     # -- small helpers
 
@@ -222,13 +215,12 @@ class Node:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
         disc.rreq_id = rid
-        disc.deadline_at = now + self.deadline
+        disc.deadline_at = now + self.config.deadline_for(self.node_count)
         self.seen_rreqs.add(rid)
 
-        if isinstance(self.strategy, ExpandingRing):
-            ttl = expanding_ring_next_ttl(self.strategy, disc.attempt_index - 1, self.node_count)
-        else:
-            ttl = self.default_ttl
+        ttl = self.strategy.attempt_ttl(disc.attempt_index - 1, self.node_count)
+        if ttl is None:
+            ttl = self.config.default_ttl or self.node_count
         rreq = Rreq(
             rreq_id=rid,
             origin=self.me,
@@ -302,8 +294,7 @@ class Node:
                 return [Send(frm, reply)]
 
         forwarded = relay_transform(rreq)
-        if isinstance(self.strategy, CounterBased):
-            # hold one tick so same-wave copies can be counted first
+        if self.strategy.holds_forward:
             self.held_forwards[rreq.rreq_id] = (forwarded, frm)
             return [SetTimer(ForwardDecision(rreq.rreq_id), now + 1)]
         return self._targeted_sends(forwarded, previous_hop=frm, now=now)

@@ -110,10 +110,6 @@ def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:
     raise TypeError(f"only requests and replies are relayed, got {type(packet).__name__}")
 
 
-def packet_kind(packet: Packet) -> str:
-    return type(packet).__name__.upper()
-
-
 def summarize(packet: Packet) -> str:
     """Compact single-token description used in trace output."""
     if isinstance(packet, Rreq):

@@ -10,9 +10,11 @@ classic flood-limiting baselines used for comparison.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 from .protocol import NodeId, RreqId
+from .wire import ValidationError, read_fields, read_object, require
 
 
 class ConfigError(Exception):
@@ -23,11 +25,65 @@ class InvariantViolation(Exception):
     """Internal accounting went out of bounds."""
 
 
-# --- strategy descriptors -------------------------------------------------
+# --- strategies -----------------------------------------------------------
+class Strategy:
+    """Base of the suppression strategies, each a frozen dataclass below.
+
+    A strategy's `token` names it on the command line and in labels, its
+    `kind` in scenario JSON; its fields are its parameters, in token order
+    (`counter:3`). The defaults here forward to every candidate with the
+    node's default TTL and keep no per-node state.
+    """
+
+    token: ClassVar[str]
+    kind: ClassVar[str]
+    holds_forward: ClassVar[bool] = False   # a relay waits one tick before deciding
+
+    @classmethod
+    def from_token(cls, args: str, knobs: dict) -> Strategy:
+        """Build from the token text after `name:`; `knobs` are option values."""
+        params = fields(cls)
+        if not params:
+            return cls()
+        parts = args.split(":", len(params) - 1)
+        if len(parts) != len(params):
+            raise ValueError(f"expected {len(params)} values separated by ':'")
+        return cls(*(type(f.default)(text) for f, text in zip(params, parts)))
+
+    @property
+    def label(self) -> str:
+        """Stable token used in CSV rows and comparison tables."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return "-".join([self.token, *(f"{v:g}" if isinstance(v, float) else str(v)
+                                       for v in values)])
+
+    @classmethod
+    def from_json(cls, obj: dict, path: str) -> Strategy:
+        return cls(**read_fields(cls, obj, path, ("kind",)))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    def validate(self, nodes: list) -> None:
+        """Reject parameters that do not fit the scenario's nodes."""
+
+    def select(self, view: SelectionView, candidates: list[NodeId],
+               rng: random.Random) -> list[NodeId]:
+        """Subset of candidates the request actually goes to, in candidate order."""
+        return list(candidates)
+
+    def attempt_ttl(self, attempt_index: int, node_count: int) -> int | None:
+        """TTL for the given (0-based) attempt; None means the node's default."""
+        return None
+
+    def node_state(self, per_neighbor_aggregate: bool) -> ConnectivityState | None:
+        """Per-node statistics the strategy keeps, if any."""
+        return None
+
 
 @dataclass(frozen=True)
-class Flood:
-    pass
+class Flood(Strategy):
+    token = kind = "flood"
 
 
 @dataclass(frozen=True)
@@ -52,48 +108,151 @@ class ConnectivityConfig:
 
 
 @dataclass(frozen=True)
-class Connectivity:
+class Connectivity(Strategy):
+    """Its settings come from options on the command line and sit flat
+    beside `kind` in JSON."""
+
+    token = kind = "connectivity"
     config: ConnectivityConfig = field(default_factory=ConnectivityConfig)
 
+    @classmethod
+    def from_token(cls, args: str, knobs: dict) -> Connectivity:
+        given = {k: v for k, v in knobs.items() if v is not None}
+        return cls(ConnectivityConfig(**given))
+
+    @property
+    def label(self) -> str:
+        return self.token
+
+    @classmethod
+    def from_json(cls, obj: dict, path: str) -> Connectivity:
+        return cls(ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",))))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **asdict(self.config)}
+
+    def validate(self, nodes: list) -> None:
+        self.config.validate()
+
+    def select(self, view, candidates, rng):
+        state = view.connectivity
+        if state is None:
+            raise ConfigError("connectivity strategy requires connectivity state")
+        return [n for n in candidates if state.eligible(view.dest, n)]
+
+    def node_state(self, per_neighbor_aggregate):
+        return ConnectivityState(self.config, per_neighbor_aggregate)
+
+
+class _RelayFilter(Strategy):
+    """Forwards to all candidates or none at a relay, as `forwards(view, rng)`
+    decides. An originator has nothing "received" to judge, so it passes
+    everything."""
+
+    def select(self, view, candidates, rng):
+        if view.previous_hop is None or self.forwards(view, rng):
+            return list(candidates)
+        return []
+
 
 @dataclass(frozen=True)
-class Probabilistic:
+class Probabilistic(_RelayFilter):
+    token = kind = "probabilistic"
     p: float = 0.5
 
+    def validate(self, nodes):
+        if not (0.0 <= self.p <= 1.0):
+            raise ValidationError("strategy.p: must lie in [0, 1]")
+
+    def forwards(self, view, rng):
+        return rng.random() < self.p
+
 
 @dataclass(frozen=True)
-class CounterBased:
+class CounterBased(_RelayFilter):
+    token = kind = "counter"
+    holds_forward = True            # so that same-wave copies are counted first
     max_copies: int = 3
 
+    def validate(self, nodes):
+        if self.max_copies < 0:
+            raise ValidationError("strategy.max_copies: negative")
+
+    def forwards(self, view, rng):
+        return view.copies_heard <= self.max_copies
+
 
 @dataclass(frozen=True)
-class DistanceBased:
+class DistanceBased(_RelayFilter):
+    token = kind = "distance"
     min_distance: float = 0.0
 
+    def validate(self, nodes):
+        if self.min_distance < 0:
+            raise ValidationError("strategy.min_distance: negative")
+        missing = [n.name for n in nodes if n.pos is None]
+        if missing:
+            raise ValidationError(
+                f"strategy distance: nodes without positions: {', '.join(missing)}"
+            )
+
+    def forwards(self, view, rng):
+        if view.distance_to_previous is None:
+            raise ConfigError("distance strategy requires node positions")
+        return view.distance_to_previous >= self.min_distance
+
 
 @dataclass(frozen=True)
-class ExpandingRing:
+class ExpandingRing(Strategy):
+    token = "ring"
+    kind = "expanding_ring"
     ttl_start: int = 1
     ttl_increment: int = 2
     ttl_threshold: int = 7
 
+    def validate(self, nodes):
+        if self.ttl_start < 1 or self.ttl_increment < 1:
+            raise ValidationError("strategy ring: ttl_start and ttl_increment must be >= 1")
+        if self.ttl_threshold < self.ttl_start:
+            raise ValidationError("strategy ring: ttl_threshold below ttl_start")
 
-Strategy = Flood | Connectivity | Probabilistic | CounterBased | DistanceBased | ExpandingRing
+    def attempt_ttl(self, attempt_index, node_count):
+        """Grows linearly to the threshold; the first attempt at or past the
+        threshold uses the threshold itself, anything after that goes
+        network-wide."""
+        if attempt_index < 0:
+            raise ConfigError("attempt_index must be non-negative")
+        raw = self.ttl_start + attempt_index * self.ttl_increment
+        if raw < self.ttl_threshold:
+            return raw
+        previous = raw - self.ttl_increment
+        if attempt_index == 0 or previous < self.ttl_threshold:
+            return self.ttl_threshold
+        return node_count
 
 
-def strategy_label(strategy: Strategy) -> str:
-    """Stable token used in CSV rows and comparison tables."""
-    if isinstance(strategy, Flood):
-        return "flood"
-    if isinstance(strategy, Connectivity):
-        return "connectivity"
-    if isinstance(strategy, Probabilistic):
-        return f"probabilistic-{strategy.p:g}"
-    if isinstance(strategy, CounterBased):
-        return f"counter-{strategy.max_copies}"
-    if isinstance(strategy, DistanceBased):
-        return f"distance-{strategy.min_distance:g}"
-    return f"ring-{strategy.ttl_start}-{strategy.ttl_increment}-{strategy.ttl_threshold}"
+STRATEGIES = (Flood, Connectivity, Probabilistic, CounterBased, DistanceBased, ExpandingRing)
+
+
+def strategy_from_token(token: str, knobs: dict | None = None) -> Strategy:
+    """Parse a command-line token such as `counter:3`."""
+    name, _, args = token.partition(":")
+    cls = next((s for s in STRATEGIES if s.token == name), None)
+    if cls is None:
+        raise ConfigError(f"unknown strategy {token!r}")
+    try:
+        return cls.from_token(args, knobs or {})
+    except ValueError as exc:
+        raise ConfigError(f"bad strategy token {token!r}: {exc}") from exc
+
+
+def strategy_from_json(obj, path: str) -> Strategy:
+    obj = read_object(obj, path)
+    kind = require(obj, "kind", path)
+    cls = next((s for s in STRATEGIES if s.kind == kind), None)
+    if cls is None:
+        raise ValidationError(f"{path}.kind: unknown strategy {kind!r}")
+    return cls.from_json(obj, path)
 
 
 # --- connectivity index ---------------------------------------------------
@@ -228,54 +387,3 @@ class SelectionView:
     connectivity: ConnectivityState | None = None
     copies_heard: int = 1
     distance_to_previous: float | None = None
-
-
-def select_targets(
-    strategy: Strategy,
-    view: SelectionView,
-    candidates: list[NodeId],
-    rng: random.Random,
-) -> list[NodeId]:
-    """Subset of candidates the request actually goes to, in candidate order.
-
-    The probabilistic, copy-count and distance baselines act on relays only;
-    an originator has nothing "received" to judge, so they pass everything.
-    """
-    if isinstance(strategy, Connectivity):
-        state = view.connectivity
-        if state is None:
-            raise ConfigError("connectivity strategy requires connectivity state")
-        return [n for n in candidates if state.eligible(view.dest, n)]
-    if isinstance(strategy, Probabilistic):
-        if view.previous_hop is None:
-            return list(candidates)
-        return list(candidates) if rng.random() < strategy.p else []
-    if isinstance(strategy, CounterBased):
-        if view.previous_hop is None:
-            return list(candidates)
-        return list(candidates) if view.copies_heard <= strategy.max_copies else []
-    if isinstance(strategy, DistanceBased):
-        if view.previous_hop is None:
-            return list(candidates)
-        if view.distance_to_previous is None:
-            raise ConfigError("distance strategy requires node positions")
-        return list(candidates) if view.distance_to_previous >= strategy.min_distance else []
-    # flood and expanding ring forward to everyone; the ring only caps TTL
-    return list(candidates)
-
-
-def expanding_ring_next_ttl(strategy: ExpandingRing, attempt_index: int, node_count: int) -> int:
-    """TTL for the given (0-based) attempt.
-
-    Grows linearly to the threshold; the first attempt at or past the
-    threshold uses the threshold itself, anything after that goes network-wide.
-    """
-    if attempt_index < 0:
-        raise ConfigError("attempt_index must be non-negative")
-    raw = strategy.ttl_start + attempt_index * strategy.ttl_increment
-    if raw < strategy.ttl_threshold:
-        return raw
-    previous = raw - strategy.ttl_increment
-    if attempt_index == 0 or previous < strategy.ttl_threshold:
-        return strategy.ttl_threshold
-    return node_count

@@ -1,0 +1,101 @@
+"""Typed readers for the scenario JSON; every error names the JSON path."""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import MISSING, fields
+
+
+class ValidationError(Exception):
+    """The JSON is well-formed but not a valid scenario; message names the path."""
+
+
+def check_keys(obj: dict, allowed: set[str], path: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ValidationError(f"{path}: unknown field(s) {', '.join(unknown)}")
+
+
+def require(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise ValidationError(f"{path}.{key}: missing")
+    return obj[key]
+
+
+def read_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def read_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def read_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list")
+    return value
+
+
+def read_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected an object")
+    return value
+
+
+def read_number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def read_pair(value, path: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) for v in value)):
+        raise ValidationError(f"{path}: expected [x, y]")
+    return (float(value[0]), float(value[1]))
+
+
+# the reader for each declared field type; a text field takes any value as a name
+_READERS = {"int": read_int, "float": read_number, "str": lambda value, path: str(value),
+            "tuple[float, float]": read_pair}
+
+
+@functools.cache
+def _field_specs(datacls, extra: tuple[str, ...]) -> tuple[set[str], dict[str, tuple]]:
+    """The keys allowed beside `extra`, and JSON key -> (field name, reader,
+    optional, required) for each field of `datacls`; worked out once."""
+    specs = {}
+    for f in fields(datacls):
+        kind, _, optional = f.type.partition(" | ")
+        specs[f.metadata.get("json", f.name)] = (f.name, _READERS[kind], bool(optional),
+                                                 f.default is MISSING)
+    return specs.keys() | set(extra), specs
+
+
+def read_fields(datacls, obj, path: str, extra: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for the dataclass `datacls` from the JSON object `obj`.
+
+    Each field is read by its declared type under its JSON key (the field
+    name, or `metadata["json"]`). A field without a default must be present;
+    an optional one (`X | None`) may be null. Keys other than the fields'
+    and `extra` are rejected.
+    """
+    obj = read_object(obj, path)
+    allowed, specs = _field_specs(datacls, extra)
+    check_keys(obj, allowed, path)
+    out = {}
+    for key, (name, reader, optional, required) in specs.items():
+        if key not in obj:
+            if required:
+                require(obj, key, path)
+            continue
+        value = obj[key]
+        if value is not None or not optional:
+            value = reader(value, f"{path}.{key}")
+        out[name] = value
+    return out

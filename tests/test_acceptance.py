@@ -24,8 +24,6 @@ from aodvsim.suppression import (
     CounterBased,
     ExpandingRing,
     Probabilistic,
-    expanding_ring_next_ttl,
-    strategy_label,
 )
 from aodvsim.suppression import Flood
 
@@ -71,18 +69,18 @@ def test_criterion_2_round_11_pruning():
     eng = Engine(sc11)
     rep11 = eng.run()
 
-    ids = sc11.id_of
+    ids = sc11.node_ids()
     pruned = [("S", "N7"), ("N4", "N13"), ("N7", "N13"),
               ("N7", "N8"), ("N13", "N7")]
     for a, b in pruned:
-        before = base.metrics.per_link_rreq_tx.get((ids(a), ids(b)), 0)
-        after = rep11.per_link_rreq_tx.get((ids(a), ids(b)), 0)
+        before = base.metrics.per_link_rreq_tx.get((ids[a], ids[b]), 0)
+        after = rep11.per_link_rreq_tx.get((ids[a], ids[b]), 0)
         assert after - before == 0, f"round 11 used pruned link {a}->{b}"
 
     last = rep11.discoveries[-1]
     assert last.round_index == 10 and last.ok
     route = eng.route_of("S", "D")
-    assert route is not None and route.next_hop == ids("N1")
+    assert route is not None and route.next_hop == ids["N1"]
     assert route.hop_count == 4
 
     flood11 = run(replace(builtin("fig1-tables", rounds=11),
@@ -99,12 +97,12 @@ def test_criterion_3_flood_baseline():
     rep = run(sc)
     edges = [(a, b) for a, b, _ in sc.links_by_id()]
     oracle_tx, oracle_redundant, reached = flood_replay(
-        sc.node_count, edges, sc.id_of("S"), sc.id_of("D"), ttl=sc.node_count)
+        sc.node_count, edges, sc.node_ids()["S"], sc.node_ids()["D"], ttl=sc.node_count)
 
     assert oracle_tx == 15          # deg(S) + sum over relays of (deg - 1)
     assert rep.rreq_tx == 15
     assert reached and rep.discoveries_ok == 1
-    n13 = sc.id_of("N13")
+    n13 = sc.node_ids()["N13"]
     assert rep.per_node_redundant_rx.get(n13, 0) >= 1
     # golden total from the replay oracle: one extra copy each at
     # N3, N5, N7, N13 and D
@@ -145,7 +143,7 @@ def test_criterion_5_degeneration_suite():
     ]
     for strategy in vacuous:
         got = run(replace(builtin("fig1"), strategy=strategy)).counter_tuple()
-        assert got == baseline, f"{strategy_label(strategy)} diverged from flood"
+        assert got == baseline, f"{strategy.label} diverged from flood"
     verdict(5, "p=1, c=1e9 and threshold=-1 all counter-identical to flood")
 
 
@@ -245,7 +243,7 @@ def test_criterion_8_deterministic_output():
             buf = io.StringIO()
             rep = run(sc, trace=buf)
             row = rows_to_csv(
-                [rep.csv_row(sc.name, strategy_label(sc.strategy), sc.seed)],
+                [rep.csv_row(sc.name, sc.strategy.label, sc.seed)],
                 CSV_COLUMNS)
             outputs.append((row, buf.getvalue()))
         assert outputs[0] == outputs[1], f"{name} not reproducible"
@@ -257,7 +255,7 @@ def test_criterion_9_expanding_ring_schedule():
     sc = builtin("ring-demo")
     ring = sc.strategy
     assert isinstance(ring, ExpandingRing)
-    schedule = [expanding_ring_next_ttl(ring, i, sc.node_count)
+    schedule = [ring.attempt_ttl(i, sc.node_count)
                 for i in range(5)]
     assert schedule == [1, 3, 5, 7, sc.node_count]
 
@@ -276,7 +274,7 @@ def test_criterion_9_expanding_ring_schedule():
 
     edges = [(a, b) for a, b, _ in sc.links_by_id()]
     full_flood_tx, _, _ = flood_replay(
-        sc.node_count, edges, sc.id_of("S"), sc.id_of("D"), ttl=sc.node_count)
+        sc.node_count, edges, sc.node_ids()["S"], sc.node_ids()["D"], ttl=sc.node_count)
     assert full_flood_tx == 6
     assert rep.rreq_tx < attempts * full_flood_tx, \
         f"{rep.rreq_tx} not below {attempts} x {full_flood_tx}"

@@ -1,9 +1,16 @@
 import json
+import re
+import shlex
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from aodvsim.cli import main
-from aodvsim.metrics import CSV_COLUMNS
+from aodvsim.metrics import CSV_COLUMNS, parse_run_csv
+from aodvsim.scenario import builtin, emit_scenario, parse_scenario
+from aodvsim.suppression import STRATEGIES, strategy_from_token
 
 CSV_OK_COL = CSV_COLUMNS.index("discoveries_ok")
 
@@ -90,6 +97,52 @@ def test_rounds_override_multiplies_traffic(tmp_path):
     assert row[CSV_OK_COL] == "3"
 
 
+def test_rounds_override_widens_scenario_file_spacing(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_scenario_doc(
+        traffic=[{"origin": "a", "dest": "b", "spacing": 10}])))
+    out = tmp_path / "o.csv"
+    assert run_cli("run", "--scenario", str(scenario), "--rounds", "3",
+                   "--out", str(out)) == 0
+    # one discovery; the later rounds reuse its route
+    assert out.read_text().splitlines()[1].split(",")[CSV_COLUMNS.index("data_tx")] == "3"
+
+
+# --- strategy registry ----------------------------------------------------
+
+# a token for every registered strategy and the label it must produce
+TOKENS = {
+    "flood": ("flood", "flood"),
+    "connectivity": ("connectivity", "connectivity"),
+    "probabilistic": ("probabilistic:0.25", "probabilistic-0.25"),
+    "counter": ("counter:4", "counter-4"),
+    "distance": ("distance:12.5", "distance-12.5"),
+    "ring": ("ring:1:2:7", "ring-1-2-7"),
+}
+
+
+def test_every_registered_strategy_has_a_token_case():
+    assert sorted(s.token for s in STRATEGIES) == sorted(TOKENS)
+
+
+@pytest.mark.parametrize("cls", STRATEGIES, ids=[s.token for s in STRATEGIES])
+def test_registry_token_label_and_json_round_trip(cls):
+    token, label = TOKENS[cls.token]
+    strategy = strategy_from_token(token)
+    assert type(strategy) is cls and strategy.label == label
+    sc = replace(builtin("random-6"), strategy=strategy)     # nodes have positions
+    assert parse_scenario(emit_scenario(sc)).strategy == strategy
+
+
+def test_unknown_strategy_token_and_kind_exit_one(tmp_path, capsys):
+    assert run_cli("run", "--scenario", "fig1", "--strategy", "telepathy") == 1
+    assert capsys.readouterr().err == "aodvsim: unknown strategy 'telepathy'\n"
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_scenario_doc(strategy={"kind": "telepathy"})))
+    assert run_cli("run", "--scenario", str(scenario)) == 1
+    assert capsys.readouterr().err == "aodvsim: strategy.kind: unknown strategy 'telepathy'\n"
+
+
 # --- compare --------------------------------------------------------------
 
 def test_compare_runs_multiple_strategies(tmp_path, capsys):
@@ -138,6 +191,21 @@ def test_compare_consumes_its_own_comparison_output(tmp_path, capsys):
             "flood,counter:2", "--out", str(out))
     capsys.readouterr()
     assert run_cli("compare", "--inputs", str(out)) == 0
+
+
+def test_compare_inputs_keep_the_mean_latency_read(tmp_path, capsys):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("strategy,rreq_tx,discoveries_ok,mean_latency_ticks\nflood,15,2,8.500\n")
+    assert run_cli("compare", "--inputs", str(src), "--out", str(out)) == 0
+    assert capsys.readouterr().out.split()[-2] == "8.5"
+    assert out.read_text().splitlines()[1].endswith(",8.500,0")
+
+
+def test_compare_inputs_do_not_grow_with_the_counts_read():
+    start = time.perf_counter()
+    [(_, totals)] = parse_run_csv(f"strategy,rreq_tx,discoveries_ok\nflood,1,{10 ** 9}\n")
+    assert totals.discoveries_ok == 10 ** 9
+    assert time.perf_counter() - start < 0.5
 
 
 def test_compare_missing_input_exits_one(capsys):
@@ -206,6 +274,12 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"params": {"route_lifetime": True}}, "params.route_lifetime"),
     ({"params": {"discovery_deadline": -5}}, "params.discovery_deadline"),
     ({"params": {"intermediate_reply": 1}}, "params.intermediate_reply"),
+    ({"params": {"discovery_deadline": "x"},
+      "traffic": [{"origin": "a", "dest": "b", "rounds": 2}]}, "params.discovery_deadline"),
+    ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
+     "flags.intermediate_reply and params.intermediate_reply"),
+    ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
+                 {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"
@@ -228,3 +302,23 @@ def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, te
     assert run_cli("compare", "--inputs", str(bad)) == 1
     err = capsys.readouterr().err
     assert str(bad) in err and where in err
+
+
+# --- README ---------------------------------------------------------------
+
+def readme_quick_start() -> list[str]:
+    """The commands of the README's quick-start block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [l for l in lines if l.strip() and not l.lstrip().startswith("#")]
+
+
+def test_readme_quick_start_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_quick_start()
+    assert commands
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "aodvsim"
+        assert run_cli(*argv[1:]) == 0, f"{command}: {capsys.readouterr().err}"

@@ -45,7 +45,7 @@ def test_link_delay_stretches_discovery_latency():
 
 def test_packet_in_flight_dies_with_its_link():
     sc = chain("ab", delay=5,
-               link_events=[LinkEvent(at=2, kind="link_down", a="a", b="b")])
+               events=[LinkEvent(at=2, kind="link_down", a="a", b="b")])
     rep = run(sc)
     assert rep.discoveries_failed == 1
     assert rep.rreq_tx == 1          # only the first copy ever left a
@@ -54,7 +54,7 @@ def test_packet_in_flight_dies_with_its_link():
 
 def test_scripted_drop_removes_exactly_one_packet():
     # drop the reply sent by b at tick 2; the retry then goes through
-    sc = chain("abc", drop_events=[DropEvent(at=3, frm="b", to="a")])
+    sc = chain("abc", events=[DropEvent(at=3, frm="b", to="a")])
     rep = run(sc)
     assert rep.losses == 1
     assert rep.discoveries_ok == 1
@@ -130,7 +130,7 @@ def test_static_topology_never_breaks_links():
 def test_link_down_eventually_raises_route_errors():
     # c->d link dies while a-b-c-d route to d is active and long-lived
     sc = chain("abcd", traffic=("a", "d"), t_max=400,
-               link_events=[LinkEvent(at=30, kind="link_down", a="c", b="d")])
+               events=[LinkEvent(at=30, kind="link_down", a="c", b="d")])
     sc = replace(sc, traffic=[TrafficSpec("a", "d", start=0, rounds=4, spacing=64)])
     rep = run(sc)
     assert rep.rerr_tx >= 1
@@ -140,7 +140,7 @@ def test_link_down_eventually_raises_route_errors():
 def test_link_up_is_discovered_through_hellos():
     # the direct a-c link appears only later; a's believed neighbors follow
     sc = chain("abc", t_max=100,
-               link_events=[LinkEvent(at=40, kind="link_up", a="a", b="c")])
+               events=[LinkEvent(at=40, kind="link_up", a="a", b="c")])
     eng = Engine(sc)
     eng.run()
     assert 2 in eng.nodes[0].neighbors
@@ -187,9 +187,9 @@ def test_untraced_run_formats_nothing(monkeypatch):
     scenarios = [builtin("fig1-tables"), builtin("random-20", seed=4),
                  chain("abcd", delay=2, t_max=300,
                        traffic=[TrafficSpec("a", "d", rounds=3, spacing=64)],
-                       link_events=[LinkEvent(at=41, kind="link_down", a="c", b="d"),
-                                    LinkEvent(at=90, kind="link_up", a="c", b="d")],
-                       drop_events=[DropEvent(at=0, frm="a", to="b")]),
+                       events=[LinkEvent(at=41, kind="link_down", a="c", b="d"),
+                               LinkEvent(at=90, kind="link_up", a="c", b="d"),
+                               DropEvent(at=0, frm="a", to="b")]),
                  chain("abcdef", links=[], t_max=80,
                        mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0))]
     for sc in scenarios:

@@ -111,7 +111,7 @@ def sample_reports():
     conn = MetricsReport(rreq_tx=14, rrep_tx=5, suppressed_forwards=6)
     rec = conn.begin_discovery(0, 9, None, 0)
     conn.resolve_discovery(rec, 8, 4)
-    return [("flood", flood), ("connectivity", conn)]
+    return [("flood", flood.totals()), ("connectivity", conn.totals())]
 
 
 def test_compare_uses_flood_row_as_baseline():
@@ -124,7 +124,7 @@ def test_compare_uses_flood_row_as_baseline():
 
 def test_compare_falls_back_to_first_row_without_flood():
     labeled = [(n, r) for n, r in sample_reports() if n != "flood"]
-    labeled.append(("probabilistic-0.5", MetricsReport(rreq_tx=30)))
+    labeled.append(("probabilistic-0.5", MetricsReport(rreq_tx=30).totals()))
     table = compare(labeled)
     assert table.baseline == "connectivity"
     assert table.rows[1].rreq_tx_delta == 16
@@ -156,7 +156,7 @@ def test_success_rate_counts_both_outcomes():
     ok = rep.begin_discovery(0, 9, None, 0)
     rep.resolve_discovery(ok, 5, 1)
     rep.fail_discovery(rep.begin_discovery(0, 9, None, 10), 30)
-    table = compare([("flood", rep)])
+    table = compare([("flood", rep.totals())])
     assert table.rows[0].success_rate == pytest.approx(0.5)
 
 
@@ -171,7 +171,7 @@ def test_run_csv_round_trips_through_the_parser():
     assert label == "flood"
     assert parsed.rreq_tx == 15 and parsed.rrep_tx == 7
     assert parsed.discoveries_ok == 1 and parsed.discoveries_failed == 0
-    assert parsed.mean_latency() == pytest.approx(8.0)
+    assert parsed.mean_latency_ticks == pytest.approx(8.0)
 
 
 def test_comparison_csv_is_also_parseable():

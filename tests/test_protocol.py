@@ -10,7 +10,6 @@ from aodvsim.protocol import (
     RreqId,
     Rreq,
     is_duplicate,
-    packet_kind,
     relay_transform,
     summarize,
 )
@@ -83,11 +82,6 @@ def test_reverse_path_entry_keeps_sender_order_without_repeats():
 def test_routing_entry_defaults_inactive():
     e = RoutingEntry(dest=9, next_hop=1, hop_count=4, dest_seq=2, expires_at=50)
     assert not e.active
-
-
-def test_packet_kind_names():
-    assert packet_kind(make_rreq()) == "RREQ"
-    assert packet_kind(Hello(sender=0, seq=1)) == "HELLO"
 
 
 def test_summaries_are_single_line():

@@ -4,6 +4,8 @@ import pytest
 
 from aodvsim.scenario import (
     BUILTIN_NAMES,
+    DropEvent,
+    LinkEvent,
     LinkSpec,
     NodeSpec,
     ParseError,
@@ -16,6 +18,7 @@ from aodvsim.scenario import (
     parse_scenario,
     with_rounds,
 )
+from aodvsim.engine import run
 from aodvsim.suppression import Connectivity, DistanceBased, ExpandingRing, Flood
 
 
@@ -44,7 +47,7 @@ def test_fig1_shape():
     assert len(sc.links) == 13
     assert isinstance(sc.strategy, Flood)
     assert sc.traffic[0].rounds == 1
-    assert sc.label_of(sc.id_of("N13")) == "N13"
+    assert sc.label_of(sc.node_ids()["N13"]) == "N13"
 
 
 def test_fig1_tables_script():
@@ -52,11 +55,13 @@ def test_fig1_tables_script():
     assert sc.traffic[0].rounds == 10
     assert isinstance(sc.strategy, Connectivity)
     assert sc.strategy.config.warmup_attempts == 10
-    assert not sc.intermediate_reply
-    downs = [e for e in sc.link_events if e.kind == "link_down"]
-    ups = [e for e in sc.link_events if e.kind == "link_up"]
+    assert not sc.params.intermediate_reply
+    links = [e for e in sc.events if isinstance(e, LinkEvent)]
+    downs = [e for e in links if e.kind == "link_down"]
+    ups = [e for e in links if e.kind == "link_up"]
     assert {e.at for e in downs} == {650} and {e.at for e in ups} == {950}
-    assert [(d.at, d.frm, d.to) for d in sc.drop_events] == [(607, "N4", "S")]
+    drops = [e for e in sc.events if isinstance(e, DropEvent)]
+    assert [(d.at, d.frm, d.to) for d in drops] == [(607, "N4", "S")]
 
 
 def test_fig1_tables_extra_round_extends_the_horizon():
@@ -88,7 +93,14 @@ def test_unknown_builtin_names_the_catalog():
 def test_rounds_override_keeps_rounds_apart():
     sc = builtin("fig1", rounds=3)
     assert sc.traffic[0].rounds == 3
-    assert sc.traffic[0].spacing >= 4 * sc.discovery_deadline()
+    assert sc.traffic[0].spacing >= 4 * sc.params.deadline_for(sc.node_count)
+
+
+def test_with_rounds_widens_parsed_scenarios_like_builtins():
+    sc = parse_scenario(minimal_json(traffic=[{"origin": "a", "dest": "b", "spacing": 10}]))
+    widened = with_rounds(sc, 3)
+    assert widened.traffic[0].spacing == 4 * sc.params.deadline_for(sc.node_count)
+    assert builtin("fig1", rounds=3) == with_rounds(builtin("fig1"), 3)
 
 
 def test_with_rounds_grows_t_max_to_fit():
@@ -110,7 +122,7 @@ def test_parse_minimal_scenario_fills_defaults():
     sc = parse_scenario(minimal_json())
     assert sc.seed == 0
     assert isinstance(sc.strategy, Flood)
-    assert sc.intermediate_reply
+    assert sc.params.intermediate_reply
     assert sc.params.hello_interval == 10
 
 
@@ -120,8 +132,35 @@ def test_parse_reads_params_and_flags():
         flags={"intermediate_reply": False, "per_neighbor_aggregate": True},
     ))
     assert sc.params.route_lifetime == 80
-    assert not sc.intermediate_reply
+    assert not sc.params.intermediate_reply
     assert sc.per_neighbor_aggregate
+
+
+# chain a-b-c-d: b finds d first, so a's later request meets b's fresh route
+CHAIN = dict(nodes=[{"name": n} for n in "abcd"],
+             links=[{"a": x, "b": y} for x, y in ("ab", "bc", "cd")],
+             traffic=[{"origin": "b", "dest": "d", "start": 0},
+                      {"origin": "a", "dest": "d", "start": 10}])
+
+
+@pytest.mark.parametrize("spelling,rrep_tx", [
+    ({}, 3),
+    ({"flags": {"intermediate_reply": False}}, 5),
+    ({"params": {"intermediate_reply": False}}, 5),
+    ({"flags": {"intermediate_reply": False},
+      "params": {"intermediate_reply": False}}, 5),
+])
+def test_both_intermediate_reply_spellings_take_effect(spelling, rrep_tx):
+    sc = parse_scenario(minimal_json(**CHAIN, **spelling))
+    assert run(sc).rrep_tx == rrep_tx
+
+
+def test_disagreeing_intermediate_reply_spellings_are_rejected():
+    doc = minimal_json(flags={"intermediate_reply": True},
+                       params={"intermediate_reply": False})
+    with pytest.raises(ValidationError,
+                       match="flags.intermediate_reply and params.intermediate_reply"):
+        parse_scenario(doc)
 
 
 def test_parse_rejects_malformed_json():
@@ -150,8 +189,8 @@ def test_parse_reads_drop_events_with_from_to_keys():
     sc = parse_scenario(minimal_json(
         events=[{"kind": "drop", "at": 7, "from": "a", "to": "b"},
                 {"kind": "link_down", "at": 9, "a": "a", "b": "b"}]))
-    assert sc.drop_events[0].frm == "a"
-    assert sc.link_events[0].kind == "link_down"
+    assert sc.events[0].frm == "a"
+    assert sc.events[1].kind == "link_down"
 
 
 def test_parse_rejects_unknown_event_kind():

@@ -18,11 +18,9 @@ from aodvsim.suppression import (
     Probabilistic,
     SelectionView,
     ema_step,
-    expanding_ring_next_ttl,
     raw_ratio,
-    select_targets,
-    strategy_label,
 )
+from aodvsim.node import select_targets
 
 
 def state(mode="raw", **kw) -> ConnectivityState:
@@ -50,12 +48,12 @@ def test_config_rejects_bad_initial_index():
 
 
 def test_strategy_labels():
-    assert strategy_label(Flood()) == "flood"
-    assert strategy_label(Connectivity()) == "connectivity"
-    assert strategy_label(Probabilistic(p=0.25)) == "probabilistic-0.25"
-    assert strategy_label(CounterBased(max_copies=4)) == "counter-4"
-    assert strategy_label(DistanceBased(min_distance=12.5)) == "distance-12.5"
-    assert strategy_label(ExpandingRing(1, 2, 7)) == "ring-1-2-7"
+    assert Flood().label == "flood"
+    assert Connectivity().label == "connectivity"
+    assert Probabilistic(p=0.25).label == "probabilistic-0.25"
+    assert CounterBased(max_copies=4).label == "counter-4"
+    assert DistanceBased(min_distance=12.5).label == "distance-12.5"
+    assert ExpandingRing(1, 2, 7).label == "ring-1-2-7"
 
 
 # --- attempt ledger -------------------------------------------------------
@@ -359,19 +357,19 @@ def test_negative_threshold_degenerates_to_flood(threshold):
 
 def test_ring_schedule_grows_then_jumps_to_network_diameter_bound():
     ring = ExpandingRing(ttl_start=1, ttl_increment=2, ttl_threshold=7)
-    got = [expanding_ring_next_ttl(ring, i, node_count=11) for i in range(6)]
+    got = [ring.attempt_ttl(i, node_count=11) for i in range(6)]
     assert got == [1, 3, 5, 7, 11, 11]
 
 
 def test_ring_first_attempt_at_or_past_threshold_uses_threshold():
     ring = ExpandingRing(ttl_start=9, ttl_increment=2, ttl_threshold=7)
-    assert expanding_ring_next_ttl(ring, 0, node_count=20) == 7
-    assert expanding_ring_next_ttl(ring, 1, node_count=20) == 20
+    assert ring.attempt_ttl(0, node_count=20) == 7
+    assert ring.attempt_ttl(1, node_count=20) == 20
 
 
 def test_ring_rejects_negative_attempts():
     with pytest.raises(ConfigError):
-        expanding_ring_next_ttl(ExpandingRing(), -1, node_count=5)
+        ExpandingRing().attempt_ttl(-1, node_count=5)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -380,7 +378,7 @@ def test_ring_rejects_negative_attempts():
        st.integers(min_value=2, max_value=16))
 def test_ring_schedule_is_monotone_until_capped(start, inc, threshold, n):
     ring = ExpandingRing(start, inc, threshold)
-    seq = [expanding_ring_next_ttl(ring, i, n) for i in range(8)]
+    seq = [ring.attempt_ttl(i, n) for i in range(8)]
     for a, b in zip(seq, seq[1:]):
         if b != n:
             assert a <= b
