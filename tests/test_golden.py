@@ -35,6 +35,7 @@ def corpus() -> list[tuple[str, str]]:
     entries = [(sc, st) for sc in BUILTINS for st in STRATEGIES]
     entries += [("waypoint.json", st) for st in ("flood", "connectivity")]
     entries += [("mixed.json", st) for st in STRATEGIES]
+    entries += [("overrun.json", st) for st in STRATEGIES]
     return entries
 
 
