@@ -31,7 +31,10 @@ from .scenario import (
     parse_scenario,
     with_rounds,
 )
-from .suppression import ConfigError, strategy_from_token
+from .suppression import ConfigError, Connectivity, strategy_from_token
+
+# connectivity options: command-line name -> ConnectivityConfig field
+_KNOBS = {"mode": "mode", "alpha": "alpha", "threshold": "threshold", "warmup": "warmup_attempts"}
 
 
 class CliError(Exception):
@@ -115,11 +118,19 @@ def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scena
         if args.rounds is not None:
             sc = with_rounds(sc, args.rounds)
     if strategy_token is not None:
-        knobs = {"mode": args.mode, "alpha": args.alpha, "threshold": args.threshold,
-                 "warmup_attempts": args.warmup}
+        knobs = {name: getattr(args, opt) for opt, name in _KNOBS.items()}
         sc = replace(sc, strategy=strategy_from_token(strategy_token, knobs))
         sc.validate()
     return sc
+
+
+def reject_unused_knobs(args: argparse.Namespace, tokens: list[str | None]) -> None:
+    """The connectivity options only reach a strategy named by a token."""
+    if any(t and t.partition(":")[0] == Connectivity.token for t in tokens):
+        return
+    for opt in _KNOBS:
+        if getattr(args, opt) is not None:
+            raise CliError(f"--{opt} applies only to --strategy connectivity")
 
 
 # --- output helpers -------------------------------------------------------
@@ -185,6 +196,7 @@ def render_svg(bars: list[tuple[str, int]]) -> str:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
+    reject_unused_knobs(args, [args.strategy])
     sc = load_scenario(args, args.strategy)
     trace_fh = None
     try:
@@ -205,6 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.inputs:
         if args.scenario or args.strategies:
             raise CliError("--inputs cannot be combined with --scenario/--strategies")
+        reject_unused_knobs(args, [])
         labeled = []
         for path in args.inputs:
             if not os.path.exists(path):
@@ -221,6 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         tokens = [t.strip() for t in args.strategies.split(",") if t.strip()]
         if not tokens:
             raise CliError("--strategies is empty")
+        reject_unused_knobs(args, tokens)
         labeled = []
         for token in tokens:
             sc = load_scenario(args, token)
@@ -237,6 +251,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    reject_unused_knobs(args, [args.strategy])
     sc = load_scenario(args, args.strategy)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

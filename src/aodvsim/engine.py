@@ -1,9 +1,9 @@
 """Deterministic discrete-event engine.
 
-Integer ticks; the queue orders events by (tick, insertion sequence), so a
-scenario plus a seed fixes the entire run. Transmission, link state, scripted
-losses, mobility, metrics and tracing live here; protocol behavior lives in
-the per-node state machines.
+Integer ticks; a queue entry is (tick, insertion sequence, handler, args) and
+runs as `handler(engine, *args)`, so a scenario plus a seed fixes the entire
+run. Transmission, link state, scripted losses, mobility, metrics and tracing
+live here; protocol behavior lives in the per-node state machines.
 """
 
 from __future__ import annotations
@@ -13,71 +13,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .metrics import MetricsReport
-from .node import (
-    AttemptSweep,
-    DeliverUp,
-    DiscoveryDeadline,
-    Drop,
-    ForwardDecision,
-    Node,
-    RouteSweep,
-    Send,
-    SetTimer,
-    TimerKind,
-)
+from .node import DeliverUp, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
 from .scenario import DropEvent, RandomWaypoint, Scenario
-
-
-# --- engine events --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Deliver:
-    """Every packet one handler call sent that lands on the same tick, in
-    send order. Nothing can run between them (their heap entries would have
-    been adjacent), so one entry replaces one per packet."""
-    frm: NodeId
-    items: list[tuple[NodeId, Packet]]      # (recipient, packet)
-
-
-@dataclass(frozen=True)
-class Timer:
-    node: NodeId
-    kind: TimerKind
-
-
-@dataclass(frozen=True)
-class HelloTick:
-    node: NodeId
-
-
-@dataclass(frozen=True)
-class Inject:
-    node: NodeId
-    dest: NodeId
-    payload_id: int
-    round_index: int
-
-
-@dataclass(frozen=True)
-class LinkChange:
-    kind: str       # "link_up" | "link_down"
-    a: NodeId
-    b: NodeId
-
-
-@dataclass(frozen=True)
-class MobilityTick:
-    pass
-
-
-Event = Deliver | Timer | HelloTick | Inject | LinkChange | MobilityTick
-
-# protocol activity that still being queued at t_max means the run was cut short
-_TRUNCATION_TIMERS = (DiscoveryDeadline, AttemptSweep, ForwardDecision)
 
 
 @dataclass
@@ -96,7 +37,10 @@ class Engine:
         self.now = 0
         self.metrics = MetricsReport()
         self.rng = random.Random(scenario.seed)
-        self._queue: list[tuple[int, int, Event]] = []
+        # handlers are stored as plain functions: a bound method would make
+        # each entry refer back to the engine, so a finished engine with
+        # entries left would wait for the cycle collector
+        self._queue: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._ids = ids = scenario.node_ids()
 
@@ -138,21 +82,24 @@ class Engine:
             if isinstance(ev, DropEvent):
                 self.loss_filter.add((ev.at, ids[ev.frm], ids[ev.to]))
             else:
-                self._push(ev.at, LinkChange(ev.kind, ids[ev.a], ids[ev.b]))
-        payload = itertools.count()
+                self._push(ev.at, Engine._link_change, ev.kind, ids[ev.a], ids[ev.b])
+        payload = 0
         for flow in scenario.traffic:
             for r in range(flow.rounds):
                 at = flow.start + r * flow.spacing
-                self._push(at, Inject(ids[flow.origin], ids[flow.dest], next(payload), r))
+                self._push(at, Engine._inject, ids[flow.origin], ids[flow.dest], payload + r, r)
+                if at > scenario.t_max:
+                    break       # later rounds never run; this one marks the run as cut short
+            payload += flow.rounds
         for i in range(scenario.node_count):
-            self._push(0, HelloTick(i))
+            self._push(0, Engine._hello_tick, i)
         if self._motion is not None:
-            self._push(1, MobilityTick())
+            self._push(1, Engine._mobility_tick)
 
     # -- infrastructure
 
-    def _push(self, at: int, event: Event) -> None:
-        heapq.heappush(self._queue, (at, next(self._seq), event))
+    def _push(self, at: int, handler: Callable, *args) -> None:
+        heapq.heappush(self._queue, (at, next(self._seq), handler, args))
 
     def _trace(self, node: NodeId, kind: str, detail: str = "") -> None:
         """Write one trace line. Every caller tests `self.trace is not None`
@@ -277,84 +224,77 @@ class Engine:
                 m.pos = (m.pos[0] + dx / dist * m.speed, m.pos[1] + dy / dist * m.speed)
             self.positions[i] = m.pos
 
-    # -- event dispatch
+    # -- queue entry handlers
 
-    def _process(self, event: Event) -> None:
+    def _deliver(self, frm: NodeId, items: list[tuple[NodeId, Packet]]) -> None:
+        """Every packet one handler call sent that lands on this tick, as
+        (recipient, packet) in send order. Nothing can run between them (one
+        entry each would have been adjacent), so they share one entry."""
         tracing = self.trace is not None
-        if isinstance(event, Deliver):
-            frm, now = event.frm, self.now
-            peers = self._adj[frm]
-            for to, pkt in event.items:
-                live = to in peers
-                if tracing:
-                    self._trace(to, "deliver" if live else "deliver-cancelled",
-                                f"from={self.scenario.label_of(frm)} {summarize(pkt)}")
-                if not live:
-                    continue
-                node = self.nodes[to]
-                node.note_alive(frm, now)
-                kind = type(pkt)
-                if kind is Hello:
-                    emissions = node.on_hello(pkt, frm, now)
-                elif kind is Rreq:
-                    emissions = node.on_rreq(pkt, frm, now)
-                elif kind is Rrep:
-                    key = (min(frm, to), max(frm, to))
-                    fresh = key in self.new_links
-                    if fresh:
-                        self.new_links.discard(key)
-                    emissions = node.on_rrep(pkt, frm, now, link_is_new=fresh)
-                elif kind is Rerr:
-                    emissions = node.on_rerr(pkt, frm, now)
-                else:
-                    emissions = node.on_data(pkt, frm, now)
-                if emissions:
-                    self._handle_emissions(to, emissions)
-        elif isinstance(event, Timer):
+        now = self.now
+        peers = self._adj[frm]
+        for to, pkt in items:
+            live = to in peers
             if tracing:
-                self._trace(event.node, "timer", type(event.kind).__name__)
-            node = self.nodes[event.node]
-            kind = event.kind
-            if isinstance(kind, DiscoveryDeadline):
-                emissions = node.on_discovery_timeout(kind.dest, self.now)
-            elif isinstance(kind, AttemptSweep):
-                emissions = node.on_attempt_sweep(kind.rreq_id, self.now)
-            elif isinstance(kind, ForwardDecision):
-                emissions = node.on_forward_decision(kind.rreq_id, self.now)
+                self._trace(to, "deliver" if live else "deliver-cancelled",
+                            f"from={self.scenario.label_of(frm)} {summarize(pkt)}")
+            if not live:
+                continue
+            node = self.nodes[to]
+            node.note_alive(frm, now)
+            kind = type(pkt)
+            if kind is Hello:
+                emissions = node.on_hello(pkt, frm, now)
+            elif kind is Rreq:
+                emissions = node.on_rreq(pkt, frm, now)
+            elif kind is Rrep:
+                key = (min(frm, to), max(frm, to))
+                fresh = key in self.new_links
+                if fresh:
+                    self.new_links.discard(key)
+                emissions = node.on_rrep(pkt, frm, now, link_is_new=fresh)
+            elif kind is Rerr:
+                emissions = node.on_rerr(pkt, frm, now)
             else:
-                emissions = node.on_route_sweep(self.now)
-            self._handle_emissions(event.node, emissions)
-        elif isinstance(event, HelloTick):
-            if tracing:
-                self._trace(event.node, "hello-tick")
-            peers = self.link_peers(event.node)
-            emissions = self.nodes[event.node].on_hello_tick(self.now, peers)
-            self._handle_emissions(event.node, emissions)
-            nxt = self.now + self.scenario.params.hello_interval
-            if nxt <= self.scenario.t_max:
-                self._push(nxt, HelloTick(event.node))
-        elif isinstance(event, Inject):
-            if tracing:
-                self._trace(event.node, "inject",
-                            f"dest={self.scenario.label_of(event.dest)} round={event.round_index}")
-            emissions = self.nodes[event.node].send_data(
-                event.dest, event.payload_id, self.now, event.round_index)
-            self._handle_emissions(event.node, emissions)
-        elif isinstance(event, LinkChange):
-            if tracing:
-                self._trace(event.a, event.kind.replace("_", "-"),
-                            self.scenario.label_of(event.b))
-            self.apply_link_event(event.kind, event.a, event.b)
-        else:  # MobilityTick
-            self._advance_motion()
-            self._recompute_links()
-            if self.now + 1 <= self.scenario.t_max:
-                self._push(self.now + 1, MobilityTick())
+                emissions = node.on_data(pkt, frm, now)
+            if emissions:
+                self._handle_emissions(to, emissions)
+
+    def _timer(self, node: NodeId, kind: TimerKind) -> None:
+        if self.trace is not None:
+            self._trace(node, "timer", type(kind).__name__)
+        self._handle_emissions(node, kind.fire(self.nodes[node], self.now))
+
+    def _hello_tick(self, node: NodeId) -> None:
+        if self.trace is not None:
+            self._trace(node, "hello-tick")
+        emissions = self.nodes[node].on_hello_tick(self.now, self.link_peers(node))
+        self._handle_emissions(node, emissions)
+        nxt = self.now + self.scenario.params.hello_interval
+        if nxt <= self.scenario.t_max:
+            self._push(nxt, Engine._hello_tick, node)
+
+    def _inject(self, node: NodeId, dest: NodeId, payload_id: int, round_index: int) -> None:
+        if self.trace is not None:
+            self._trace(node, "inject", f"dest={self.scenario.label_of(dest)} round={round_index}")
+        emissions = self.nodes[node].send_data(dest, payload_id, self.now, round_index)
+        self._handle_emissions(node, emissions)
+
+    def _link_change(self, kind: str, a: NodeId, b: NodeId) -> None:
+        if self.trace is not None:
+            self._trace(a, kind.replace("_", "-"), self.scenario.label_of(b))
+        self.apply_link_event(kind, a, b)
+
+    def _mobility_tick(self) -> None:
+        self._advance_motion()
+        self._recompute_links()
+        if self.now + 1 <= self.scenario.t_max:
+            self._push(self.now + 1, Engine._mobility_tick)
 
     def _handle_emissions(self, node: NodeId, emissions) -> None:
-        # consecutive sends are grouped by delay into one Deliver per tick; the
-        # groups are pushed before any other emission, so a timer set between
-        # two sends keeps its place in the queue between them
+        # consecutive sends are grouped by delay into one delivery entry per
+        # tick; the groups are pushed before any other emission, so a timer
+        # set between two sends keeps its place in the queue between them
         pending: dict[int, list[tuple[NodeId, Packet]]] = {}
         for e in emissions:
             if type(e) is Send:
@@ -366,40 +306,29 @@ class Engine:
                 self._push_sends(node, pending)
                 pending = {}
             if isinstance(e, SetTimer):
-                self._push(max(e.at, self.now), Timer(node, e.kind))
+                self._push(max(e.at, self.now), Engine._timer, node, e.kind)
             elif isinstance(e, DeliverUp):
                 if self.trace is not None:
                     self._trace(node, "deliver-up",
                                 f"payload={e.payload_id} src={self.scenario.label_of(e.src)}")
-            elif isinstance(e, Drop):
-                if self.trace is not None:
-                    self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
-                if e.reason == "duplicate-rreq":
-                    self.metrics.record("redundant_rreq_rx", node=node)
+            elif isinstance(e, Drop) and self.trace is not None:
+                self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
         if pending:
             self._push_sends(node, pending)
 
     def _push_sends(self, frm: NodeId, by_delay: dict[int, list[tuple[NodeId, Packet]]]) -> None:
         for delay, items in by_delay.items():
-            self._push(self.now + delay, Deliver(frm, items))
+            self._push(self.now + delay, Engine._deliver, frm, items)
 
     # -- main loop
 
     def run(self) -> MetricsReport:
         t_max = self.scenario.t_max
-        while self._queue and self._queue[0][0] <= t_max:
-            at, _, event = heapq.heappop(self._queue)
-            self.now = at
-            self._process(event)
-        truncated = False
-        for _, _, event in self._queue:
-            if isinstance(event, Deliver):
-                if any(type(pkt) is not Hello for _, pkt in event.items):
-                    truncated = True
-            elif isinstance(event, Inject):
-                truncated = True
-            elif isinstance(event, Timer) and isinstance(event.kind, _TRUNCATION_TIMERS):
-                truncated = True
+        queue = self._queue
+        while queue and queue[0][0] <= t_max:
+            self.now, _, handler, args = heapq.heappop(queue)
+            handler(self, *args)
+        truncated = any(map(_cuts_short, queue))
         for node in self.nodes:
             for dest in sorted(node.pending_discoveries):
                 disc = node.pending_discoveries.pop(dest)
@@ -422,6 +351,18 @@ class Engine:
 
     def route_of(self, node: str, dest: str):
         return self.node_by_label(node).routes.get(self._ids[dest])
+
+
+def _cuts_short(entry: tuple) -> bool:
+    """Whether a queued entry is protocol activity, so that leaving it at
+    t_max means the run was cut short: a delivery other than HELLO, an
+    inject, or a timer other than the route sweep."""
+    _, _, handler, args = entry
+    if handler is Engine._deliver:
+        return any(type(pkt) is not Hello for _, pkt in args[1])
+    if handler is Engine._timer:
+        return type(args[1]) is not RouteSweep
+    return handler is Engine._inject
 
 
 def run(scenario: Scenario, trace: TextIO | None = None) -> MetricsReport:

@@ -9,8 +9,9 @@ replays identically every time.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .metrics import DiscoveryRecord, MetricsReport
@@ -20,12 +21,10 @@ from .protocol import (
     NodeId,
     Packet,
     Rerr,
-    ReversePathEntry,
     RoutingEntry,
     Rrep,
     Rreq,
     RreqId,
-    is_duplicate,
     relay_transform,
 )
 from .suppression import ConnectivityState, SelectionView, Strategy
@@ -70,26 +69,36 @@ class Drop:
 Emission = Send | SetTimer | DeliverUp | Drop
 
 
-# --- timer kinds ----------------------------------------------------------
+# --- timer kinds: each one fires its node's handler -----------------------
 
 @dataclass(frozen=True)
 class DiscoveryDeadline:
     dest: NodeId
+
+    def fire(self, node: Node, now: int) -> list[Emission]:
+        return node.on_discovery_timeout(self.dest, now)
 
 
 @dataclass(frozen=True)
 class AttemptSweep:
     rreq_id: RreqId
 
+    def fire(self, node: Node, now: int) -> list[Emission]:
+        return node.on_attempt_sweep(self.rreq_id, now)
+
 
 @dataclass(frozen=True)
 class RouteSweep:
-    pass
+    def fire(self, node: Node, now: int) -> list[Emission]:
+        return node.on_route_sweep(now)
 
 
 @dataclass(frozen=True)
 class ForwardDecision:
     rreq_id: RreqId
+
+    def fire(self, node: Node, now: int) -> list[Emission]:
+        return node.on_forward_decision(self.rreq_id, now)
 
 
 TimerKind = DiscoveryDeadline | AttemptSweep | RouteSweep | ForwardDecision
@@ -111,6 +120,17 @@ class ProtocolConfig:
         if self.discovery_deadline is not None:
             return self.discovery_deadline
         return 2 * node_count
+
+
+@dataclass
+class _Request:
+    """What a node knows of one route request, kept per (originator, RREQ ID)
+    as in RFC 3561. `senders` are the neighbors its copies came from, in
+    arrival order without repeats; a reply goes back to each of them once."""
+    senders: list[NodeId]
+    copies: int = 1                 # copies heard; the originator counts its own
+    replied: bool = False           # a reply was relayed back
+    held: Rreq | None = None        # a forward from senders[0] awaiting its decision
 
 
 @dataclass
@@ -147,11 +167,7 @@ class Node:
         self.next_rreq_num = 0
         self.neighbors: dict[NodeId, int] = {}          # neighbor -> last tick heard
         self.routes: dict[NodeId, RoutingEntry] = {}
-        self.reverse: dict[RreqId, ReversePathEntry] = {}
-        self.seen_rreqs: set[RreqId] = set()
-        self.relayed_replies: set[RreqId] = set()
-        self.copies_heard: dict[RreqId, int] = {}
-        self.held_forwards: dict[RreqId, tuple[Rreq, NodeId]] = {}
+        self.requests: dict[RreqId, _Request] = {}
         self.pending_discoveries: dict[NodeId, _Discovery] = {}
         self.outbox: dict[NodeId, list[int]] = {}
         self.dest_seq_memory: dict[NodeId, int] = {}
@@ -185,7 +201,7 @@ class Node:
         theirs = self.position_of(other)
         if mine is None or theirs is None:
             return None
-        return ((mine[0] - theirs[0]) ** 2 + (mine[1] - theirs[1]) ** 2) ** 0.5
+        return math.hypot(mine[0] - theirs[0], mine[1] - theirs[1])
 
     # -- originating traffic
 
@@ -216,7 +232,7 @@ class Node:
         self.next_rreq_num += 1
         disc.rreq_id = rid
         disc.deadline_at = now + self.config.deadline_for(self.node_count)
-        self.seen_rreqs.add(rid)
+        self.requests[rid] = _Request([])
 
         ttl = self.strategy.attempt_ttl(disc.attempt_index - 1, self.node_count)
         if ttl is None:
@@ -241,7 +257,7 @@ class Node:
             dest=rreq.dest,
             previous_hop=previous_hop,
             connectivity=self.conn,
-            copies_heard=self.copies_heard.get(rreq.rreq_id, 1),
+            copies_heard=self.requests[rreq.rreq_id].copies,
             distance_to_previous=self._distance_to(previous_hop) if previous_hop is not None else None,
         )
         targets = select_targets(self.strategy, view, candidates, self.rng)
@@ -262,16 +278,14 @@ class Node:
         if rreq.ttl == 0:
             # died in the air: no duplicate marking, no reply even at the target
             return [Drop(rreq, "ttl-expired")]
-        if is_duplicate(self.seen_rreqs, rreq):
-            self.copies_heard[rreq.rreq_id] = self.copies_heard.get(rreq.rreq_id, 0) + 1
-            entry = self.reverse.get(rreq.rreq_id)
-            if entry is not None:
-                entry.add_sender(frm)
+        request = self.requests.get(rreq.rreq_id)
+        if request is not None:
+            request.copies += 1
+            if frm not in request.senders:
+                request.senders.append(frm)
+            self.metrics.record("redundant_rreq_rx", node=self.me)
             return [Drop(rreq, "duplicate-rreq")]
-
-        self.seen_rreqs.add(rreq.rreq_id)
-        self.copies_heard[rreq.rreq_id] = 1
-        self.reverse[rreq.rreq_id] = ReversePathEntry(rreq.rreq_id, [frm], now)
+        request = self.requests[rreq.rreq_id] = _Request([frm])
 
         if rreq.dest == self.me:
             self.seq += 1
@@ -295,16 +309,16 @@ class Node:
 
         forwarded = relay_transform(rreq)
         if self.strategy.holds_forward:
-            self.held_forwards[rreq.rreq_id] = (forwarded, frm)
+            request.held = forwarded
             return [SetTimer(ForwardDecision(rreq.rreq_id), now + 1)]
         return self._targeted_sends(forwarded, previous_hop=frm, now=now)
 
     def on_forward_decision(self, rreq_id: RreqId, now: int) -> list[Emission]:
-        held = self.held_forwards.pop(rreq_id, None)
-        if held is None:
+        request = self.requests.get(rreq_id)
+        if request is None or request.held is None:
             return []
-        forwarded, frm = held
-        return self._targeted_sends(forwarded, previous_hop=frm, now=now)
+        forwarded, request.held = request.held, None
+        return self._targeted_sends(forwarded, previous_hop=request.senders[0], now=now)
 
     # -- reply handling
 
@@ -347,14 +361,14 @@ class Node:
                 emissions.extend(self._flush_outbox(rrep.dest, now))
             return emissions
 
-        if rrep.rreq_id in self.relayed_replies:
-            return emissions
-        entry = self.reverse.get(rrep.rreq_id)
-        if entry is None:
+        request = self.requests.get(rrep.rreq_id)
+        if request is None:
             emissions.append(Drop(rrep, "no-reverse-path"))
             return emissions
-        self.relayed_replies.add(rrep.rreq_id)
-        targets = [p for p in entry.previous_hops if p != frm and p in self.neighbors]
+        if request.replied:
+            return emissions
+        request.replied = True
+        targets = [p for p in request.senders if p != frm and p in self.neighbors]
         if targets:
             forwarded = relay_transform(rrep)
             emissions.extend(Send(t, forwarded) for t in targets)

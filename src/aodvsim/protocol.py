@@ -2,7 +2,7 @@
 
 Nodes are integers (their index in the scenario's node list, which also fixes
 every deterministic tie-break). All packets are frozen dataclasses so they can
-sit in event queues and duplicate-detection sets without defensive copying.
+sit in event queues and request records without defensive copying.
 """
 
 from __future__ import annotations
@@ -73,30 +73,6 @@ class RoutingEntry:
     dest_seq: SeqNum
     expires_at: int
     active: bool = False    # set when the owning node originates data over it
-
-
-@dataclass
-class ReversePathEntry:
-    """Where copies of one request arrived from.
-
-    previous_hops keeps arrival order; the head is the first (primary) sender.
-    A reply is forwarded to every recorded sender except the one it came from.
-    """
-
-    rreq_id: RreqId
-    previous_hops: list[NodeId]
-    created_at: int
-
-    def add_sender(self, sender: NodeId) -> None:
-        if sender not in self.previous_hops:
-            self.previous_hops.append(sender)
-
-
-def is_duplicate(seen: set[RreqId], packet: Rreq) -> bool:
-    """True when this request id was already processed by the node."""
-    if not isinstance(packet, Rreq):
-        raise TypeError(f"duplicate check only applies to route requests, got {type(packet).__name__}")
-    return packet.rreq_id in seen
 
 
 def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:

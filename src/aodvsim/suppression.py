@@ -9,6 +9,7 @@ classic flood-limiting baselines used for comparison.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
@@ -44,6 +45,8 @@ class Strategy:
         """Build from the token text after `name:`; `knobs` are option values."""
         params = fields(cls)
         if not params:
+            if args:
+                raise ValueError("takes no values")
             return cls()
         parts = args.split(":", len(params) - 1)
         if len(parts) != len(params):
@@ -105,6 +108,13 @@ class ConnectivityConfig:
             raise ConfigError("warmup_attempts must be non-negative")
         if not (0.0 <= self.initial_index <= 1.0):
             raise ConfigError("initial_index must lie in [0, 1]")
+        # a negative threshold is the acceptance gate's never-suppress setting
+        if not (-math.inf < self.threshold <= 1.0):
+            raise ConfigError(f"threshold must be finite and at most 1, got {self.threshold}")
+        if not (0.0 <= self.new_link_bonus < math.inf):
+            raise ConfigError(f"new_link_bonus must be finite and >= 0, got {self.new_link_bonus}")
+        if self.attempt_timeout is not None and self.attempt_timeout < 1:
+            raise ConfigError(f"attempt_timeout must be >= 1, got {self.attempt_timeout}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,8 @@ class Connectivity(Strategy):
 
     @classmethod
     def from_token(cls, args: str, knobs: dict) -> Connectivity:
+        if args:
+            raise ValueError("takes no values; its settings are options")
         given = {k: v for k, v in knobs.items() if v is not None}
         return cls(ConnectivityConfig(**given))
 
@@ -188,8 +200,8 @@ class DistanceBased(_RelayFilter):
     min_distance: float = 0.0
 
     def validate(self, nodes):
-        if self.min_distance < 0:
-            raise ValidationError("strategy.min_distance: negative")
+        if not (0.0 <= self.min_distance < math.inf):
+            raise ValidationError("strategy.min_distance: must be finite and >= 0")
         missing = [n.name for n in nodes if n.pos is None]
         if missing:
             raise ValidationError(

@@ -54,10 +54,9 @@ def read_number(value, path: str) -> float:
 
 
 def read_pair(value, path: str) -> tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"{path}: expected [x, y]")
-    return (float(value[0]), float(value[1]))
+    return (read_number(value[0], f"{path}[0]"), read_number(value[1], f"{path}[1]"))
 
 
 # the reader for each declared field type; a text field takes any value as a name

@@ -75,6 +75,54 @@ def test_bad_strategy_tokens_exit_one(capsys):
     assert "telepathy" in capsys.readouterr().err or True
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--scenario", "fig1", "--strategy", "flood:zz"], "flood:zz"),
+    (["run", "--scenario", "fig1", "--strategy", "connectivity:zz"], "connectivity:zz"),
+    (["compare", "--scenario", "fig1", "--strategies", "flood,ring:1:2:7:9"], "ring:1:2:7:9"),
+    (["run", "--scenario", "fig1-tables", "--rounds", "11", "--threshold", "0.99"],
+     "--threshold"),
+    (["run", "--scenario", "fig1", "--strategy", "flood", "--mode", "ema"], "--mode"),
+    (["trace", "--scenario", "fig1", "--alpha", "0.4"], "--alpha"),
+    (["compare", "--scenario", "fig1", "--strategies", "flood,counter:3", "--warmup", "2"],
+     "--warmup"),
+    (["compare", "--inputs", "a.csv", "--threshold", "0.2"], "--threshold"),
+    (["run", "--scenario", "fig1", "--strategy", "connectivity", "--threshold", "nan"],
+     "threshold"),
+    (["run", "--scenario", "fig1", "--strategy", "connectivity", "--threshold", "1.5"],
+     "threshold"),
+    (["run", "--scenario", "random-6", "--strategy", "distance:nan"], "min_distance"),
+    (["run", "--scenario", "random-6", "--strategy", "distance:inf"], "min_distance"),
+    (["run", "--scenario", "fig1", "--strategy", "probabilistic:nan"], "strategy.p"),
+])
+def test_bad_arguments_exit_one_naming_the_token_or_flag(capsys, argv, named):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+def test_connectivity_options_apply_when_any_compared_token_is_connectivity(capsys):
+    assert run_cli("compare", "--scenario", "fig1", "--strategies", "flood,connectivity",
+                   "--threshold", "0.2") == 0
+
+
+def test_rounds_past_t_max_are_never_queued(tmp_path, capsys):
+    # rounds at 0, 24 and 48 run; 4 rounds is the fewest that overrun t_max
+    def summary(rounds):
+        doc = _scenario_doc(nodes=[{"name": "a"}, {"name": "b"}, {"name": "c"}],
+                            links=[{"a": "a", "b": "b"}, {"a": "b", "b": "c"}],
+                            traffic=[{"origin": "a", "dest": "c", "rounds": rounds,
+                                      "spacing": 24}], t_max=60)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        assert run_cli("run", "--scenario", str(tmp_path / "s.json")) == 0
+        return capsys.readouterr().out
+    assert "warning" not in summary(3)
+    overrun = summary(4)
+    assert "warning: run hit t_max" in overrun and "data_tx=6" in overrun
+    start = time.perf_counter()
+    assert summary(10 ** 9) == overrun
+    assert time.perf_counter() - start < 1.0
+
+
 def test_usage_errors_exit_one_not_two(capsys):
     assert run_cli("explode") == 1
     assert run_cli() == 1
@@ -280,6 +328,13 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
      "flags.intermediate_reply and params.intermediate_reply"),
     ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
                  {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
+    ({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold"),
+    ({"strategy": {"kind": "connectivity", "new_link_bonus": -5}}, "new_link_bonus"),
+    ({"strategy": {"kind": "connectivity", "attempt_timeout": 0}}, "attempt_timeout"),
+    ({"strategy": {"kind": "connectivity", "attempt_timeout": -5}}, "attempt_timeout"),
+    ({"nodes": [{"name": "a", "pos": [float("nan"), 0]}, {"name": "b"}]}, "nodes[0].pos[0]"),
+    ({"nodes": [{"name": "a"}, {"name": "b", "pos": [0, float("inf")]}]}, "nodes[1].pos[1]"),
+    ({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"
@@ -287,6 +342,15 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     assert run_cli("run", "--scenario", str(scenario)) == 1
     err = capsys.readouterr().err
     assert path in err and "internal error" not in err
+
+
+def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(_scenario_doc(
+        nodes=[{"name": "a", "pos": [-1e200, -1e200]}, {"name": "b", "pos": [1e200, 1e200]}],
+        strategy={"kind": "distance", "min_distance": 1.0})))
+    assert run_cli("run", "--scenario", str(scenario)) == 0
+    assert "ok=1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text,where", [

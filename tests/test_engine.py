@@ -1,7 +1,9 @@
+import gc
 import io
+import weakref
 from dataclasses import replace
 
-from aodvsim.engine import Deliver, Engine, run
+from aodvsim.engine import Engine, run
 from aodvsim.node import ProtocolConfig
 from aodvsim.protocol import Hello
 from aodvsim.scenario import (
@@ -218,6 +220,21 @@ def test_hello_only_queue_tail_is_not_a_truncation():
     eng = Engine(sc)
     rep = eng.run()
     assert rep.discoveries_ok == 1
-    tail = [ev for _, _, ev in eng._queue if isinstance(ev, Deliver)]
-    assert tail and all(isinstance(p, Hello) for ev in tail for _, p in ev.items)
+    tail = [args[1] for _, _, handler, args in eng._queue if handler is Engine._deliver]
+    assert tail and all(isinstance(p, Hello) for items in tail for _, p in items)
     assert not rep.timed_out
+
+
+def test_finished_engine_with_queued_entries_needs_no_cycle_collector():
+    # a queue entry names its handler as a plain function, so nothing queued
+    # refers back to the engine and dropping the last reference frees it
+    eng = Engine(chain("ab", delay=3, t_max=41, params=ProtocolConfig(discovery_deadline=30)))
+    eng.run()
+    assert eng._queue
+    ref = weakref.ref(eng)
+    gc.disable()
+    try:
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()

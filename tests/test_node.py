@@ -137,8 +137,29 @@ def test_duplicate_copy_records_extra_reverse_sender():
     node.on_rreq(make_rreq(), frm=1, now=0)
     out = node.on_rreq(make_rreq(), frm=3, now=1)
     assert [d.reason for d in out if isinstance(d, Drop)] == ["duplicate-rreq"]
-    assert node.reverse[RreqId(3, 0)].previous_hops == [1, 3]
-    assert node.copies_heard[RreqId(3, 0)] == 2
+    assert node.requests[RreqId(3, 0)].senders == [1, 3]
+    assert node.requests[RreqId(3, 0)].copies == 2
+
+
+def test_request_record_keeps_senders_in_arrival_order_without_repeats():
+    node = make_node(me=2, neighbors=[1, 3, 4, 5])
+    for frm in (4, 5, 4, 3):
+        node.on_rreq(make_rreq(), frm=frm, now=0)
+    assert node.requests[RreqId(3, 0)].senders == [4, 5, 3]
+    assert node.requests[RreqId(3, 0)].copies == 4
+
+
+def test_duplicate_detection_is_per_request_id():
+    node = make_node(me=2, neighbors=[1, 3])
+
+    def dropped(out):
+        return [d.reason for d in out if isinstance(d, Drop)]
+    assert dropped(node.on_rreq(make_rreq(num=4), frm=1, now=0)) == []
+    assert dropped(node.on_rreq(make_rreq(num=4), frm=3, now=1)) == ["duplicate-rreq"]
+    assert dropped(node.on_rreq(make_rreq(num=5), frm=1, now=2)) == []
+    assert dropped(node.on_rreq(make_rreq(origin=4, num=4), frm=1, now=3)) == []
+    assert node.metrics.redundant_rreq_rx == 1
+    assert node.metrics.per_node_redundant_rx == {2: 1}
 
 
 def test_expired_ttl_is_dropped_before_any_bookkeeping():

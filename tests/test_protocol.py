@@ -4,12 +4,10 @@ from aodvsim.protocol import (
     Data,
     Hello,
     NotRelayable,
-    ReversePathEntry,
     RoutingEntry,
     Rrep,
     RreqId,
     Rreq,
-    is_duplicate,
     relay_transform,
     summarize,
 )
@@ -24,20 +22,6 @@ def test_rreq_id_equality_and_hashing():
     assert RreqId(3, 7) == RreqId(3, 7)
     assert RreqId(3, 7) != RreqId(3, 8)
     assert len({RreqId(1, 1), RreqId(1, 1), RreqId(2, 1)}) == 2
-
-
-def test_is_duplicate_tracks_seen_ids():
-    seen = set()
-    r = make_rreq(num=4)
-    assert not is_duplicate(seen, r)
-    seen.add(r.rreq_id)
-    assert is_duplicate(seen, r)
-    assert not is_duplicate(seen, make_rreq(num=5))
-
-
-def test_is_duplicate_rejects_non_requests():
-    with pytest.raises(TypeError):
-        is_duplicate(set(), Hello(sender=1, seq=0))
 
 
 def test_relay_transform_decrements_ttl_and_bumps_hop():
@@ -69,14 +53,6 @@ def test_relay_transform_reply_only_grows_hop():
 def test_relay_transform_rejects_other_packets():
     with pytest.raises(TypeError):
         relay_transform(Data(src=0, dst=1, payload_id=0))
-
-
-def test_reverse_path_entry_keeps_sender_order_without_repeats():
-    entry = ReversePathEntry(rreq_id=RreqId(0, 1), previous_hops=[2], created_at=0)
-    entry.add_sender(5)
-    entry.add_sender(2)
-    entry.add_sender(3)
-    assert entry.previous_hops == [2, 5, 3]
 
 
 def test_routing_entry_defaults_inactive():
