@@ -123,29 +123,70 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.json"
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(doc=mutated_scenarios())
-@example(doc=tiny(params={"hello_interval": 0}))
-@example(doc=tiny(params={"max_retries": "two"}))
-@example(doc=tiny(links=[{"a": "a", "b": "b", "delay": "x"}]))
-@example(doc=tiny(strategy={"kind": "connectivity", "attempt_timeout": "x"}))
-@example(doc=tiny(strategy={"kind": "connectivity", "threshold": 7}))
-@example(doc=tiny(strategy={"kind": "connectivity", "threshold": math.nan}))
-@example(doc=tiny(strategy={"kind": "connectivity", "new_link_bonus": -5}))
-@example(doc=tiny(strategy={"kind": "connectivity", "attempt_timeout": 0}))
-@example(doc=tiny(strategy={"kind": "connectivity", "attempt_timeout": -5}))
-@example(doc=tiny(nodes=[{"name": "a", "pos": [0, 0]}, {"name": "b", "pos": [3, 4]}],
-                  strategy={"kind": "distance", "min_distance": math.nan}))
-@example(doc=tiny(nodes=[{"name": "a", "pos": [math.nan, math.inf]}, {"name": "b"}]))
-@example(doc=tiny(nodes=[{"name": "a", "pos": [-1e200, -1e200]},
-                         {"name": "b", "pos": [1e200, 1e200]}],
-                  strategy={"kind": "distance", "min_distance": 1.0}))
-@example(doc=tiny(traffic=[{"origin": "a", "dest": "b", "rounds": 10 ** 9, "spacing": 100}]))
-@example(doc=tiny(traffic=[{"origin": "a", "dest": "b", "start": 10 ** 9}]))
-def test_any_scenario_runs_or_is_rejected(scenario_path, doc):
-    scenario_path.write_text(json.dumps(doc))
+# explicit cases every fuzz test runs besides the generated ones
+EXAMPLES = [
+    tiny(params={"hello_interval": 0}),
+    tiny(params={"max_retries": "two"}),
+    tiny(links=[{"a": "a", "b": "b", "delay": "x"}]),
+    tiny(strategy={"kind": "connectivity", "attempt_timeout": "x"}),
+    tiny(strategy={"kind": "connectivity", "threshold": 7}),
+    tiny(strategy={"kind": "connectivity", "threshold": math.nan}),
+    tiny(strategy={"kind": "connectivity", "new_link_bonus": -5}),
+    tiny(strategy={"kind": "connectivity", "attempt_timeout": 0}),
+    tiny(strategy={"kind": "connectivity", "attempt_timeout": -5}),
+    tiny(nodes=[{"name": "a", "pos": [0, 0]}, {"name": "b", "pos": [3, 4]}],
+         strategy={"kind": "distance", "min_distance": math.nan}),
+    tiny(nodes=[{"name": "a", "pos": [math.nan, math.inf]}, {"name": "b"}]),
+    tiny(nodes=[{"name": "a", "pos": [-1e200, -1e200]},
+                {"name": "b", "pos": [1e200, 1e200]}],
+         strategy={"kind": "distance", "min_distance": 1.0}),
+    tiny(traffic=[{"origin": "a", "dest": "b", "rounds": 10 ** 9, "spacing": 100}]),
+    tiny(traffic=[{"origin": "a", "dest": "b", "start": 10 ** 9}]),
+]
+
+
+def fuzz_cases(test):
+    """Run `test(..., doc)` on the generated mutated scenarios and on EXAMPLES."""
+    for doc in reversed(EXAMPLES):
+        test = example(doc=doc)(test)
+    return settings(derandomize=True, deadline=None, max_examples=150)(
+        given(doc=mutated_scenarios())(test))
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--scenario", str(scenario_path)])
-    assert code in (0, 1), err.getvalue()
-    assert "internal error" not in err.getvalue()
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@fuzz_cases
+def test_any_scenario_runs_or_is_rejected(scenario_path, doc):
+    scenario_path.write_text(json.dumps(doc))
+    code, _, err = _run(["run", "--scenario", str(scenario_path)])
+    assert code in (0, 1), err
+    assert "internal error" not in err
+
+
+def _same_counts_with_and_without_trace(scenario_path, doc) -> None:
+    scenario_path.write_text(json.dumps(doc))
+    csv_path, trace_path = scenario_path.with_suffix(".csv"), scenario_path.with_suffix(".trace")
+    argv = ["run", "--scenario", str(scenario_path), "--out", str(csv_path)]
+    plain = _run(argv)
+    plain_csv = csv_path.read_bytes() if plain[0] == 0 else None
+    traced = _run(argv + ["--trace", str(trace_path)])
+    assert traced == plain
+    if plain[0] == 0:
+        assert csv_path.read_bytes() == plain_csv
+
+
+@fuzz_cases
+def test_trace_sink_changes_no_count(scenario_path, doc):
+    # a run writes the same summary and CSV whether or not it writes a trace
+    _same_counts_with_and_without_trace(scenario_path, doc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=valid_scenarios())
+def test_trace_sink_changes_no_count_on_valid_scenarios(scenario_path, doc):
+    _same_counts_with_and_without_trace(scenario_path, doc)

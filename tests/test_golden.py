@@ -1,7 +1,9 @@
 """Golden digests: `aodvsim run` and `compare` output must stay byte-identical.
 
 Each run entry runs one scenario under one strategy through the CLI and
-hashes the metrics CSV, the trace file and the printed summary. Each compare
+hashes the metrics CSV, the trace file and the printed summary. Each untraced
+entry runs the same without `--trace` and hashes the CSV and the summary, so
+a run that writes no trace is pinned on its own. Each compare
 entry runs one scenario under every corpus strategy and hashes the comparison
 CSV, the SVG chart and the printed table. A change that is meant to move any
 of them re-records the digests and says why:
@@ -43,6 +45,10 @@ def entry_id(scenario: str, strategy: str) -> str:
     return f"{scenario}/{strategy}"
 
 
+def untraced_id(scenario: str, strategy: str) -> str:
+    return f"untraced/{scenario}/{strategy}"
+
+
 def compare_id(scenario: str) -> str:
     return f"compare/{scenario}"
 
@@ -63,16 +69,22 @@ def _main(argv: list[str], what: str) -> str:
     return out.getvalue()
 
 
-def digests_of(scenario: str, strategy: str, workdir: Path) -> dict[str, str]:
+def run_outputs(scenario: str, strategy: str, workdir: Path, traced: bool) -> dict[str, bytes]:
+    """The CSV, the summary and, if traced, the trace of one `aodvsim run`."""
     csv_path, trace_path = workdir / "out.csv", workdir / "out.trace"
-    summary = _main(["run", "--scenario", _source(scenario), "--strategy", strategy,
-                     "--out", str(csv_path), "--trace", str(trace_path)],
-                    entry_id(scenario, strategy))
-    return {
-        "csv": _sha(csv_path.read_bytes()),
-        "trace": _sha(trace_path.read_bytes()),
-        "summary": _sha(summary.encode()),
-    }
+    argv = ["run", "--scenario", _source(scenario), "--strategy", strategy,
+            "--out", str(csv_path)]
+    if traced:
+        argv += ["--trace", str(trace_path)]
+    summary = _main(argv, entry_id(scenario, strategy))
+    outputs = {"csv": csv_path.read_bytes(), "summary": summary.encode()}
+    if traced:
+        outputs["trace"] = trace_path.read_bytes()
+    return outputs
+
+
+def digests_of(scenario: str, strategy: str, workdir: Path, traced: bool = True) -> dict[str, str]:
+    return {k: _sha(v) for k, v in run_outputs(scenario, strategy, workdir, traced).items()}
 
 
 def compare_digests_of(scenario: str, workdir: Path) -> dict[str, str]:
@@ -95,6 +107,22 @@ def test_output_matches_golden_digest(scenario, strategy, tmp_path):
     assert digests_of(scenario, strategy, tmp_path) == recorded
 
 
+@pytest.mark.parametrize("scenario,strategy", corpus(),
+                         ids=[untraced_id(*e) for e in corpus()])
+def test_untraced_output_matches_golden_digest(scenario, strategy, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[untraced_id(scenario, strategy)]
+    assert digests_of(scenario, strategy, tmp_path, traced=False) == recorded
+
+
+@pytest.mark.parametrize("scenario,strategy", corpus(),
+                         ids=[entry_id(*e) for e in corpus()])
+def test_trace_sink_changes_no_count(scenario, strategy, tmp_path):
+    # checked run against run, so it holds whatever the recorded digests say
+    traced = run_outputs(scenario, strategy, tmp_path, traced=True)
+    plain = run_outputs(scenario, strategy, tmp_path, traced=False)
+    assert plain == {"csv": traced["csv"], "summary": traced["summary"]}
+
+
 @pytest.mark.parametrize("scenario", COMPARED, ids=[compare_id(s) for s in COMPARED])
 def test_compare_output_matches_golden_digest(scenario, tmp_path):
     recorded = json.loads(DIGESTS.read_text())[compare_id(scenario)]
@@ -103,13 +131,16 @@ def test_compare_output_matches_golden_digest(scenario, tmp_path):
 
 def test_corpus_and_recorded_digests_agree():
     recorded = json.loads(DIGESTS.read_text())
-    expected = [entry_id(*e) for e in corpus()] + [compare_id(s) for s in COMPARED]
+    expected = ([entry_id(*e) for e in corpus()] + [untraced_id(*e) for e in corpus()]
+                + [compare_id(s) for s in COMPARED])
     assert sorted(recorded) == sorted(expected)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {entry_id(*e): digests_of(*e, Path(tmp)) for e in corpus()}
+        table.update({untraced_id(*e): digests_of(*e, Path(tmp), traced=False)
+                      for e in corpus()})
         table.update({compare_id(s): compare_digests_of(s, Path(tmp)) for s in COMPARED})
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} digests in {DIGESTS}")
