@@ -125,12 +125,14 @@ def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scena
 
 
 def reject_unused_knobs(args: argparse.Namespace, tokens: list[str | None]) -> None:
-    """The connectivity options only reach a strategy named by a token."""
-    if any(t and t.partition(":")[0] == Connectivity.token for t in tokens):
-        return
-    for opt in _KNOBS:
-        if getattr(args, opt) is not None:
-            raise CliError(f"--{opt} applies only to --strategy connectivity")
+    """The connectivity options only reach a strategy named by a token, and
+    --alpha only a mode that smooths."""
+    if not any(t and t.partition(":")[0] == Connectivity.token for t in tokens):
+        for opt in _KNOBS:
+            if getattr(args, opt) is not None:
+                raise CliError(f"--{opt} applies only to --strategy connectivity")
+    elif args.alpha is not None and args.mode not in ("ema", "blend"):
+        raise CliError("--alpha applies only to --mode ema or blend")
 
 
 # --- output helpers -------------------------------------------------------

@@ -99,22 +99,27 @@ class ConnectivityConfig:
     new_link_bonus: float = 0.1
     attempt_timeout: int | None = None   # None: use the discovery deadline
 
-    def validate(self) -> None:
-        if self.mode not in ("raw", "ema", "blend"):
-            raise ConfigError(f"unknown connectivity mode {self.mode!r}")
-        if self.mode in ("ema", "blend") and not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
-        if self.warmup_attempts < 0:
-            raise ConfigError("warmup_attempts must be non-negative")
-        if not (0.0 <= self.initial_index <= 1.0):
-            raise ConfigError("initial_index must lie in [0, 1]")
+    def validate(self, path: str | None = None) -> None:
+        """Reject a setting out of range, naming it: `threshold must ...` for
+        a command-line option, `strategy.threshold: must ...` for settings
+        read from the JSON object at `path`."""
+        def check(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise (ValidationError(f"{path}.{name}: {rule}") if path
+                       else ConfigError(f"{name} {rule}"))
+        check(self.mode in ("raw", "ema", "blend"), "mode",
+              f"must be raw, ema or blend, got {self.mode!r}")
+        check(self.mode == "raw" or 0.0 < self.alpha < 1.0, "alpha",
+              f"must lie strictly between 0 and 1, got {self.alpha}")
+        check(self.warmup_attempts >= 0, "warmup_attempts", "must be non-negative")
+        check(0.0 <= self.initial_index <= 1.0, "initial_index", "must lie in [0, 1]")
         # a negative threshold is the acceptance gate's never-suppress setting
-        if not (-math.inf < self.threshold <= 1.0):
-            raise ConfigError(f"threshold must be finite and at most 1, got {self.threshold}")
-        if not (0.0 <= self.new_link_bonus < math.inf):
-            raise ConfigError(f"new_link_bonus must be finite and >= 0, got {self.new_link_bonus}")
-        if self.attempt_timeout is not None and self.attempt_timeout < 1:
-            raise ConfigError(f"attempt_timeout must be >= 1, got {self.attempt_timeout}")
+        check(-math.inf < self.threshold <= 1.0, "threshold",
+              f"must be finite and at most 1, got {self.threshold}")
+        check(0.0 <= self.new_link_bonus < math.inf, "new_link_bonus",
+              f"must be finite and >= 0, got {self.new_link_bonus}")
+        check(self.attempt_timeout is None or self.attempt_timeout >= 1, "attempt_timeout",
+              f"must be >= 1, got {self.attempt_timeout}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,9 @@ class Connectivity(Strategy):
 
     @classmethod
     def from_json(cls, obj: dict, path: str) -> Connectivity:
-        return cls(ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",))))
+        config = ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",)))
+        config.validate(path)
+        return cls(config)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **asdict(self.config)}

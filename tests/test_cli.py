@@ -93,6 +93,8 @@ def test_bad_strategy_tokens_exit_one(capsys):
     (["run", "--scenario", "random-6", "--strategy", "distance:nan"], "min_distance"),
     (["run", "--scenario", "random-6", "--strategy", "distance:inf"], "min_distance"),
     (["run", "--scenario", "fig1", "--strategy", "probabilistic:nan"], "strategy.p"),
+    (["run", "--scenario", "fig1", "--strategy", "connectivity", "--alpha", "nan"],
+     "--alpha applies only to --mode ema or blend"),
 ])
 def test_bad_arguments_exit_one_naming_the_token_or_flag(capsys, argv, named):
     assert run_cli(*argv) == 1
@@ -335,6 +337,8 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"nodes": [{"name": "a", "pos": [float("nan"), 0]}, {"name": "b"}]}, "nodes[0].pos[0]"),
     ({"nodes": [{"name": "a"}, {"name": "b", "pos": [0, float("inf")]}]}, "nodes[1].pos[1]"),
     ({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]"),
+    ({"strategy": {"kind": "connectivity", "threshold": 7}},
+     "strategy.threshold: must be finite and at most 1, got 7"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"

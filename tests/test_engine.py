@@ -3,6 +3,8 @@ import io
 import weakref
 from dataclasses import replace
 
+import pytest
+
 from aodvsim.engine import Engine, run
 from aodvsim.node import ProtocolConfig
 from aodvsim.protocol import Hello
@@ -215,14 +217,63 @@ def test_live_links_is_the_frozenset_keyed_delay_map():
 
 
 def test_hello_only_queue_tail_is_not_a_truncation():
-    # hellos sent at tick 40 are still in flight at t_max; nothing else is
+    # hellos sent at tick 40 are still in flight at t_max; nothing else is.
+    # The trace sink keeps the run on the per-packet HELLO path.
     sc = chain("ab", delay=3, t_max=41, params=ProtocolConfig(discovery_deadline=30))
-    eng = Engine(sc)
+    eng = Engine(sc, trace=io.StringIO())
     rep = eng.run()
     assert rep.discoveries_ok == 1
     tail = [args[1] for _, _, handler, args in eng._queue if handler is Engine._deliver]
     assert tail and all(isinstance(p, Hello) for items in tail for _, p in items)
     assert not rep.timed_out
+
+
+def test_untraced_run_with_hellos_in_flight_at_t_max_reports_the_same():
+    sc = chain("ab", delay=3, t_max=41, params=ProtocolConfig(discovery_deadline=30))
+    rep = run(sc)
+    assert rep == run(sc, trace=io.StringIO())
+    assert rep.hello_tx == 2 * 5 and not rep.timed_out
+
+
+# --- HELLO elision --------------------------------------------------------
+
+def _queues_hello_ticks(eng: Engine) -> bool:
+    return any(handler is Engine._hello_tick for _, _, handler, _ in eng._queue)
+
+
+def test_static_untraced_run_counts_hellos_without_queueing_them():
+    sc = builtin("random-20", seed=3)
+    eng = Engine(sc)
+    assert not _queues_hello_ticks(eng)
+    rep = eng.run()
+    assert rep == run(sc, trace=io.StringIO())
+    links = len(sc.links)
+    assert rep.hello_tx == 2 * links * (sc.t_max // sc.params.hello_interval + 1)
+
+
+_DECLINED = {
+    "trace": (chain("abc"), io.StringIO),
+    "link_down": (chain("abcd", t_max=300,
+                        events=[LinkEvent(at=30, kind="link_down", a="c", b="d")]), None),
+    "mobility": (chain("abcdef", links=[], t_max=80,
+                       mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0)), None),
+    "drop_at_hello_tick": (chain("abc", events=[DropEvent(at=20, frm="b", to="a")]), None),
+    # the first HELLO lands after the timeout, so a link breaks before it
+    "delay_plus_interval_over_timeout": (chain("abc", delay=40, t_max=400,
+                                               params=ProtocolConfig(discovery_deadline=100)),
+                                         None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECLINED))
+def test_each_failing_condition_keeps_hellos_per_packet(case):
+    sc, sink = _DECLINED[case]
+    eng = Engine(sc, trace=sink() if sink else None)
+    assert _queues_hello_ticks(eng)
+    rep = eng.run()
+    traced = run(sc, trace=io.StringIO())
+    assert (rep.hello_tx, rep.losses) == (traced.hello_tx, traced.losses)
+    assert rep == traced
 
 
 def test_finished_engine_with_queued_entries_needs_no_cycle_collector():
