@@ -344,7 +344,7 @@ class Engine:
         for node in self.nodes:
             for dest in sorted(node.pending_discoveries):
                 disc = node.pending_discoveries.pop(dest)
-                self.metrics.fail_discovery(disc.metrics_rec, self.now)
+                self.metrics.fail_discovery(disc.metrics_rec)
                 truncated = True
         self.metrics.timed_out = truncated
         if self._hellos_elided:
@@ -355,18 +355,15 @@ class Engine:
 
     # -- introspection used by tests and the CLI summary
 
-    def node_by_label(self, label: str) -> Node:
-        return self.nodes[self._ids[label]]
-
     def connectivity_index(self, node: str, dest: str, neighbor: str) -> float | None:
-        state = self.node_by_label(node).conn
+        state = self.nodes[self._ids[node]].conn
         if state is None:
             return None
         rec = state.peek(self._ids[dest], self._ids[neighbor])
         return None if rec is None else rec.index
 
     def route_of(self, node: str, dest: str):
-        return self.node_by_label(node).routes.get(self._ids[dest])
+        return self.nodes[self._ids[node]].routes.get(self._ids[dest])
 
 
 def _cuts_short(entry: tuple) -> bool:

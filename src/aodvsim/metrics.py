@@ -168,7 +168,7 @@ class MetricsReport:
         rec.resolved_at = now
         rec.hop_count = hop_count
 
-    def fail_discovery(self, rec: DiscoveryRecord, now: int) -> None:
+    def fail_discovery(self, rec: DiscoveryRecord) -> None:
         assert rec.resolved_at is None and not rec.failed, "discovery already closed"
         rec.failed = True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .metrics import DiscoveryRecord, MetricsReport
@@ -111,9 +111,7 @@ class ProtocolConfig:
     route_lifetime: int = 50
     max_retries: int = 2               # total attempts allowed per discovery
     discovery_deadline: int | None = None   # default: 2 * node_count * hop delay
-    attempt_timeout: int | None = None      # default: the discovery deadline
     intermediate_reply: bool = True
-    default_ttl: int | None = None          # default: node_count
 
     def deadline_for(self, node_count: int) -> int:
         """How long a discovery attempt waits for its reply."""
@@ -140,6 +138,7 @@ class _Discovery:
     metrics_rec: DiscoveryRecord
     rreq_id: RreqId | None = None
     deadline_at: int = 0
+    queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
 
 
 class Node:
@@ -169,7 +168,6 @@ class Node:
         self.routes: dict[NodeId, RoutingEntry] = {}
         self.requests: dict[RreqId, _Request] = {}
         self.pending_discoveries: dict[NodeId, _Discovery] = {}
-        self.outbox: dict[NodeId, list[int]] = {}
         self.dest_seq_memory: dict[NodeId, int] = {}
 
     # -- derived constants
@@ -178,8 +176,6 @@ class Node:
     def attempt_timeout(self) -> int:
         if self.conn is not None and self.conn.config.attempt_timeout is not None:
             return self.conn.config.attempt_timeout
-        if self.config.attempt_timeout is not None:
-            return self.config.attempt_timeout
         return self.config.deadline_for(self.node_count)
 
     # -- small helpers
@@ -212,10 +208,11 @@ class Node:
         if route is not None:
             route.active = True
             return [Send(route.next_hop, Data(self.me, dest, payload_id))]
-        self.outbox.setdefault(dest, []).append(payload_id)
+        emissions: list[Emission] = []
         if dest not in self.pending_discoveries:
-            return self.initiate_discovery(dest, now, round_index)
-        return []
+            emissions = self.initiate_discovery(dest, now, round_index)
+        self.pending_discoveries[dest].queued.append(payload_id)
+        return emissions
 
     def initiate_discovery(self, dest: NodeId, now: int, round_index: int | None = None) -> list[Emission]:
         if dest == self.me:
@@ -236,7 +233,7 @@ class Node:
 
         ttl = self.strategy.attempt_ttl(disc.attempt_index - 1, self.node_count)
         if ttl is None:
-            ttl = self.config.default_ttl or self.node_count
+            ttl = self.node_count
         rreq = Rreq(
             rreq_id=rid,
             origin=self.me,
@@ -355,10 +352,13 @@ class Node:
         if rrep.origin == self.me:
             disc = self.pending_discoveries.pop(rrep.dest, None)
             if disc is not None:
-                route = self.valid_route(rrep.dest, now)
-                hops = route.hop_count if route is not None else candidate_hops
-                self.metrics.resolve_discovery(disc.metrics_rec, now, hops)
-                emissions.extend(self._flush_outbox(rrep.dest, now))
+                # fresher or not, the reply leaves a valid route to dest
+                route = self.routes[rrep.dest]
+                self.metrics.resolve_discovery(disc.metrics_rec, now, route.hop_count)
+                if disc.queued:
+                    route.active = True
+                    emissions.extend(Send(route.next_hop, Data(self.me, rrep.dest, pid))
+                                     for pid in disc.queued)
             return emissions
 
         request = self.requests.get(rrep.rreq_id)
@@ -374,17 +374,6 @@ class Node:
             emissions.extend(Send(t, forwarded) for t in targets)
         return emissions
 
-    def _flush_outbox(self, dest: NodeId, now: int) -> list[Emission]:
-        queued = self.outbox.pop(dest, [])
-        if not queued:
-            return []
-        route = self.valid_route(dest, now)
-        if route is None:
-            self.outbox[dest] = queued
-            return []
-        route.active = True
-        return [Send(route.next_hop, Data(self.me, dest, pid)) for pid in queued]
-
     # -- timers
 
     def on_discovery_timeout(self, dest: NodeId, now: int) -> list[Emission]:
@@ -398,9 +387,8 @@ class Node:
             disc.metrics_rec.attempts = disc.attempt_index
             return self._launch_attempt(disc, now)
         del self.pending_discoveries[dest]
-        self.metrics.fail_discovery(disc.metrics_rec, now)
-        dropped = self.outbox.pop(dest, [])
-        return [Drop(Data(self.me, dest, pid), "discovery-failed") for pid in dropped]
+        self.metrics.fail_discovery(disc.metrics_rec)
+        return [Drop(Data(self.me, dest, pid), "discovery-failed") for pid in disc.queued]
 
     def on_attempt_sweep(self, rreq_id: RreqId, now: int) -> list[Emission]:
         if self.conn is not None:
@@ -408,13 +396,9 @@ class Node:
         return []
 
     def on_route_sweep(self, now: int) -> list[Emission]:
-        expired = [dest for dest, e in sorted(self.routes.items()) if e.expires_at <= now]
-        emissions: list[Emission] = []
-        for dest in expired:
+        for dest in [d for d, e in self.routes.items() if e.expires_at <= now]:
             del self.routes[dest]
-            if self.outbox.get(dest) and dest not in self.pending_discoveries:
-                emissions.extend(self.initiate_discovery(dest, now))
-        return emissions
+        return []
 
     # -- liveness and failure
 
@@ -468,8 +452,7 @@ class Node:
     def _reinitiate_after_loss(self, dead: list[tuple[NodeId, RoutingEntry]], now: int) -> list[Emission]:
         emissions: list[Emission] = []
         for dest, entry in dead:
-            wants_route = entry.active or bool(self.outbox.get(dest))
-            if wants_route and dest not in self.pending_discoveries and dest != self.me:
+            if entry.active and dest not in self.pending_discoveries and dest != self.me:
                 emissions.extend(self.initiate_discovery(dest, now))
         return emissions
 

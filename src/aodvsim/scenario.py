@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .node import ProtocolConfig
 from .suppression import (
@@ -195,9 +195,6 @@ class Scenario:
         self.strategy.validate(self.nodes)
 
 
-_PARAM_FIELDS = [f.name for f in fields(ProtocolConfig)]
-
-
 def _parse_event(ev, path: str) -> LinkEvent | DropEvent:
     ev = read_object(ev, path)
     kind = require(ev, "kind", path)
@@ -251,7 +248,7 @@ def parse_scenario(text: str) -> Scenario:
     flags = read_object(raw.get("flags", {}), "flags")
     check_keys(flags, {"intermediate_reply", "per_neighbor_aggregate"}, "flags")
     p = read_object(raw.get("params", {}), "params")
-    check_keys(p, set(_PARAM_FIELDS), "params")
+    check_keys(p, {f.name for f in fields(ProtocolConfig)}, "params")
     params = ProtocolConfig()
     for key, value in p.items():
         setattr(params, key, value)
@@ -280,42 +277,6 @@ def parse_scenario(text: str) -> Scenario:
     )
     scenario.validate()
     return scenario
-
-
-def emit_scenario(s: Scenario) -> str:
-    raw: dict = {"schema": SCHEMA_VERSION, "name": s.name}
-    if s.comment:
-        raw["comment"] = s.comment
-    raw["nodes"] = [
-        {"name": n.name, **({"pos": list(n.pos)} if n.pos is not None else {})}
-        for n in s.nodes
-    ]
-    raw["links"] = [
-        {"a": l.a, "b": l.b, **({"delay": l.delay} if l.delay != 1 else {})}
-        for l in s.links
-    ]
-    if isinstance(s.mobility, RandomWaypoint):
-        m = s.mobility
-        raw["mobility"] = {"model": "random_waypoint", "area": list(m.area),
-                           "speed": list(m.speed), "pause": m.pause, "range": m.radio_range}
-    if s.events:
-        raw["events"] = [
-            {"kind": ev.kind, "at": ev.at, "a": ev.a, "b": ev.b} if isinstance(ev, LinkEvent)
-            else {"kind": "drop", "at": ev.at, "from": ev.frm, "to": ev.to}
-            for ev in s.events
-        ]
-    raw["traffic"] = [asdict(t) for t in s.traffic]
-    raw["strategy"] = s.strategy.to_json()
-    raw["seed"] = s.seed
-    raw["t_max"] = s.t_max
-    raw["flags"] = {"intermediate_reply": s.params.intermediate_reply,
-                    "per_neighbor_aggregate": s.per_neighbor_aggregate}
-    defaults = ProtocolConfig()
-    overrides = {f: getattr(s.params, f) for f in _PARAM_FIELDS
-                 if f != "intermediate_reply" and getattr(s.params, f) != getattr(defaults, f)}
-    if overrides:
-        raw["params"] = overrides
-    return json.dumps(raw, indent=2) + "\n"
 
 
 # --- builtins -------------------------------------------------------------

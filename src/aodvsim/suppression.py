@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .protocol import NodeId, RreqId
@@ -63,9 +63,6 @@ class Strategy:
     @classmethod
     def from_json(cls, obj: dict, path: str) -> Strategy:
         return cls(**read_fields(cls, obj, path, ("kind",)))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
 
     def validate(self, nodes: list) -> None:
         """Reject parameters that do not fit the scenario's nodes."""
@@ -146,9 +143,6 @@ class Connectivity(Strategy):
         config = ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",)))
         config.validate(path)
         return cls(config)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **asdict(self.config)}
 
     def validate(self, nodes: list) -> None:
         self.config.validate()
@@ -295,8 +289,6 @@ class ConnectivityRecord:
     attempts: int = 0
     successes: int = 0
     index: float = 1.0
-    # open attempts for this link: request id -> tick the RREQ went out
-    pending: dict[RreqId, int] = field(default_factory=dict)
 
 
 class ConnectivityState:
@@ -311,9 +303,9 @@ class ConnectivityState:
         self.config = config
         self.aggregate = per_neighbor_aggregate
         self.records: dict[tuple, ConnectivityRecord] = {}
-        # records each request opened an attempt on; fail_pending visits only
-        # these, skipping any the reply already resolved
-        self._opened: dict[RreqId, list[ConnectivityRecord]] = {}
+        # the open attempts: per request, the records it is still waiting on,
+        # in the order it opened them
+        self._open: dict[RreqId, dict[tuple, ConnectivityRecord]] = {}
 
     def _key(self, dest: NodeId, neighbor: NodeId) -> tuple:
         return (neighbor,) if self.aggregate else (dest, neighbor)
@@ -331,19 +323,21 @@ class ConnectivityState:
 
     def open_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, now: int) -> None:
         """Attempts count when the request leaves; the index moves at resolution."""
-        rec = self.record_for(dest, neighbor)
-        if rreq_id in rec.pending:
+        key = self._key(dest, neighbor)
+        opened = self._open.setdefault(rreq_id, {})
+        if key in opened:
             raise InvariantViolation(f"attempt {rreq_id} already open toward {neighbor}")
+        rec = opened[key] = self.record_for(dest, neighbor)
         rec.attempts += 1
-        rec.pending[rreq_id] = now
-        self._opened.setdefault(rreq_id, []).append(rec)
 
     def resolve_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, success: bool) -> bool:
         """Close one attempt; returns False (no-op) when nothing was pending."""
-        rec = self.peek(dest, neighbor)
-        if rec is None or rreq_id not in rec.pending:
+        opened = self._open.get(rreq_id, {})
+        rec = opened.pop(self._key(dest, neighbor), None)
+        if rec is None:
             return False   # late or unknown reply; ignore
-        del rec.pending[rreq_id]
+        if not opened:
+            del self._open[rreq_id]
         if success:
             rec.successes += 1
         self._recompute(rec, success)
@@ -366,10 +360,8 @@ class ConnectivityState:
 
         Each record's update depends on that record alone, so visiting them
         in the order they were opened gives the same tables as any other."""
-        for rec in self._opened.pop(rreq_id, ()):
-            if rreq_id in rec.pending:
-                del rec.pending[rreq_id]
-                self._recompute(rec, success=False)
+        for rec in self._open.pop(rreq_id, {}).values():
+            self._recompute(rec, success=False)
 
     def boost_new_link(self, dest: NodeId, neighbor: NodeId) -> float:
         """Nudge a link that just (re)appeared and carried a successful discovery."""

@@ -2,14 +2,13 @@ import json
 import re
 import shlex
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from aodvsim.cli import main
 from aodvsim.metrics import CSV_COLUMNS, parse_run_csv
-from aodvsim.scenario import builtin, emit_scenario, parse_scenario
+from aodvsim.scenario import builtin, parse_scenario
 from aodvsim.suppression import STRATEGIES, strategy_from_token
 
 CSV_OK_COL = CSV_COLUMNS.index("discoveries_ok")
@@ -50,9 +49,18 @@ def test_run_emits_trace_file(tmp_path):
 
 
 def test_run_accepts_scenario_files(tmp_path):
-    from aodvsim.scenario import builtin, emit_scenario
+    chain = ["S", "R1", "R2", "R3", "R4", "R5", "D"]
+    doc = {"schema": 1, "name": "ring-demo",
+           "comment": "6-hop chain for expanding-ring TTL growth",
+           "nodes": [{"name": n} for n in chain],
+           "links": [{"a": a, "b": b} for a, b in zip(chain, chain[1:])],
+           "traffic": [{"origin": "S", "dest": "D"}],
+           "strategy": {"kind": "expanding_ring"},
+           "t_max": 300,
+           "params": {"max_retries": 6}}
+    assert parse_scenario(json.dumps(doc)) == builtin("ring-demo")
     path = tmp_path / "ring.json"
-    path.write_text(emit_scenario(builtin("ring-demo")))
+    path.write_text(json.dumps(doc))
     assert run_cli("run", "--scenario", str(path)) == 0
 
 
@@ -160,14 +168,20 @@ def test_rounds_override_widens_scenario_file_spacing(tmp_path):
 
 # --- strategy registry ----------------------------------------------------
 
-# a token for every registered strategy and the label it must produce
+# a token for every registered strategy, the label it must produce and
+# the scenario JSON object that spells the same strategy
 TOKENS = {
-    "flood": ("flood", "flood"),
-    "connectivity": ("connectivity", "connectivity"),
-    "probabilistic": ("probabilistic:0.25", "probabilistic-0.25"),
-    "counter": ("counter:4", "counter-4"),
-    "distance": ("distance:12.5", "distance-12.5"),
-    "ring": ("ring:1:2:7", "ring-1-2-7"),
+    "flood": ("flood", "flood", {"kind": "flood"}),
+    "connectivity": ("connectivity", "connectivity", {
+        "kind": "connectivity", "mode": "raw", "alpha": 0.3, "threshold": 0.5,
+        "initial_index": 1.0, "warmup_attempts": 10, "new_link_bonus": 0.1,
+        "attempt_timeout": None}),
+    "probabilistic": ("probabilistic:0.25", "probabilistic-0.25",
+                      {"kind": "probabilistic", "p": 0.25}),
+    "counter": ("counter:4", "counter-4", {"kind": "counter", "max_copies": 4}),
+    "distance": ("distance:12.5", "distance-12.5", {"kind": "distance", "min_distance": 12.5}),
+    "ring": ("ring:1:2:7", "ring-1-2-7", {
+        "kind": "expanding_ring", "ttl_start": 1, "ttl_increment": 2, "ttl_threshold": 7}),
 }
 
 
@@ -177,11 +191,12 @@ def test_every_registered_strategy_has_a_token_case():
 
 @pytest.mark.parametrize("cls", STRATEGIES, ids=[s.token for s in STRATEGIES])
 def test_registry_token_label_and_json_round_trip(cls):
-    token, label = TOKENS[cls.token]
+    token, label, obj = TOKENS[cls.token]
     strategy = strategy_from_token(token)
     assert type(strategy) is cls and strategy.label == label
-    sc = replace(builtin("random-6"), strategy=strategy)     # nodes have positions
-    assert parse_scenario(emit_scenario(sc)).strategy == strategy
+    nodes = [{"name": "a", "pos": [0, 0]}, {"name": "b", "pos": [3, 4]}]    # for distance
+    doc = _scenario_doc(nodes=nodes, strategy=obj)
+    assert parse_scenario(json.dumps(doc)).strategy == strategy
 
 
 def test_unknown_strategy_token_and_kind_exit_one(tmp_path, capsys):
@@ -339,6 +354,8 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]"),
     ({"strategy": {"kind": "connectivity", "threshold": 7}},
      "strategy.threshold: must be finite and at most 1, got 7"),
+    ({"params": {"default_ttl": 3}}, "params: unknown field(s) default_ttl"),
+    ({"params": {"attempt_timeout": 5}}, "params: unknown field(s) attempt_timeout"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import gc
 import io
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,9 @@ from aodvsim.scenario import (
     Scenario,
     TrafficSpec,
     builtin,
+    parse_scenario,
 )
+from aodvsim.suppression import Connectivity
 
 from oracles import bfs_distances
 
@@ -170,6 +173,26 @@ def test_trace_records_every_tick_ordered():
     ticks = [int(l.split("\t", 1)[0]) for l in lines]
     assert ticks == sorted(ticks)
     assert all(len(l.split("\t")) == 4 for l in lines)
+
+
+@pytest.mark.parametrize("scenario,left_open", [
+    ("fig1-tables", 0),
+    ("random-50", 0),
+    ("mixed.json", 0),
+    ("waypoint.json", 0),
+    ("overrun.json", 5),        # cut short at t_max with requests in flight
+])
+def test_connectivity_run_leaves_no_attempt_open(scenario, left_open):
+    if scenario.endswith(".json"):
+        sc = parse_scenario((Path(__file__).parent / "golden" / scenario).read_text())
+    else:
+        sc = builtin(scenario, rounds=5 if scenario == "random-50" else None)
+    eng = Engine(replace(sc, strategy=Connectivity()))
+    assert eng.run().timed_out == bool(left_open)
+    ledgers = [node.conn._open for node in eng.nodes]
+    assert sum(len(opened) for ledger in ledgers for opened in ledger.values()) == left_open
+    # a request whose attempts are all closed leaves the ledger
+    assert all(opened for ledger in ledgers for opened in ledger.values())
 
 
 def test_engine_introspection_helpers():

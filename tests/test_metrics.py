@@ -48,7 +48,7 @@ def test_discovery_lifecycle_totals_and_latency():
     c = rep.begin_discovery(0, 9, 2, started_at=300)
     rep.resolve_discovery(a, 108, hop_count=4)
     rep.resolve_discovery(b, 216, hop_count=4)
-    rep.fail_discovery(c, 344)
+    rep.fail_discovery(c)
     assert (rep.discoveries_ok, rep.discoveries_failed) == (2, 1)
     assert rep.mean_latency() == pytest.approx(12.0)
 
@@ -58,7 +58,7 @@ def test_closing_a_discovery_twice_is_a_bug():
     rec = rep.begin_discovery(0, 9, None, 0)
     rep.resolve_discovery(rec, 8, 2)
     with pytest.raises(AssertionError):
-        rep.fail_discovery(rec, 9)
+        rep.fail_discovery(rec)
 
 
 def test_mean_latency_empty_is_none_and_csv_blank():
@@ -155,7 +155,7 @@ def test_success_rate_counts_both_outcomes():
     rep = MetricsReport()
     ok = rep.begin_discovery(0, 9, None, 0)
     rep.resolve_discovery(ok, 5, 1)
-    rep.fail_discovery(rep.begin_discovery(0, 9, None, 10), 30)
+    rep.fail_discovery(rep.begin_discovery(0, 9, None, 10))
     table = compare([("flood", rep.totals())])
     assert table.rows[0].success_rate == pytest.approx(0.5)
 

@@ -93,14 +93,14 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
     assert (req.ttl, req.hop_count, req.origin_seq) == (6, 0, 1)
     deadline = timers(out, DiscoveryDeadline)
     assert deadline and deadline[0].at == 4 + 2 * 6
-    assert node.outbox[5] == [7]
+    assert node.pending_discoveries[5].queued == [7]
 
 
 def test_second_payload_joins_live_discovery_without_new_flood():
     node = make_node(neighbors=[1])
     node.send_data(5, 7, now=0)
     assert node.send_data(5, 8, now=1) == []
-    assert node.outbox[5] == [7, 8]
+    assert node.pending_discoveries[5].queued == [7, 8]
 
 
 def test_discovery_to_self_is_refused():
@@ -113,9 +113,9 @@ def test_discovery_with_no_neighbors_still_times_out_cleanly():
     out = node.send_data(5, 7, now=0)
     assert not sends(out)
     fail = node.on_discovery_timeout(5, now=12)
-    assert [e for e in fail if isinstance(e, Drop)]
+    assert [e.packet.payload_id for e in fail if isinstance(e, Drop)] == [7]
     assert node.metrics.discoveries_failed == 1
-    assert 5 not in node.outbox
+    assert 5 not in node.pending_discoveries
 
 
 # --- request handling -----------------------------------------------------
@@ -319,16 +319,6 @@ def test_route_sweep_expires_on_the_boundary_tick():
     assert 5 not in node.routes
 
 
-def test_route_sweep_restarts_discovery_for_queued_payloads():
-    node = make_node(neighbors=[1])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=1, dest_seq=1,
-                                  expires_at=50)
-    node.outbox[5] = [9]
-    out = node.on_route_sweep(now=50)
-    assert sends(out) and isinstance(sends(out)[0].packet, Rreq)
-    assert 5 in node.pending_discoveries
-
-
 # --- liveness -------------------------------------------------------------
 
 def test_hello_tick_greets_physical_peers_not_beliefs():
@@ -440,7 +430,7 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
     out = node.send_data(5, 7, now=0)
     assert [e.to for e in sends(out)] == [1, 2]
     rid = node.pending_discoveries[5].rreq_id
-    assert state.peek(5, 1).pending == {rid: 0}
+    assert state._open == {rid: {(5, 1): state.peek(5, 1), (5, 2): state.peek(5, 2)}}
     sweep = timers(out, AttemptSweep)
     assert sweep and sweep[0].at == 12      # discovery deadline by default
 
@@ -459,6 +449,7 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
     rid = node.pending_discoveries[5].rreq_id
     node.on_rrep(Rrep(origin=0, dest=5, dest_seq=3, hop_count=2, rreq_id=rid),
                  frm=1, now=24, link_is_new=True)
+    assert state._open == {}                            # credited at once, not at the sweep
     rec = state.peek(5, 1)
     assert rec.attempts == 10 and rec.successes == 6
     assert rec.index == pytest.approx(0.7)              # 0.6 ratio + 0.1 bonus

@@ -14,7 +14,6 @@ from aodvsim.scenario import (
     UnknownScenario,
     ValidationError,
     builtin,
-    emit_scenario,
     parse_scenario,
     with_rounds,
 )
@@ -110,13 +109,6 @@ def test_with_rounds_grows_t_max_to_fit():
 
 
 # --- wire format ----------------------------------------------------------
-
-def test_every_builtin_round_trips_through_json():
-    for name in ("fig1", "fig1-tables", "ring-demo", "random-6"):
-        text = emit_scenario(builtin(name))
-        again = emit_scenario(parse_scenario(text))
-        assert text == again
-
 
 def test_parse_minimal_scenario_fills_defaults():
     sc = parse_scenario(minimal_json())

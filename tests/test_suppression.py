@@ -92,6 +92,17 @@ def test_resolve_without_pending_attempt_is_ignored():
     assert s.peek(9, 1) is None
 
 
+def test_a_resolved_attempt_leaves_the_open_index_at_once():
+    s = state()
+    rid = RreqId(0, 1)
+    s.open_attempt(9, 1, rid, now=0)
+    s.open_attempt(9, 2, rid, now=0)
+    assert s.resolve_attempt(9, 1, rid, success=True)
+    assert s._open == {rid: {(9, 2): s.peek(9, 2)}}
+    assert s.resolve_attempt(9, 2, rid, success=False)
+    assert s._open == {}
+
+
 def test_fail_pending_closes_every_record_for_that_request():
     s = state()
     rid = RreqId(0, 1)
@@ -100,7 +111,7 @@ def test_fail_pending_closes_every_record_for_that_request():
     s.fail_pending(rid)
     assert s.peek(9, 1).index == 0.0
     assert s.peek(9, 2).index == 0.0
-    assert not s.peek(9, 1).pending and not s.peek(9, 2).pending
+    assert s._open == {}
 
 
 @pytest.mark.parametrize("aggregate", [False, True])
@@ -115,8 +126,7 @@ def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregat
     s.resolve_attempt(9, 2, r, success=True)
     before = s.snapshot()
     s.fail_pending(r)
-    assert not any(r in rec.pending for rec in s.records.values())
-    assert s.peek(7, 1).pending == {other: 1} and s.peek(7, 4).pending == {other: 1}
+    assert s._open == {other: {s._key(7, 1): s.peek(7, 1), s._key(7, 4): s.peek(7, 4)}}
     assert s.peek(9, 2).index == before[s._key(9, 2)][2]    # already resolved: untouched
     assert s.peek(8, 3).index == 0.0
     after = s.snapshot()
