@@ -34,6 +34,9 @@ class Engine:
         scenario.validate()
         self.scenario = scenario
         self.trace = trace
+        # trace-only: node labels by id, and the last packet summarized with its text
+        self._labels = [n.name for n in scenario.nodes] if trace is not None else None
+        self._last_packet, self._last_text = None, ""
         self.now = 0
         self.metrics = MetricsReport()
         self.rng = random.Random(scenario.seed)
@@ -116,7 +119,15 @@ class Engine:
     def _trace(self, node: NodeId, kind: str, detail: str = "") -> None:
         """Write one trace line. Every caller tests `self.trace is not None`
         first, so a run without a trace file formats nothing."""
-        self.trace.write(f"{self.now}\t{self.scenario.label_of(node)}\t{kind}\t{detail}\n")
+        self.trace.write(f"{self.now}\t{self._labels[node]}\t{kind}\t{detail}\n")
+
+    def _summarize(self, packet: Packet) -> str:
+        """summarize(packet), reused while one packet object repeats: a
+        flood's copies share one object across deliver and drop lines."""
+        if packet is not self._last_packet:
+            self._last_packet = packet
+            self._last_text = summarize(packet)
+        return self._last_text
 
     def _init_mobility(self, spec: RandomWaypoint) -> None:
         self._mobility_spec = spec
@@ -165,20 +176,22 @@ class Engine:
         if delay is None:
             self.metrics.losses += 1
             if self.trace is not None:
-                self._trace(frm, "loss", f"link-absent to={self.scenario.label_of(to)}")
+                self._trace(frm, "loss", f"link-absent to={self._labels[to]}")
             return None
-        if (self.now, frm, to) in self.loss_filter:
+        if self.loss_filter and (self.now, frm, to) in self.loss_filter:
             self.metrics.losses += 1
             if self.trace is not None:
                 self._trace(frm, "loss",
-                            f"scripted to={self.scenario.label_of(to)} {summarize(packet)}")
+                            f"scripted to={self._labels[to]} {self._summarize(packet)}")
             return None
         metrics = self.metrics
         kind = type(packet)
         if kind is Hello:
             metrics.hello_tx += 1
         elif kind is Rreq:
-            metrics.record("rreq_tx", node=frm, link=(frm, to))
+            metrics.rreq_tx += 1
+            metrics.per_node_rreq_tx[frm] = metrics.per_node_rreq_tx.get(frm, 0) + 1
+            metrics.per_link_rreq_tx[frm, to] = metrics.per_link_rreq_tx.get((frm, to), 0) + 1
         elif kind is Rrep:
             metrics.rrep_tx += 1
         elif kind is Rerr:
@@ -208,11 +221,11 @@ class Engine:
         for a, b in sorted(live - wanted):
             self.apply_link_event("link_down", a, b)
             if self.trace is not None:
-                self._trace(a, "link-down", f"range {self.scenario.label_of(b)}")
+                self._trace(a, "link-down", f"range {self._labels[b]}")
         for a, b in sorted(wanted - live):
             self.apply_link_event("link_up", a, b)
             if self.trace is not None:
-                self._trace(a, "link-up", f"range {self.scenario.label_of(b)}")
+                self._trace(a, "link-up", f"range {self._labels[b]}")
 
     def _advance_motion(self) -> None:
         rng = self._mobility_rng
@@ -243,13 +256,15 @@ class Engine:
         (recipient, packet) in send order. Nothing can run between them (one
         entry each would have been adjacent), so they share one entry."""
         tracing = self.trace is not None
+        if tracing:
+            sender = f"from={self._labels[frm]} "
         now = self.now
         peers = self._adj[frm]
         for to, pkt in items:
             live = to in peers
             if tracing:
                 self._trace(to, "deliver" if live else "deliver-cancelled",
-                            f"from={self.scenario.label_of(frm)} {summarize(pkt)}")
+                            sender + self._summarize(pkt))
             if not live:
                 continue
             node = self.nodes[to]
@@ -288,13 +303,13 @@ class Engine:
 
     def _inject(self, node: NodeId, dest: NodeId, payload_id: int, round_index: int) -> None:
         if self.trace is not None:
-            self._trace(node, "inject", f"dest={self.scenario.label_of(dest)} round={round_index}")
+            self._trace(node, "inject", f"dest={self._labels[dest]} round={round_index}")
         emissions = self.nodes[node].send_data(dest, payload_id, self.now, round_index)
         self._handle_emissions(node, emissions)
 
     def _link_change(self, kind: str, a: NodeId, b: NodeId) -> None:
         if self.trace is not None:
-            self._trace(a, kind.replace("_", "-"), self.scenario.label_of(b))
+            self._trace(a, kind.replace("_", "-"), self._labels[b])
         self.apply_link_event(kind, a, b)
 
     def _mobility_tick(self) -> None:
@@ -322,9 +337,9 @@ class Engine:
             elif isinstance(e, DeliverUp):
                 if self.trace is not None:
                     self._trace(node, "deliver-up",
-                                f"payload={e.payload_id} src={self.scenario.label_of(e.src)}")
+                                f"payload={e.payload_id} src={self._labels[e.src]}")
             elif isinstance(e, Drop) and self.trace is not None:
-                self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
+                self._trace(node, "drop", f"{e.reason} {self._summarize(e.packet)}")
         if pending:
             self._push_sends(node, pending)
 

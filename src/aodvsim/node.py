@@ -280,7 +280,9 @@ class Node:
             request.copies += 1
             if frm not in request.senders:
                 request.senders.append(frm)
-            self.metrics.record("redundant_rreq_rx", node=self.me)
+            metrics = self.metrics
+            metrics.redundant_rreq_rx += 1
+            metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
             return [Drop(rreq, "duplicate-rreq")]
         request = self.requests[rreq.rreq_id] = _Request([frm])
 

@@ -7,7 +7,7 @@ sit in event queues and request records without defensive copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 NodeId = int
@@ -80,9 +80,10 @@ def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:
     if isinstance(packet, Rreq):
         if packet.ttl < 1:
             raise NotRelayable("request TTL exhausted")
-        return replace(packet, hop_count=packet.hop_count + 1, ttl=packet.ttl - 1)
+        return Rreq(packet.rreq_id, packet.origin, packet.origin_seq, packet.dest,
+                    packet.dest_seq_known, packet.hop_count + 1, packet.ttl - 1)
     if isinstance(packet, Rrep):
-        return replace(packet, hop_count=packet.hop_count + 1)
+        return Rrep(packet.origin, packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
     raise TypeError(f"only requests and replies are relayed, got {type(packet).__name__}")
 
 

@@ -119,9 +119,6 @@ class Scenario:
     def node_ids(self) -> dict[str, int]:
         return {n.name: i for i, n in enumerate(self.nodes)}
 
-    def label_of(self, node_id: int) -> str:
-        return self.nodes[node_id].name
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -162,6 +159,15 @@ class Scenario:
                 raise ValidationError(f"events[{i}]: self-link on {ev.a!r}")
             if ev.at < 0:
                 raise ValidationError(f"events[{i}].at: negative")
+        m = self.mobility
+        if isinstance(m, RandomWaypoint):
+            for ok, key, rule, value in (
+                    (0 <= m.speed[0] <= m.speed[1], "speed", "need 0 <= min <= max", list(m.speed)),
+                    (m.radio_range > 0, "range", "must be > 0", m.radio_range),
+                    (m.area[0] > 0 and m.area[1] > 0, "area", "both sides must be > 0", list(m.area)),
+                    (m.pause >= 0, "pause", "must be >= 0", m.pause)):
+                if not ok:
+                    raise ValidationError(f"mobility.{key}: {rule}, got {value!r}")
         # params first: the traffic checks below use the discovery deadline
         for f in fields(ProtocolConfig):
             value = getattr(self.params, f.name)

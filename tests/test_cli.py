@@ -356,6 +356,12 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
      "strategy.threshold: must be finite and at most 1, got 7"),
     ({"params": {"default_ttl": 3}}, "params: unknown field(s) default_ttl"),
     ({"params": {"attempt_timeout": 5}}, "params: unknown field(s) attempt_timeout"),
+    ({"mobility": {**MOBILE, "speed": [-5, -1]}}, "mobility.speed: need 0 <= min <= max"),
+    ({"mobility": {**MOBILE, "speed": [3, 1]}}, "mobility.speed: need 0 <= min <= max"),
+    ({"mobility": {**MOBILE, "range": -1}}, "mobility.range: must be > 0"),
+    ({"mobility": {**MOBILE, "area": [0, 0]}}, "mobility.area: both sides must be > 0"),
+    ({"mobility": {**MOBILE, "area": [-10, 50]}}, "mobility.area: both sides must be > 0"),
+    ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 0"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"

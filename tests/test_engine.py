@@ -80,10 +80,24 @@ def test_same_scenario_same_results_bytewise():
     assert reports[0].per_link_rreq_tx == reports[1].per_link_rreq_tx
 
 
-def test_per_node_and_per_link_breakdowns_sum_to_the_total():
-    rep = run(builtin("fig1"))
+@pytest.mark.parametrize("scenario", ["fig1", "mixed.json", "waypoint.json", "connectivity"])
+def test_per_node_and_per_link_breakdowns_sum_to_the_total(scenario):
+    if scenario.endswith(".json"):
+        sc = parse_scenario((Path(__file__).parent / "golden" / scenario).read_text())
+    elif scenario == "connectivity":
+        sc = replace(builtin("random-20", seed=4, rounds=12), strategy=Connectivity())
+    else:
+        sc = builtin(scenario)
+    rep = run(sc)
+    assert rep.rreq_tx > 0
     assert sum(rep.per_node_rreq_tx.values()) == rep.rreq_tx
     assert sum(rep.per_link_rreq_tx.values()) == rep.rreq_tx
+    assert sum(rep.per_node_redundant_rx.values()) == rep.redundant_rreq_rx
+    # the CSV digests do not pin the breakdowns, so compare them across trace sinks
+    traced = run(sc, trace=io.StringIO())
+    assert traced.per_node_rreq_tx == rep.per_node_rreq_tx
+    assert traced.per_link_rreq_tx == rep.per_link_rreq_tx
+    assert traced.per_node_redundant_rx == rep.per_node_redundant_rx
 
 
 def test_installed_hop_counts_match_shortest_paths():
@@ -210,7 +224,6 @@ def test_untraced_run_formats_nothing(monkeypatch):
     def refuse(*_args):
         raise AssertionError("trace formatting ran with tracing off")
     monkeypatch.setattr("aodvsim.engine.summarize", refuse)
-    monkeypatch.setattr(Scenario, "label_of", refuse)
     scenarios = [builtin("fig1-tables"), builtin("random-20", seed=4),
                  chain("abcd", delay=2, t_max=300,
                        traffic=[TrafficSpec("a", "d", rounds=3, spacing=64)],
@@ -220,7 +233,9 @@ def test_untraced_run_formats_nothing(monkeypatch):
                  chain("abcdef", links=[], t_max=80,
                        mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0))]
     for sc in scenarios:
-        run(sc)         # any trace formatting raises
+        eng = Engine(sc)
+        assert eng._labels is None      # no label table without a trace file
+        eng.run()       # any trace formatting raises
 
 
 def test_live_links_is_the_frozenset_keyed_delay_map():

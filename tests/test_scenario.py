@@ -46,7 +46,7 @@ def test_fig1_shape():
     assert len(sc.links) == 13
     assert isinstance(sc.strategy, Flood)
     assert sc.traffic[0].rounds == 1
-    assert sc.label_of(sc.node_ids()["N13"]) == "N13"
+    assert sc.nodes[sc.node_ids()["N13"]].name == "N13"
 
 
 def test_fig1_tables_script():
