@@ -163,6 +163,8 @@ def summary_lines(sc: Scenario, report: MetricsReport) -> list[str]:
 
 def render_svg(bars: list[tuple[str, int]]) -> str:
     """Self-contained 800x400 bar chart of RREQ transmissions per strategy."""
+    from xml.sax.saxutils import escape     # on use only: it loads ssl, +7 MB peak RSS
+
     width, height = 800, 400
     left, right, top, bottom = 60, 20, 40, 60
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -190,7 +192,7 @@ def render_svg(bars: list[tuple[str, int]]) -> str:
                      f'font-family="sans-serif" font-size="12">{value}</text>')
         parts.append(f'<text x="{cx:.1f}" y="{top + plot_h + 18:.1f}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -217,8 +219,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.inputs:
-        if args.scenario or args.strategies:
-            raise CliError("--inputs cannot be combined with --scenario/--strategies")
+        for flag in ("scenario", "strategies", "seed", "rounds"):
+            if getattr(args, flag) is not None:
+                raise CliError(f"--inputs cannot be combined with --{flag}")
         reject_unused_knobs(args, [])
         labeled = []
         for path in args.inputs:

@@ -23,7 +23,7 @@ from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario
 
 @dataclass
 class _Motion:
-    pos: tuple[float, float]
+    """A node's walk; its position is the engine's `positions` entry."""
     waypoint: tuple[float, float]
     speed: float
     pause_left: int
@@ -60,7 +60,7 @@ class Engine:
         self.positions: dict[NodeId, tuple[float, float]] = {
             i: n.pos for i, n in enumerate(scenario.nodes) if n.pos is not None}
         self._motion: dict[NodeId, _Motion] | None = None
-        if isinstance(scenario.mobility, RandomWaypoint):
+        if scenario.mobility is not None:
             self._init_mobility(scenario.mobility)
 
         self.nodes: list[Node] = []
@@ -136,10 +136,9 @@ class Engine:
         w, h = spec.area
         self._motion = {}
         for i in range(self.scenario.node_count):
-            pos = self.positions.get(i) or (rng.uniform(0, w), rng.uniform(0, h))
-            self.positions[i] = pos
+            if i not in self.positions:
+                self.positions[i] = (rng.uniform(0, w), rng.uniform(0, h))
             self._motion[i] = _Motion(
-                pos=pos,
                 waypoint=(rng.uniform(0, w), rng.uniform(0, h)),
                 speed=rng.uniform(*spec.speed),
                 pause_left=0,
@@ -239,15 +238,15 @@ class Engine:
                     m.waypoint = (rng.uniform(0, w), rng.uniform(0, h))
                     m.speed = rng.uniform(*spec.speed)
                 continue
-            dx = m.waypoint[0] - m.pos[0]
-            dy = m.waypoint[1] - m.pos[1]
+            x, y = self.positions[i]
+            dx = m.waypoint[0] - x
+            dy = m.waypoint[1] - y
             dist = math.hypot(dx, dy)
             if dist <= m.speed:
-                m.pos = m.waypoint
+                self.positions[i] = m.waypoint
                 m.pause_left = max(1, spec.pause)
             else:
-                m.pos = (m.pos[0] + dx / dist * m.speed, m.pos[1] + dy / dist * m.speed)
-            self.positions[i] = m.pos
+                self.positions[i] = (x + dx / dist * m.speed, y + dy / dist * m.speed)
 
     # -- queue entry handlers
 

@@ -67,7 +67,6 @@ class Column:
     value: Callable[[Any, str], Any] = getattr
     cell: Callable[[Any], str] = str    # CSV text
     shown: Callable[[Any], str] = str   # text-table cell
-    per_node: str = ""              # the report's per-node breakdown of this counter
 
 
 STRATEGY = Column("strategy", required=True, read=None)     # labels each row of the table
@@ -76,12 +75,12 @@ COLUMNS = (
     Column("scenario", compared=False, read=None),
     STRATEGY,
     Column("seed", compared=False, read=None),
-    Column("rreq_tx", "rreq", required=True, per_node="per_node_rreq_tx"),
+    Column("rreq_tx", "rreq", required=True),
     Column("rrep_tx", "rrep"),
     Column("rerr_tx", "rerr"),
     Column("hello_tx", "hello"),
     Column("data_tx", "data"),
-    Column("redundant_rreq_rx", "redundant", per_node="per_node_redundant_rx"),
+    Column("redundant_rreq_rx", "redundant"),
     Column("suppressed_forwards", "suppressed"),
     Column("discoveries_ok", "ok", required=True),
     Column("discoveries_failed", "fail"),
@@ -96,7 +95,6 @@ _COMPARED = [c for c in COLUMNS if c.compared]
 CSV_COLUMNS = [c.name for c in COLUMNS if c.run]
 COMPARISON_COLUMNS = [c.name for c in _COMPARED]
 _TOTALS = [c for c in COLUMNS if c.read is not None]
-_PER_NODE = {c.name: c.per_node for c in COLUMNS if c.per_node}
 
 # one run's totals, as a metrics CSV row carries them
 Totals = namedtuple("Totals", [c.name for c in _TOTALS])
@@ -144,18 +142,12 @@ class MetricsReport:
 
     # -- recording
 
-    def record(self, kind: str, n: int = 1, node: int | None = None,
-               link: tuple[int, int] | None = None) -> None:
-        """Bump one counter. A node breakdown rides along for the counters that
-        keep one, a link breakdown for request transmissions."""
+    def record(self, kind: str, n: int = 1) -> None:
+        """Bump one counter. The engine and nodes bump the per-node and
+        per-link breakdowns in place."""
         if kind not in _COUNTERS:
             raise ValueError(f"unknown counter {kind!r}")
         setattr(self, kind, getattr(self, kind) + n)
-        if node is not None and kind in _PER_NODE:
-            per_node = getattr(self, _PER_NODE[kind])
-            per_node[node] = per_node.get(node, 0) + n
-        if link is not None:
-            self.per_link_rreq_tx[link] = self.per_link_rreq_tx.get(link, 0) + n
 
     def begin_discovery(self, origin: int, dest: int, round_index: int | None,
                         started_at: int) -> DiscoveryRecord:

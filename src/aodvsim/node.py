@@ -133,9 +133,7 @@ class _Request:
 
 @dataclass
 class _Discovery:
-    dest: NodeId
-    attempt_index: int
-    metrics_rec: DiscoveryRecord
+    metrics_rec: DiscoveryRecord        # holds the destination and the attempt count
     rreq_id: RreqId | None = None
     deadline_at: int = 0
     queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
@@ -220,7 +218,7 @@ class Node:
         assert dest not in self.pending_discoveries, "discovery already live"
         self.seq += 1
         rec = self.metrics.begin_discovery(self.me, dest, round_index, now)
-        disc = _Discovery(dest=dest, attempt_index=1, metrics_rec=rec)
+        disc = _Discovery(rec)
         self.pending_discoveries[dest] = disc
         return self._launch_attempt(disc, now)
 
@@ -231,20 +229,18 @@ class Node:
         disc.deadline_at = now + self.config.deadline_for(self.node_count)
         self.requests[rid] = _Request([])
 
-        ttl = self.strategy.attempt_ttl(disc.attempt_index - 1, self.node_count)
-        if ttl is None:
-            ttl = self.node_count
+        rec = disc.metrics_rec
         rreq = Rreq(
             rreq_id=rid,
             origin=self.me,
             origin_seq=self.seq,
-            dest=disc.dest,
-            dest_seq_known=self.dest_seq_memory.get(disc.dest),
+            dest=rec.dest,
+            dest_seq_known=self.dest_seq_memory.get(rec.dest),
             hop_count=0,
-            ttl=ttl,
+            ttl=self.strategy.attempt_ttl(rec.attempts - 1, self.node_count),
         )
         emissions = self._targeted_sends(rreq, previous_hop=None, now=now)
-        emissions.append(SetTimer(DiscoveryDeadline(disc.dest), disc.deadline_at))
+        emissions.append(SetTimer(DiscoveryDeadline(rec.dest), disc.deadline_at))
         return emissions
 
     def _targeted_sends(self, rreq: Rreq, previous_hop: NodeId | None, now: int) -> list[Emission]:
@@ -263,7 +259,7 @@ class Node:
         emissions: list[Emission] = []
         for t in targets:
             if self.conn is not None:
-                self.conn.open_attempt(rreq.dest, t, rreq.rreq_id, now)
+                self.conn.open_attempt(rreq.dest, t, rreq.rreq_id)
             emissions.append(Send(t, rreq))
         if targets and self.conn is not None:
             emissions.append(SetTimer(AttemptSweep(rreq.rreq_id), now + self.attempt_timeout))
@@ -384,9 +380,8 @@ class Node:
             return []   # resolved earlier, or a newer attempt reset the deadline
         if self.conn is not None and disc.rreq_id is not None:
             self.conn.fail_pending(disc.rreq_id)
-        if disc.attempt_index < self.config.max_retries:
-            disc.attempt_index += 1
-            disc.metrics_rec.attempts = disc.attempt_index
+        if disc.metrics_rec.attempts < self.config.max_retries:
+            disc.metrics_rec.attempts += 1
             return self._launch_attempt(disc, now)
         del self.pending_discoveries[dest]
         self.metrics.fail_discovery(disc.metrics_rec)
@@ -405,7 +400,7 @@ class Node:
     # -- liveness and failure
 
     def on_hello_tick(self, now: int, link_peers: list[NodeId]) -> list[Emission]:
-        hello = Hello(self.me, self.seq)        # packets are immutable: one serves every peer
+        hello = Hello(self.me)                  # packets are immutable: one serves every peer
         emissions: list[Emission] = [Send(p, hello) for p in sorted(link_peers)]
         cutoff = now - self.config.hello_timeout
         stale = sorted(n for n, last in self.neighbors.items() if last < cutoff)
@@ -414,7 +409,7 @@ class Node:
         return emissions
 
     def on_hello(self, hello: Hello, frm: NodeId, now: int) -> list[Emission]:
-        self.neighbors[frm] = now
+        """A HELLO only proves the link, which _deliver's note_alive has recorded."""
         return []
 
     def on_link_break(self, lost: NodeId, now: int) -> list[Emission]:

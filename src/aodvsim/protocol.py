@@ -52,7 +52,6 @@ class Rerr:
 @dataclass(frozen=True)
 class Hello:
     sender: NodeId
-    seq: SeqNum
 
 
 @dataclass(frozen=True)

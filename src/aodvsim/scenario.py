@@ -59,19 +59,11 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class Static:
-    pass
-
-
-@dataclass(frozen=True)
 class RandomWaypoint:
     area: tuple[float, float] = (100.0, 100.0)
     speed: tuple[float, float] = (1.0, 3.0)
     pause: int = 5
     radio_range: float = field(default=40.0, metadata={"json": "range"})
-
-
-Mobility = Static | RandomWaypoint
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class Scenario:
     links: list[LinkSpec]
     traffic: list[TrafficSpec]
     strategy: Strategy = field(default_factory=Flood)
-    mobility: Mobility = field(default_factory=Static)
+    mobility: RandomWaypoint | None = None                     # None: links stay put
     events: list[LinkEvent | DropEvent] = field(default_factory=list)     # in JSON order
     seed: int = 0
     t_max: int = 1000
@@ -132,6 +124,8 @@ class Scenario:
         for i, n in enumerate(self.nodes):
             if not n.name:
                 raise ValidationError(f"nodes[{i}].name: empty")
+            if not n.name.isprintable():    # a tab or line break would split a trace line
+                raise ValidationError(f"nodes[{i}].name: not printable, got {n.name!r}")
             if n.name in seen_names:
                 raise ValidationError(f"nodes[{i}].name: duplicate {n.name!r}")
             seen_names.add(n.name)
@@ -160,7 +154,7 @@ class Scenario:
             if ev.at < 0:
                 raise ValidationError(f"events[{i}].at: negative")
         m = self.mobility
-        if isinstance(m, RandomWaypoint):
+        if m is not None:
             for ok, key, rule, value in (
                     (0 <= m.speed[0] <= m.speed[1], "speed", "need 0 <= min <= max", list(m.speed)),
                     (m.radio_range > 0, "range", "must be > 0", m.radio_range),
@@ -230,7 +224,7 @@ def parse_scenario(text: str) -> Scenario:
     links = [LinkSpec(**read_fields(LinkSpec, l, f"links[{i}]"))
              for i, l in enumerate(read_list(require(raw, "links", "top level"), "links"))]
 
-    mobility: Mobility = Static()
+    mobility = None
     if "mobility" in raw:
         m = read_object(raw["mobility"], "mobility")
         model = require(m, "model", "mobility")

@@ -32,8 +32,8 @@ class Strategy:
 
     A strategy's `token` names it on the command line and in labels, its
     `kind` in scenario JSON; its fields are its parameters, in token order
-    (`counter:3`). The defaults here forward to every candidate with the
-    node's default TTL and keep no per-node state.
+    (`counter:3`). The defaults here forward to every candidate with a
+    network-wide TTL and keep no per-node state.
     """
 
     token: ClassVar[str]
@@ -72,9 +72,9 @@ class Strategy:
         """Subset of candidates the request actually goes to, in candidate order."""
         return list(candidates)
 
-    def attempt_ttl(self, attempt_index: int, node_count: int) -> int | None:
-        """TTL for the given (0-based) attempt; None means the node's default."""
-        return None
+    def attempt_ttl(self, attempt_index: int, node_count: int) -> int:
+        """TTL for the given (0-based) attempt; network-wide by default."""
+        return node_count
 
     def node_state(self, per_neighbor_aggregate: bool) -> ConnectivityState | None:
         """Per-node statistics the strategy keeps, if any."""
@@ -299,7 +299,6 @@ class ConnectivityState:
     """
 
     def __init__(self, config: ConnectivityConfig, per_neighbor_aggregate: bool = False):
-        config.validate()
         self.config = config
         self.aggregate = per_neighbor_aggregate
         self.records: dict[tuple, ConnectivityRecord] = {}
@@ -321,7 +320,7 @@ class ConnectivityState:
     def peek(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord | None:
         return self.records.get(self._key(dest, neighbor))
 
-    def open_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, now: int) -> None:
+    def open_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId) -> None:
         """Attempts count when the request leaves; the index moves at resolution."""
         key = self._key(dest, neighbor)
         opened = self._open.setdefault(rreq_id, {})

@@ -155,7 +155,7 @@ def test_criterion_6_ema_decay(alpha, k):
     s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
     for i in range(k):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=False)
     index = s.peek(9, 1).index if k else 1.0
     assert abs(index - (1.0 - alpha) ** k) <= TOL_EMA
@@ -168,7 +168,7 @@ def test_criterion_6_ema_bounds(alpha, outcomes):
     s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
     for i, ok in enumerate(outcomes):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=ok)
         assert 0.0 <= s.peek(9, 1).index <= 1.0
 
@@ -181,7 +181,7 @@ def test_criterion_6_verdict():
         s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
         for i in range(k):
             rid = RreqId(0, i)
-            s.open_attempt(9, 1, rid, now=i)
+            s.open_attempt(9, 1, rid)
             s.resolve_attempt(9, 1, rid, success=False)
             assert 0.0 <= s.peek(9, 1).index <= 1.0
         index = s.peek(9, 1).index if k else 1.0
@@ -197,7 +197,7 @@ def test_criterion_7_raw_refold(script):
     folded, opened, successes = 1.0, 0, 0
     for i, action in enumerate(script):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         opened += 1
         if action != "open":
             if action == "success":
@@ -220,7 +220,7 @@ def test_criterion_7_verdict():
         folded, opened, successes = 1.0, 0, 0
         for i, action in enumerate(script):
             rid = RreqId(0, i)
-            s.open_attempt(9, 1, rid, now=i)
+            s.open_attempt(9, 1, rid)
             opened += 1
             if action != "open":
                 if action == "success":

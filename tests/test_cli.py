@@ -3,6 +3,7 @@ import re
 import shlex
 import time
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -103,6 +104,8 @@ def test_bad_strategy_tokens_exit_one(capsys):
     (["run", "--scenario", "fig1", "--strategy", "probabilistic:nan"], "strategy.p"),
     (["run", "--scenario", "fig1", "--strategy", "connectivity", "--alpha", "nan"],
      "--alpha applies only to --mode ema or blend"),
+    (["compare", "--inputs", "a.csv", "--seed", "3"], "--seed"),
+    (["compare", "--inputs", "a.csv", "--rounds", "9"], "--rounds"),
 ])
 def test_bad_arguments_exit_one_naming_the_token_or_flag(capsys, argv, named):
     assert run_cli(*argv) == 1
@@ -278,6 +281,14 @@ def test_compare_missing_input_exits_one(capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_svg_labels_from_inputs_are_escaped(tmp_path, capsys):
+    src, svg = tmp_path / "in.csv", tmp_path / "cmp.svg"
+    src.write_text("strategy,rreq_tx,discoveries_ok\na<b&c,15,1\n")
+    assert run_cli("compare", "--inputs", str(src), "--svg", str(svg)) == 0
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert "a<b&c" in [t.firstChild.data for t in texts]
+
+
 def test_svg_output_is_deterministic(tmp_path):
     charts = []
     for name in ("x.svg", "y.svg"):
@@ -362,6 +373,8 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"mobility": {**MOBILE, "area": [0, 0]}}, "mobility.area: both sides must be > 0"),
     ({"mobility": {**MOBILE, "area": [-10, 50]}}, "mobility.area: both sides must be > 0"),
     ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 0"),
+    ({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable"),
+    ({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"

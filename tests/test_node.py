@@ -294,7 +294,7 @@ def test_deadline_retries_with_a_fresh_request_id():
     assert sends(out)
     second_rid = node.pending_discoveries[5].rreq_id
     assert second_rid != first_rid
-    assert node.pending_discoveries[5].attempt_index == 2
+    assert node.pending_discoveries[5].metrics_rec.attempts == 2
     assert node.metrics.discoveries[0].attempts == 2
 
 
@@ -442,7 +442,7 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
     # history: 9 attempts, 5 successes -> 5/9, barely over the bar
     for i in range(9):
         rid = RreqId(0, 100 + i)
-        state.open_attempt(5, 1, rid, now=i)
+        state.open_attempt(5, 1, rid)
         state.resolve_attempt(5, 1, rid, success=i < 5)
     assert state.eligible(5, 1)
     node.send_data(5, 7, now=20)
@@ -460,7 +460,7 @@ def test_connectivity_filter_suppresses_weak_links_at_relay():
     cfg = ConnectivityConfig(warmup_attempts=0)
     state = ConnectivityState(cfg)
     rid = RreqId(9, 9)
-    state.open_attempt(5, 3, rid, now=0)
+    state.open_attempt(5, 3, rid)
     state.fail_pending(rid)                             # index 0.0 on link 3
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=Connectivity(cfg),
                      connectivity=state)

@@ -64,7 +64,7 @@ def test_summaries_are_single_line():
     packets = [
         make_rreq(),
         Rrep(origin=0, dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1)),
-        Hello(sender=3, seq=9),
+        Hello(sender=3),
         Data(src=0, dst=9, payload_id=2),
     ]
     for p in packets:

@@ -72,7 +72,7 @@ def test_raw_ratio_rejects_impossible_ledgers():
 
 def test_attempts_count_at_open_not_at_resolution():
     s = state()
-    s.open_attempt(9, 1, RreqId(0, 1), now=0)
+    s.open_attempt(9, 1, RreqId(0, 1))
     rec = s.peek(9, 1)
     assert (rec.attempts, rec.successes) == (1, 0)
     # unresolved attempt leaves the index at its initial value
@@ -81,9 +81,9 @@ def test_attempts_count_at_open_not_at_resolution():
 
 def test_double_open_same_request_is_a_bug():
     s = state()
-    s.open_attempt(9, 1, RreqId(0, 1), now=0)
+    s.open_attempt(9, 1, RreqId(0, 1))
     with pytest.raises(InvariantViolation):
-        s.open_attempt(9, 1, RreqId(0, 1), now=1)
+        s.open_attempt(9, 1, RreqId(0, 1))
 
 
 def test_resolve_without_pending_attempt_is_ignored():
@@ -95,8 +95,8 @@ def test_resolve_without_pending_attempt_is_ignored():
 def test_a_resolved_attempt_leaves_the_open_index_at_once():
     s = state()
     rid = RreqId(0, 1)
-    s.open_attempt(9, 1, rid, now=0)
-    s.open_attempt(9, 2, rid, now=0)
+    s.open_attempt(9, 1, rid)
+    s.open_attempt(9, 2, rid)
     assert s.resolve_attempt(9, 1, rid, success=True)
     assert s._open == {rid: {(9, 2): s.peek(9, 2)}}
     assert s.resolve_attempt(9, 2, rid, success=False)
@@ -106,8 +106,8 @@ def test_a_resolved_attempt_leaves_the_open_index_at_once():
 def test_fail_pending_closes_every_record_for_that_request():
     s = state()
     rid = RreqId(0, 1)
-    s.open_attempt(9, 1, rid, now=0)
-    s.open_attempt(9, 2, rid, now=0)
+    s.open_attempt(9, 1, rid)
+    s.open_attempt(9, 2, rid)
     s.fail_pending(rid)
     assert s.peek(9, 1).index == 0.0
     assert s.peek(9, 2).index == 0.0
@@ -118,11 +118,11 @@ def test_fail_pending_closes_every_record_for_that_request():
 def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregate):
     s = ConnectivityState(ConnectivityConfig(), per_neighbor_aggregate=aggregate)
     r, other = RreqId(0, 1), RreqId(3, 1)
-    s.open_attempt(9, 1, r, now=0)
-    s.open_attempt(9, 2, r, now=0)
-    s.open_attempt(8, 3, r, now=0)
-    s.open_attempt(7, 1, other, now=1)
-    s.open_attempt(7, 4, other, now=1)
+    s.open_attempt(9, 1, r)
+    s.open_attempt(9, 2, r)
+    s.open_attempt(8, 3, r)
+    s.open_attempt(7, 1, other)
+    s.open_attempt(7, 4, other)
     s.resolve_attempt(9, 2, r, success=True)
     before = s.snapshot()
     s.fail_pending(r)
@@ -137,7 +137,7 @@ def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregat
 def test_boost_caps_at_one():
     s = state(new_link_bonus=0.4)
     rid = RreqId(0, 1)
-    s.open_attempt(9, 1, rid, now=0)
+    s.open_attempt(9, 1, rid)
     s.resolve_attempt(9, 1, rid, success=True)
     assert s.boost_new_link(9, 1) == 1.0
 
@@ -147,7 +147,7 @@ def test_boost_can_lift_a_link_back_over_the_threshold():
     outcomes = [True, False, False, True, True, True, False, True, False, False]
     for i, ok in enumerate(outcomes):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=ok)
     assert s.peek(9, 1).index == pytest.approx(0.5)
     assert not s.eligible(9, 1)          # 0.5 is not strictly above 0.5
@@ -158,16 +158,16 @@ def test_boost_can_lift_a_link_back_over_the_threshold():
 
 def test_aggregate_mode_pools_destinations():
     s = ConnectivityState(ConnectivityConfig(), per_neighbor_aggregate=True)
-    s.open_attempt(9, 1, RreqId(0, 1), now=0)
-    s.open_attempt(5, 1, RreqId(0, 2), now=0)
+    s.open_attempt(9, 1, RreqId(0, 1))
+    s.open_attempt(5, 1, RreqId(0, 2))
     assert s.peek(9, 1) is s.peek(5, 1)
     assert s.peek(9, 1).attempts == 2
 
 
 def test_snapshot_filters_by_destination():
     s = state()
-    s.open_attempt(9, 1, RreqId(0, 1), now=0)
-    s.open_attempt(5, 2, RreqId(0, 2), now=0)
+    s.open_attempt(9, 1, RreqId(0, 1))
+    s.open_attempt(5, 2, RreqId(0, 2))
     assert set(s.snapshot(dest=9)) == {(9, 1)}
     assert set(s.snapshot()) == {(9, 1), (5, 2)}
 
@@ -191,7 +191,7 @@ def test_raw_index_refolds_to_success_over_opened_attempts(script):
     folded, opened, successes = 1.0, 0, 0
     for i, action in enumerate(script):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         opened += 1
         if action != "open":
             if action == "success":
@@ -214,7 +214,7 @@ def test_index_stays_inside_unit_interval(script, mode, alpha):
     s = state(mode=mode, alpha=alpha)
     for i, action in enumerate(script):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         if action != "open":
             s.resolve_attempt(9, 1, rid, success=action == "success")
         rec = s.peek(9, 1)
@@ -228,7 +228,7 @@ def test_ema_failures_decay_geometrically(alpha, k):
     s = state(mode="ema", alpha=alpha, initial_index=1.0)
     for i in range(k):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=False)
     index = s.peek(9, 1).index if k else 1.0
     assert abs(index - (1.0 - alpha) ** k) <= 1e-12
@@ -241,7 +241,7 @@ def test_ema_matches_direct_fold(alpha, outcomes):
     expected = 1.0
     for i, ok in enumerate(outcomes):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=ok)
         expected = ema_step(expected, 1.0 if ok else 0.0, alpha)
     if outcomes:
@@ -254,7 +254,7 @@ def test_warmup_keeps_every_link_eligible(warmup, failures):
     s = state(warmup_attempts=warmup)
     for i in range(min(failures, warmup - 1) if warmup else 0):
         rid = RreqId(0, i)
-        s.open_attempt(9, 1, rid, now=i)
+        s.open_attempt(9, 1, rid)
         s.resolve_attempt(9, 1, rid, success=False)
     rec = s.peek(9, 1)
     if rec is None or rec.attempts < warmup:
@@ -264,9 +264,9 @@ def test_warmup_keeps_every_link_eligible(warmup, failures):
 def test_eligibility_needs_strict_threshold_crossing():
     s = state(warmup_attempts=0, threshold=0.5)
     rid_ok, rid_bad = RreqId(0, 1), RreqId(0, 2)
-    s.open_attempt(9, 1, rid_ok, now=0)
+    s.open_attempt(9, 1, rid_ok)
     s.resolve_attempt(9, 1, rid_ok, success=True)
-    s.open_attempt(9, 1, rid_bad, now=1)
+    s.open_attempt(9, 1, rid_bad)
     s.resolve_attempt(9, 1, rid_bad, success=False)
     assert s.peek(9, 1).index == 0.5
     assert not s.eligible(9, 1)
@@ -339,7 +339,7 @@ def test_distance_gate_requires_positions():
 def test_connectivity_filters_per_link_even_at_origin():
     s = state(warmup_attempts=0)
     rid = RreqId(0, 1)
-    s.open_attempt(9, 1, rid, now=0)
+    s.open_attempt(9, 1, rid)
     s.fail_pending(rid)                      # link 1 now at 0.0
     got = select_targets(Connectivity(s.config),
                          view(previous_hop=None, connectivity=s),
@@ -356,7 +356,7 @@ def test_connectivity_requires_state():
 def test_negative_threshold_degenerates_to_flood(threshold):
     s = ConnectivityState(ConnectivityConfig(threshold=threshold, warmup_attempts=0))
     rid = RreqId(0, 1)
-    s.open_attempt(9, 1, rid, now=0)
+    s.open_attempt(9, 1, rid)
     s.fail_pending(rid)
     got = select_targets(Connectivity(s.config), view(connectivity=s),
                          [1, 2], random.Random(0))
