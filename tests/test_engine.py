@@ -254,6 +254,15 @@ def test_live_links_is_the_frozenset_keyed_delay_map():
     assert eng.live_links == {**full, frozenset((0, 3)): 1}
 
 
+def test_radio_range_links_a_pair_exactly_range_apart():
+    # a-b and a-d are exactly 25 apart (d on the x axis); b-c is just beyond 25
+    nodes = [NodeSpec("a", pos=(0.0, 0.0)), NodeSpec("b", pos=(15.0, 20.0)),
+             NodeSpec("c", pos=(30.0, 40.000001)), NodeSpec("d", pos=(-25.0, 0.0))]
+    sc = chain("abcd", links=[], nodes=nodes, t_max=10,
+               mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0))
+    assert Engine(sc).live_links == {frozenset((0, 1)): 1, frozenset((0, 3)): 1}
+
+
 def test_hello_only_queue_tail_is_not_a_truncation():
     # hellos sent at tick 40 are still in flight at t_max; nothing else is.
     # The trace sink keeps the run on the per-packet HELLO path.

@@ -380,6 +380,39 @@ def test_rerr_for_unknown_routes_goes_nowhere():
     assert not sends(out)
 
 
+def test_rerr_on_active_route_restarts_discovery():
+    node = make_node(me=0, neighbors=[1, 2])
+    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+                                  expires_at=100, active=True)
+    out = node.on_rerr(Rerr(((5, 5),)), frm=1, now=10)
+    # the RERR goes on first, to every neighbor but its sender, then the RREQ floods
+    assert [(type(e.packet), e.to) for e in sends(out)] == [(Rerr, 2), (Rreq, 1), (Rreq, 2)]
+    assert sends(out)[1].packet.dest_seq_known == 5     # the RERR's sequence, remembered
+    assert 5 in node.pending_discoveries and 5 not in node.routes
+
+
+@pytest.mark.parametrize("lose", [
+    lambda node: node.on_link_break(1, now=60),
+    lambda node: node.on_rerr(Rerr(((5, 5),)), frm=1, now=60),
+], ids=["link-break", "rerr"])
+def test_expired_route_through_lost_neighbor_is_neither_reported_nor_rediscovered(lose):
+    node = make_node(me=0, neighbors=[1, 2])
+    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+                                  expires_at=50, active=True)
+    assert sends(lose(node)) == []
+    assert not node.pending_discoveries
+
+
+def test_rerr_with_older_sequence_keeps_the_higher_one():
+    node = make_node(me=0, neighbors=[1, 2])
+    node.dest_seq_memory[5] = 7
+    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=7,
+                                  expires_at=100)
+    out = node.on_rerr(Rerr(((5, 3),)), frm=1, now=10)
+    assert node.dest_seq_memory[5] == 7
+    assert [e.packet.unreachable for e in sends(out)] == [((5, 7),)]
+
+
 # --- payload forwarding ---------------------------------------------------
 
 def test_data_forwarding_and_dead_end():
