@@ -18,7 +18,7 @@ from typing import Callable, TextIO
 from .metrics import MetricsReport
 from .node import DeliverUp, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
-from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario
+from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, pairs_in_range
 
 
 @dataclass
@@ -202,20 +202,8 @@ class Engine:
     # -- mobility
 
     def _recompute_links(self) -> None:
-        radio_range = self._mobility_spec.radio_range
-        n = self.scenario.node_count
-        pos = [self.positions[i] for i in range(n)]
-        wanted = set()
-        for i in range(n):
-            xi, yi = pos[i]
-            for j in range(i + 1, n):
-                xj, yj = pos[j]
-                dx = xi - xj
-                # hypot is never below |dx|, so this skip cannot change the result
-                if dx > radio_range or -dx > radio_range:
-                    continue
-                if math.hypot(dx, yi - yj) <= radio_range:
-                    wanted.add((i, j))
+        pos = [self.positions[i] for i in range(self.scenario.node_count)]
+        wanted = set(pairs_in_range(pos, self._mobility_spec.radio_range))
         live = {(a, b) for a, peers in enumerate(self._adj) for b in peers if a < b}
         for a, b in sorted(live - wanted):
             self.apply_link_event("link_down", a, b)

@@ -277,5 +277,9 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
             except ValueError as exc:
                 raise MalformedCsv(f"line {reader.line_num}, column {c.name}: "
                                    f"{exc}, got {cell!r}") from None
-        out.append((row[STRATEGY.name] or "", Totals._make(values)))
+        label = row[STRATEGY.name] or ""
+        if not label.isprintable():     # a line break would split the text table
+            raise MalformedCsv(f"line {reader.line_num}, column {STRATEGY.name}: "
+                               f"not printable, got {label!r}")
+        out.append((label, Totals._make(values)))
     return out

@@ -119,6 +119,10 @@ class ProtocolConfig:
             return self.discovery_deadline
         return 2 * node_count
 
+    def min_round_spacing(self, node_count: int) -> int:
+        """The least spacing between two rounds of one flow: four discovery deadlines."""
+        return 4 * self.deadline_for(node_count)
+
 
 @dataclass
 class _Request:
@@ -232,8 +236,6 @@ class Node:
         rec = disc.metrics_rec
         rreq = Rreq(
             rreq_id=rid,
-            origin=self.me,
-            origin_seq=self.seq,
             dest=rec.dest,
             dest_seq_known=self.dest_seq_memory.get(rec.dest),
             hop_count=0,
@@ -284,8 +286,7 @@ class Node:
 
         if rreq.dest == self.me:
             self.seq += 1
-            reply = Rrep(origin=rreq.origin, dest=self.me, dest_seq=self.seq, hop_count=0, rreq_id=rreq.rreq_id)
-            return [Send(frm, reply)]
+            return [Send(frm, Rrep(self.me, self.seq, 0, rreq.rreq_id))]
 
         if self.config.intermediate_reply:
             entry = self.valid_route(rreq.dest, now)
@@ -293,14 +294,7 @@ class Node:
                 rreq.dest_seq_known is None or entry.dest_seq >= rreq.dest_seq_known
             )
             if fresh:
-                reply = Rrep(
-                    origin=rreq.origin,
-                    dest=rreq.dest,
-                    dest_seq=entry.dest_seq,
-                    hop_count=entry.hop_count,
-                    rreq_id=rreq.rreq_id,
-                )
-                return [Send(frm, reply)]
+                return [Send(frm, Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))]
 
         forwarded = relay_transform(rreq)
         if self.strategy.holds_forward:
@@ -327,27 +321,19 @@ class Node:
             or (rrep.dest_seq == current.dest_seq and candidate_hops < current.hop_count)
         )
         if fresher:
-            keep_active = current.active if current is not None else False
-            entry = RoutingEntry(
-                dest=rrep.dest,
-                next_hop=frm,
-                hop_count=candidate_hops,
-                dest_seq=rrep.dest_seq,
+            entry = self.routes[rrep.dest] = RoutingEntry(
+                next_hop=frm, hop_count=candidate_hops, dest_seq=rrep.dest_seq,
                 expires_at=now + self.config.route_lifetime,
-                active=keep_active,
-            )
-            self.routes[rrep.dest] = entry
+                active=current is not None and current.active)
             emissions.append(SetTimer(RouteSweep(), entry.expires_at))
-        known = self.dest_seq_memory.get(rrep.dest)
-        if known is None or rrep.dest_seq > known:
-            self.dest_seq_memory[rrep.dest] = rrep.dest_seq
+        self._note_dest_seq(rrep.dest, rrep.dest_seq)
 
         if self.conn is not None:
             credited = self.conn.resolve_attempt(rrep.dest, frm, rrep.rreq_id, success=True)
             if credited and link_is_new:
                 self.conn.boost_new_link(rrep.dest, frm)
 
-        if rrep.origin == self.me:
+        if rrep.rreq_id.origin == self.me:
             disc = self.pending_discoveries.pop(rrep.dest, None)
             if disc is not None:
                 # fresher or not, the reply leaves a valid route to dest
@@ -414,44 +400,36 @@ class Node:
 
     def on_link_break(self, lost: NodeId, now: int) -> list[Emission]:
         self.neighbors.pop(lost, None)
-        dead: list[tuple[NodeId, RoutingEntry]] = []
-        for dest in sorted(self.routes):
-            entry = self.routes[dest]
-            if entry.next_hop == lost and entry.expires_at > now:
-                dead.append((dest, entry))
-        for dest, _ in dead:
-            del self.routes[dest]
-        emissions: list[Emission] = []
-        if dead:
-            rerr = Rerr(tuple((dest, entry.dest_seq) for dest, entry in dead))
-            emissions.extend(Send(n, rerr) for n in sorted(self.neighbors))
-        emissions.extend(self._reinitiate_after_loss(dead, now))
-        return emissions
+        return self._lose_routes(sorted(self.routes), now, lost)
 
     def on_rerr(self, rerr: Rerr, frm: NodeId, now: int) -> list[Emission]:
-        dead: list[tuple[NodeId, RoutingEntry]] = []
         for dest, seq in rerr.unreachable:
-            known = self.dest_seq_memory.get(dest)
-            if known is None or seq > known:
-                self.dest_seq_memory[dest] = seq
+            self._note_dest_seq(dest, seq)
+        return self._lose_routes([dest for dest, _ in rerr.unreachable], now, frm)
+
+    def _lose_routes(self, dests: list[NodeId], now: int, frm: NodeId) -> list[Emission]:
+        """Drop each valid route among `dests` whose next hop is `frm` (the
+        lost neighbor or the RERR's sender), report them in one RERR to every
+        other neighbor, and rediscover those that carried data. Only routes
+        lost here propagate further."""
+        dead: list[tuple[NodeId, RoutingEntry]] = []
+        for dest in dests:
             entry = self.routes.get(dest)
             if entry is not None and entry.next_hop == frm and entry.expires_at > now:
                 del self.routes[dest]
                 dead.append((dest, entry))
-        emissions: list[Emission] = []
-        if dead:
-            # only routes actually lost here propagate further
-            onward = Rerr(tuple((dest, entry.dest_seq) for dest, entry in dead))
-            emissions.extend(Send(n, onward) for n in sorted(self.neighbors) if n != frm)
-        emissions.extend(self._reinitiate_after_loss(dead, now))
-        return emissions
-
-    def _reinitiate_after_loss(self, dead: list[tuple[NodeId, RoutingEntry]], now: int) -> list[Emission]:
-        emissions: list[Emission] = []
+        if not dead:
+            return []
+        rerr = Rerr(tuple((dest, entry.dest_seq) for dest, entry in dead))
+        emissions: list[Emission] = [Send(n, rerr) for n in sorted(self.neighbors) if n != frm]
         for dest, entry in dead:
             if entry.active and dest not in self.pending_discoveries and dest != self.me:
                 emissions.extend(self.initiate_discovery(dest, now))
         return emissions
+
+    def _note_dest_seq(self, dest: NodeId, seq: int) -> None:
+        """Keep the highest sequence number heard for `dest`."""
+        self.dest_seq_memory[dest] = max(seq, self.dest_seq_memory.get(dest, seq))
 
     # -- payload forwarding
 

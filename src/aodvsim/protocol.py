@@ -25,9 +25,7 @@ class RreqId(NamedTuple):
 
 @dataclass(frozen=True)
 class Rreq:
-    rreq_id: RreqId
-    origin: NodeId
-    origin_seq: SeqNum
+    rreq_id: RreqId         # its origin is the node that asked
     dest: NodeId
     dest_seq_known: SeqNum | None
     hop_count: int
@@ -36,11 +34,10 @@ class Rreq:
 
 @dataclass(frozen=True)
 class Rrep:
-    origin: NodeId          # the node that asked
     dest: NodeId            # the node that was found
     dest_seq: SeqNum
     hop_count: int          # hops from the replier; +1 per relay
-    rreq_id: RreqId
+    rreq_id: RreqId         # the request answered; its origin is the node that asked
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,6 @@ Packet = Union[Rreq, Rrep, Rerr, Hello, Data]
 
 @dataclass
 class RoutingEntry:
-    dest: NodeId
     next_hop: NodeId
     hop_count: int
     dest_seq: SeqNum
@@ -79,10 +75,10 @@ def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:
     if isinstance(packet, Rreq):
         if packet.ttl < 1:
             raise NotRelayable("request TTL exhausted")
-        return Rreq(packet.rreq_id, packet.origin, packet.origin_seq, packet.dest,
-                    packet.dest_seq_known, packet.hop_count + 1, packet.ttl - 1)
+        return Rreq(packet.rreq_id, packet.dest, packet.dest_seq_known,
+                    packet.hop_count + 1, packet.ttl - 1)
     if isinstance(packet, Rrep):
-        return Rrep(packet.origin, packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
+        return Rrep(packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
     raise TypeError(f"only requests and replies are relayed, got {type(packet).__name__}")
 
 

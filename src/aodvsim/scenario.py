@@ -120,6 +120,8 @@ class Scenario:
         return [(ids[l.a], ids[l.b], l.delay) for l in self.links]
 
     def validate(self) -> None:
+        if not self.name.isprintable():     # a line break would split run's summary
+            raise ValidationError(f"name: not printable, got {self.name!r}")
         seen_names = set()
         for i, n in enumerate(self.nodes):
             if not n.name:
@@ -174,7 +176,7 @@ class Scenario:
                     raise ValidationError(f"{path}: must be >= 1, got {value!r}")
         if not self.traffic:
             raise ValidationError("traffic: at least one flow is required")
-        min_spacing = 4 * self.params.deadline_for(self.node_count)
+        min_spacing = self.params.min_round_spacing(self.node_count)
         for i, t in enumerate(self.traffic):
             for end in (t.origin, t.dest):
                 if end not in seen_names:
@@ -279,6 +281,22 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+def pairs_in_range(positions: list[tuple[float, float]],
+                   radio_range: float) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, of positions at most `radio_range` apart,
+    in ascending order: the radio links of a geometric graph."""
+    pairs = []
+    for i, (xi, yi) in enumerate(positions):
+        for j, (xj, yj) in enumerate(positions[i + 1:], i + 1):
+            dx = xi - xj
+            # hypot is never below |dx|, so this skip cannot change the result
+            if dx > radio_range or -dx > radio_range:
+                continue
+            if math.hypot(dx, yi - yj) <= radio_range:
+                pairs.append((i, j))
+    return pairs
+
+
 # --- builtins -------------------------------------------------------------
 
 _FIG1_NODES = ["S", "N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "N13", "D"]
@@ -357,18 +375,12 @@ def _random_geometric(n: int, seed: int) -> Scenario:
     nodes = [NodeSpec(f"n{i}", pos=(round(rng.uniform(0, side), 3),
                                     round(rng.uniform(0, side), 3)))
              for i in range(n)]
-    links = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = nodes[i].pos[0] - nodes[j].pos[0]
-            dy = nodes[i].pos[1] - nodes[j].pos[1]
-            if math.hypot(dx, dy) <= radio:
-                links.append(LinkSpec(nodes[i].name, nodes[j].name))
     return Scenario(
         name=f"random-{n}",
         comment="seeded random geometric graph",
         nodes=nodes,
-        links=links,
+        links=[LinkSpec(nodes[i].name, nodes[j].name)
+               for i, j in pairs_in_range([node.pos for node in nodes], radio)],
         traffic=[TrafficSpec(origin="n0", dest=f"n{n - 1}", start=0, rounds=1)],
         seed=seed,
         t_max=300,
@@ -402,7 +414,7 @@ def with_rounds(sc: Scenario, rounds: int) -> Scenario:
     rounds are spaced at least four discovery deadlines apart, and t_max
     grows to fit them."""
     t = sc.traffic[0]
-    spacing = max(t.spacing, 4 * sc.params.deadline_for(sc.node_count))
+    spacing = max(t.spacing, sc.params.min_round_spacing(sc.node_count))
     first = replace(t, rounds=rounds, spacing=spacing)
     out = replace(sc, traffic=[first, *sc.traffic[1:]],
                   t_max=max(sc.t_max, t.start + first.spacing * (rounds + 1)))

@@ -78,10 +78,9 @@ def test_invalid_scenario_file_is_a_validation_error(tmp_path, capsys):
 
 
 def test_bad_strategy_tokens_exit_one(capsys):
-    assert run_cli("run", "--scenario", "fig1", "--strategy", "telepathy") == 1
-    assert run_cli("run", "--scenario", "fig1", "--strategy", "counter:x") == 1
-    assert run_cli("run", "--scenario", "fig1", "--strategy", "ring:1:2") == 1
-    assert "telepathy" in capsys.readouterr().err or True
+    for token in ("telepathy", "counter:x", "ring:1:2"):
+        assert run_cli("run", "--scenario", "fig1", "--strategy", token) == 1
+        assert f"'{token}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -375,6 +374,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 0"),
     ({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable"),
     ({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable"),
+    ({"name": "two\nlines"}, "name: not printable, got 'two\\nlines'"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"
@@ -399,6 +399,8 @@ def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):
     ("strategy,rreq_tx,discoveries_ok,mean_latency_ticks\nflood,3,1,soon\n",
      "line 2, column mean_latency_ticks"),
     ("strategy,discoveries_ok\nflood,1\n", "rreq_tx"),
+    ('strategy,rreq_tx,discoveries_ok\n"x\ny",15,1\n',
+     "line 3, column strategy: not printable, got 'x\\ny'"),
 ])
 def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"

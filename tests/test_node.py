@@ -63,8 +63,8 @@ def timers(emissions, kind=None):
 
 
 def make_rreq(origin=3, num=0, dest=5, ttl=6, hop=1, dest_seq=None):
-    return Rreq(rreq_id=RreqId(origin, num), origin=origin, origin_seq=1,
-                dest=dest, dest_seq_known=dest_seq, hop_count=hop, ttl=ttl)
+    return Rreq(rreq_id=RreqId(origin, num), dest=dest, dest_seq_known=dest_seq,
+                hop_count=hop, ttl=ttl)
 
 
 # --- originating ----------------------------------------------------------
@@ -77,7 +77,7 @@ def test_send_data_to_self_delivers_locally():
 
 def test_send_data_over_valid_route_marks_it_active():
     node = make_node(neighbors=[1])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=1,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=1,
                                   expires_at=100)
     out = node.send_data(5, 7, now=0)
     assert out == [Send(1, Data(0, 5, 7))]
@@ -90,7 +90,7 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
     # ascending neighbor id, undecremented ttl = node count
     assert [e.to for e in sends(out)] == [1, 2, 3]
     req = sends(out)[0].packet
-    assert (req.ttl, req.hop_count, req.origin_seq) == (6, 0, 1)
+    assert (req.ttl, req.hop_count, req.rreq_id) == (6, 0, RreqId(0, 0))
     deadline = timers(out, DiscoveryDeadline)
     assert deadline and deadline[0].at == 4 + 2 * 6
     assert node.pending_discoveries[5].queued == [7]
@@ -181,7 +181,7 @@ def test_relay_decrements_ttl_and_skips_the_sender():
 
 def test_intermediate_with_fresh_route_quenches_the_flood():
     node = make_node(me=2, neighbors=[1, 3])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=3, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=4,
                                   expires_at=100)
     out = node.on_rreq(make_rreq(dest=5, dest_seq=3), frm=1, now=0)
     assert len(sends(out)) == 1
@@ -192,7 +192,7 @@ def test_intermediate_with_fresh_route_quenches_the_flood():
 
 def test_intermediate_with_stale_route_relays_instead():
     node = make_node(me=2, neighbors=[1, 3])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=3, hop_count=2, dest_seq=2,
+    node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=2,
                                   expires_at=100)
     out = node.on_rreq(make_rreq(dest=5, dest_seq=3), frm=1, now=0)
     assert all(isinstance(e.packet, Rreq) for e in sends(out))
@@ -201,7 +201,7 @@ def test_intermediate_with_stale_route_relays_instead():
 def test_query_quenching_can_be_disabled():
     node = make_node(me=2, neighbors=[1, 3],
                      config=ProtocolConfig(intermediate_reply=False))
-    node.routes[5] = RoutingEntry(dest=5, next_hop=3, hop_count=2, dest_seq=9,
+    node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=9,
                                   expires_at=100)
     out = node.on_rreq(make_rreq(dest=5), frm=1, now=0)
     assert all(isinstance(e.packet, Rreq) for e in sends(out))
@@ -210,7 +210,7 @@ def test_query_quenching_can_be_disabled():
 # --- reply handling -------------------------------------------------------
 
 def make_rrep(origin=0, dest=5, seq=2, hop=1, num=0):
-    return Rrep(origin=origin, dest=dest, dest_seq=seq, hop_count=hop,
+    return Rrep(dest=dest, dest_seq=seq, hop_count=hop,
                 rreq_id=RreqId(origin, num))
 
 
@@ -249,13 +249,13 @@ def test_relay_fans_reply_to_every_reverse_sender_once():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
     node.on_rreq(make_rreq(origin=3, dest=5), frm=4, now=0)
-    out = node.on_rrep(Rrep(origin=3, dest=5, dest_seq=2, hop_count=0,
+    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     fanned = sends(out)
     assert [e.to for e in fanned] == [1, 4]
     assert all(e.packet.hop_count == 1 for e in fanned)
     # a second copy of the same reply is not relayed again
-    again = node.on_rrep(Rrep(origin=3, dest=5, dest_seq=2, hop_count=0,
+    again = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                               rreq_id=RreqId(3, 0)), frm=3, now=2)
     assert not sends(again)
 
@@ -265,14 +265,14 @@ def test_reply_relay_skips_reverse_senders_no_longer_neighbors():
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
     node.on_rreq(make_rreq(origin=3, dest=5), frm=4, now=0)
     del node.neighbors[4]
-    out = node.on_rrep(Rrep(origin=3, dest=5, dest_seq=2, hop_count=0,
+    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     assert [e.to for e in sends(out)] == [1]
 
 
 def test_reply_without_reverse_path_is_dropped():
     node = make_node(me=2, neighbors=[1])
-    out = node.on_rrep(Rrep(origin=3, dest=5, dest_seq=2, hop_count=0,
+    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 9)), frm=1, now=0)
     assert [d.reason for d in out if isinstance(d, Drop)] == ["no-reverse-path"]
 
@@ -311,7 +311,7 @@ def test_retries_exhaust_into_failure_and_payload_drops():
 
 def test_route_sweep_expires_on_the_boundary_tick():
     node = make_node(neighbors=[1])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=1, dest_seq=1,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=1, dest_seq=1,
                                   expires_at=50)
     node.on_route_sweep(now=49)
     assert 5 in node.routes
@@ -340,9 +340,9 @@ def test_silent_neighbor_is_pruned_strictly_after_timeout():
 
 def test_link_break_reports_unexpired_routes_to_remaining_neighbors():
     node = make_node(neighbors=[1, 2, 3])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100)
-    node.routes[6] = RoutingEntry(dest=6, next_hop=2, hop_count=1, dest_seq=1,
+    node.routes[6] = RoutingEntry(next_hop=2, hop_count=1, dest_seq=1,
                                   expires_at=100)
     out = node.on_link_break(1, now=10)
     assert 5 not in node.routes and 6 in node.routes
@@ -353,7 +353,7 @@ def test_link_break_reports_unexpired_routes_to_remaining_neighbors():
 
 def test_link_break_on_active_route_restarts_discovery():
     node = make_node(neighbors=[1, 2])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100, active=True)
     out = node.on_link_break(1, now=10)
     reqs = [e for e in sends(out) if isinstance(e.packet, Rreq)]
@@ -362,9 +362,9 @@ def test_link_break_on_active_route_restarts_discovery():
 
 def test_rerr_only_kills_routes_through_its_sender():
     node = make_node(me=0, neighbors=[1, 2, 3])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100)
-    node.routes[6] = RoutingEntry(dest=6, next_hop=2, hop_count=2, dest_seq=1,
+    node.routes[6] = RoutingEntry(next_hop=2, hop_count=2, dest_seq=1,
                                   expires_at=100)
     out = node.on_rerr(Rerr(((5, 5), (6, 2))), frm=1, now=10)
     assert 5 not in node.routes and 6 in node.routes
@@ -382,7 +382,7 @@ def test_rerr_for_unknown_routes_goes_nowhere():
 
 def test_rerr_on_active_route_restarts_discovery():
     node = make_node(me=0, neighbors=[1, 2])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100, active=True)
     out = node.on_rerr(Rerr(((5, 5),)), frm=1, now=10)
     # the RERR goes on first, to every neighbor but its sender, then the RREQ floods
@@ -397,7 +397,7 @@ def test_rerr_on_active_route_restarts_discovery():
 ], ids=["link-break", "rerr"])
 def test_expired_route_through_lost_neighbor_is_neither_reported_nor_rediscovered(lose):
     node = make_node(me=0, neighbors=[1, 2])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=4,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=50, active=True)
     assert sends(lose(node)) == []
     assert not node.pending_discoveries
@@ -406,7 +406,7 @@ def test_expired_route_through_lost_neighbor_is_neither_reported_nor_rediscovere
 def test_rerr_with_older_sequence_keeps_the_higher_one():
     node = make_node(me=0, neighbors=[1, 2])
     node.dest_seq_memory[5] = 7
-    node.routes[5] = RoutingEntry(dest=5, next_hop=1, hop_count=2, dest_seq=7,
+    node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=7,
                                   expires_at=100)
     out = node.on_rerr(Rerr(((5, 3),)), frm=1, now=10)
     assert node.dest_seq_memory[5] == 7
@@ -417,7 +417,7 @@ def test_rerr_with_older_sequence_keeps_the_higher_one():
 
 def test_data_forwarding_and_dead_end():
     node = make_node(me=2, neighbors=[1, 3])
-    node.routes[5] = RoutingEntry(dest=5, next_hop=3, hop_count=1, dest_seq=1,
+    node.routes[5] = RoutingEntry(next_hop=3, hop_count=1, dest_seq=1,
                                   expires_at=100)
     ok = node.on_data(Data(0, 5, 7), frm=1, now=0)
     assert ok == [Send(3, Data(0, 5, 7))]
@@ -480,7 +480,7 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
     assert state.eligible(5, 1)
     node.send_data(5, 7, now=20)
     rid = node.pending_discoveries[5].rreq_id
-    node.on_rrep(Rrep(origin=0, dest=5, dest_seq=3, hop_count=2, rreq_id=rid),
+    node.on_rrep(Rrep(dest=5, dest_seq=3, hop_count=2, rreq_id=rid),
                  frm=1, now=24, link_is_new=True)
     assert state._open == {}                            # credited at once, not at the sweep
     rec = state.peek(5, 1)

@@ -14,8 +14,7 @@ from aodvsim.protocol import (
 
 
 def make_rreq(num=1, hop=0, ttl=5):
-    return Rreq(rreq_id=RreqId(0, num), origin=0, origin_seq=1, dest=9,
-                dest_seq_known=None, hop_count=hop, ttl=ttl)
+    return Rreq(rreq_id=RreqId(0, num), dest=9, dest_seq_known=None, hop_count=hop, ttl=ttl)
 
 
 def test_rreq_id_equality_and_hashing():
@@ -44,7 +43,7 @@ def test_relay_transform_refuses_exhausted_ttl():
 
 
 def test_relay_transform_reply_only_grows_hop():
-    rep = Rrep(origin=0, dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1))
+    rep = Rrep(dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1))
     out = relay_transform(rep)
     assert out.hop_count == 2
     assert out.dest_seq == 4
@@ -56,14 +55,14 @@ def test_relay_transform_rejects_other_packets():
 
 
 def test_routing_entry_defaults_inactive():
-    e = RoutingEntry(dest=9, next_hop=1, hop_count=4, dest_seq=2, expires_at=50)
+    e = RoutingEntry(next_hop=1, hop_count=4, dest_seq=2, expires_at=50)
     assert not e.active
 
 
 def test_summaries_are_single_line():
     packets = [
         make_rreq(),
-        Rrep(origin=0, dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1)),
+        Rrep(dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1)),
         Hello(sender=3),
         Data(src=0, dst=9, payload_id=2),
     ]
