@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aodvsim.engine import Engine, run
 from aodvsim.node import ProtocolConfig
@@ -18,6 +20,7 @@ from aodvsim.scenario import (
     Scenario,
     TrafficSpec,
     builtin,
+    pairs_in_range,
     parse_scenario,
 )
 from aodvsim.suppression import Connectivity
@@ -261,6 +264,75 @@ def test_radio_range_links_a_pair_exactly_range_apart():
     sc = chain("abcd", links=[], nodes=nodes, t_max=10,
                mobility=RandomWaypoint(area=(60.0, 60.0), radio_range=25.0))
     assert Engine(sc).live_links == {frozenset((0, 1)): 1, frozenset((0, 3)): 1}
+
+
+# --- links under mobility -------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _links_track_positions(sc: Scenario) -> int:
+    """Run `sc`, asserting after every mobility tick that the live links are
+    exactly the pairs in radio range; return the number of ticks checked."""
+    ticks = []
+    tick = Engine._mobility_tick
+
+    def checked(eng):
+        tick(eng)
+        pos = [eng.positions[i] for i in range(sc.node_count)]
+        live = [(a, b) for a, peers in enumerate(eng._adj) for b in sorted(peers) if a < b]
+        assert sorted(live) == sorted((b, a) for a, peers in enumerate(eng._adj)
+                                      for b in peers if b < a)
+        assert live == pairs_in_range(pos, sc.mobility.radio_range), eng.now
+        ticks.append(eng.now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_mobility_tick", checked)
+        Engine(sc).run()
+    return len(ticks)
+
+
+def test_links_track_positions_with_scripted_events():
+    # a link_down of an in-range pair and a link_up of an out-of-range pair
+    # change the links between two mobility ticks; each tick must undo them
+    sc = parse_scenario((GOLDEN / "waypoint-events.json").read_text())
+    assert {type(ev).__name__ for ev in sc.events} == {"LinkEvent", "DropEvent"}
+    assert _links_track_positions(sc) == sc.t_max
+
+
+@st.composite
+def waypoint_scenarios(draw) -> Scenario:
+    n = draw(st.integers(2, 9))
+    names = [f"n{i}" for i in range(n)]
+    lo = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    mobility = RandomWaypoint(area=(60.0, 40.0), speed=(lo, lo + draw(st.sampled_from([0.0, 2.5]))),
+                              pause=draw(st.integers(0, 4)),
+                              radio_range=draw(st.sampled_from([10.0, 20.0, 25.0])))
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        at = draw(st.integers(0, 60))
+        kind = draw(st.sampled_from(["link_up", "link_down", "drop"]))
+        events.append(DropEvent(at, a, b) if kind == "drop" else LinkEvent(at, kind, a, b))
+    return Scenario(name="walk", nodes=[NodeSpec(x) for x in names], links=[],
+                    traffic=[TrafficSpec("n0", names[-1])], mobility=mobility,
+                    events=events, seed=draw(st.integers(0, 99)), t_max=60)
+
+
+# still nodes, with one pair exactly the radio range apart
+_STILL = Scenario(name="still", nodes=[NodeSpec("a", (0.0, 0.0)), NodeSpec("b", (15.0, 20.0)),
+                                       NodeSpec("c", (30.0, 40.000001))],
+                  links=[], traffic=[TrafficSpec("a", "c")], t_max=30,
+                  mobility=RandomWaypoint(area=(60.0, 60.0), speed=(0.0, 0.0), pause=0,
+                                          radio_range=25.0),
+                  events=[LinkEvent(5, "link_down", "a", "b"), LinkEvent(5, "link_up", "b", "c")])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(sc=_STILL)
+@given(sc=waypoint_scenarios())
+def test_links_track_positions_on_every_tick(sc):
+    assert _links_track_positions(sc) == sc.t_max
 
 
 def test_hello_only_queue_tail_is_not_a_truncation():

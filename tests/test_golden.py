@@ -35,7 +35,8 @@ COMPARED = ["fig1", "mixed.json"]
 def corpus() -> list[tuple[str, str]]:
     """(scenario, strategy token); a scenario is a builtin name or a file in golden/."""
     entries = [(sc, st) for sc in BUILTINS for st in STRATEGIES]
-    entries += [("waypoint.json", st) for st in ("flood", "connectivity")]
+    entries += [(sc, st) for sc in ("waypoint.json", "waypoint-events.json")
+                for st in ("flood", "connectivity")]
     entries += [("mixed.json", st) for st in STRATEGIES]
     entries += [("overrun.json", st) for st in STRATEGIES]
     return entries
