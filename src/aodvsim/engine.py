@@ -47,13 +47,15 @@ class Engine:
         self._seq = itertools.count()
         self._ids = ids = scenario.node_ids()
 
-        # link state: each node's live peers with their delay, plus the
-        # configured delay for every known pair; pairs are keyed (low, high)
+        # link state: each node's live peers with their delay, the live pairs,
+        # and the configured delay for every known pair; pairs are keyed
+        # (low, high). Only apply_link_event changes a live link.
         self._adj: list[dict[NodeId, int]] = [{} for _ in range(scenario.node_count)]
         self.base_delay: dict[tuple[NodeId, NodeId], int] = {}
         for a, b, delay in scenario.links_by_id():
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
+        self._links: set[tuple[NodeId, NodeId]] = set(self.base_delay)
         self.new_links: set[tuple[NodeId, NodeId]] = set()
         self.loss_filter: set[tuple[int, NodeId, NodeId]] = set()
 
@@ -145,6 +147,7 @@ class Engine:
             )
         # under mobility the link set is purely position-derived
         self._adj = [{} for _ in range(self.scenario.node_count)]
+        self._links = set()
         self._recompute_links()
 
     # -- link handling
@@ -152,8 +155,7 @@ class Engine:
     @property
     def live_links(self) -> dict[frozenset, int]:
         """The current links as {frozenset((a, b)): delay}; a copy."""
-        return {frozenset((a, b)): delay for a, peers in enumerate(self._adj)
-                for b, delay in peers.items() if a < b}
+        return {frozenset(key): self._adj[key[0]][key[1]] for key in self._links}
 
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""
@@ -162,9 +164,11 @@ class Engine:
             self._adj[a].pop(b, None)
             self._adj[b].pop(a, None)
             self.new_links.discard(key)
+            self._links.discard(key)
         elif b not in self._adj[a]:
             self._adj[a][b] = self._adj[b][a] = self.base_delay.get(key, 1)
             self.new_links.add(key)
+            self._links.add(key)
 
     def link_peers(self, node: NodeId) -> list[NodeId]:
         return sorted(self._adj[node])
@@ -204,12 +208,11 @@ class Engine:
     def _recompute_links(self) -> None:
         pos = [self.positions[i] for i in range(self.scenario.node_count)]
         wanted = set(pairs_in_range(pos, self._mobility_spec.radio_range))
-        live = {(a, b) for a, peers in enumerate(self._adj) for b in peers if a < b}
-        for a, b in sorted(live - wanted):
+        for a, b in sorted(self._links - wanted):
             self.apply_link_event("link_down", a, b)
             if self.trace is not None:
                 self._trace(a, "link-down", f"range {self._labels[b]}")
-        for a, b in sorted(wanted - live):
+        for a, b in sorted(wanted - self._links):
             self.apply_link_event("link_up", a, b)
             if self.trace is not None:
                 self._trace(a, "link-up", f"range {self._labels[b]}")

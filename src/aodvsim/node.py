@@ -4,7 +4,9 @@ Handlers take an event plus the current tick and return a list of emissions
 (sends, timer requests, local deliveries, drops) without doing any I/O
 themselves; the engine owns transmission, timers and bookkeeping. All
 iteration that produces emissions runs in ascending node id so a scenario
-replays identically every time.
+replays identically every time. Packets are frozen and shared: every
+recipient of a flood gets the same object. Emissions are single-use slotted
+records: the engine consumes each one once, and nothing keeps or hashes one.
 """
 
 from __future__ import annotations
@@ -42,25 +44,25 @@ def select_targets(strategy: Strategy, view: SelectionView, candidates: list[Nod
 
 # --- emissions ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     to: NodeId
     packet: Packet
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     kind: "TimerKind"
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliverUp:
     payload_id: int
     src: NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Drop:
     packet: Packet
     reason: str

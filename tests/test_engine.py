@@ -255,6 +255,10 @@ def test_live_links_is_the_frozenset_keyed_delay_map():
     assert eng.link_peers(1) == [0, 2]
     eng.apply_link_event("link_up", 0, 3)          # never configured: delay 1
     assert eng.live_links == {**full, frozenset((0, 3)): 1}
+    eng.apply_link_event("link_up", 3, 0)          # already live: no change
+    eng.apply_link_event("link_down", 0, 2)        # absent: no change
+    assert eng.live_links == {**full, frozenset((0, 3)): 1}
+    assert eng.link_peers(0) == [1, 3] and eng.link_peers(2) == [1, 3]
 
 
 def test_radio_range_links_a_pair_exactly_range_apart():
