@@ -266,7 +266,11 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
     if missing:
         raise MalformedCsv(f"CSV lacks required columns: {', '.join(missing)}")
     out: list[tuple[str, Totals]] = []
+    lines, end = text.split("\n"), reader.line_num
     for row in reader:
+        # a record starts on the first line after the last record that is not blank
+        line = next(n for n in range(end + 1, reader.line_num + 1) if lines[n - 1].strip("\r"))
+        end = reader.line_num
         values = []
         for c in _TOTALS:
             cell = row.get(c.name) or ""
@@ -275,11 +279,11 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
                     raise ValueError("expected a value")
                 values.append(c.read(cell))
             except ValueError as exc:
-                raise MalformedCsv(f"line {reader.line_num}, column {c.name}: "
+                raise MalformedCsv(f"line {line}, column {c.name}: "
                                    f"{exc}, got {cell!r}") from None
         label = row[STRATEGY.name] or ""
         if not label.isprintable():     # a line break would split the text table
-            raise MalformedCsv(f"line {reader.line_num}, column {STRATEGY.name}: "
+            raise MalformedCsv(f"line {line}, column {STRATEGY.name}: "
                                f"not printable, got {label!r}")
         out.append((label, Totals._make(values)))
     return out

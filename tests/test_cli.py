@@ -400,7 +400,9 @@ def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):
      "line 2, column mean_latency_ticks"),
     ("strategy,discoveries_ok\nflood,1\n", "rreq_tx"),
     ('strategy,rreq_tx,discoveries_ok\n"x\ny",15,1\n',
-     "line 3, column strategy: not printable, got 'x\\ny'"),
+     "line 2, column strategy: not printable, got 'x\\ny'"),
+    ('strategy,rreq_tx,discoveries_ok\nflood,3,1\n\r\n\n"x\ny",15,1\n',
+     "line 5, column strategy: not printable, got 'x\\ny'"),
 ])
 def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"
