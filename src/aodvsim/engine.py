@@ -155,7 +155,7 @@ class Engine:
     @property
     def live_links(self) -> dict[frozenset, int]:
         """The current links as {frozenset((a, b)): delay}; a copy."""
-        return {frozenset(key): self._adj[key[0]][key[1]] for key in self._links}
+        return {frozenset((a, b)): self._adj[a][b] for a, b in self._links}
 
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""

@@ -272,9 +272,6 @@ def test_radio_range_links_a_pair_exactly_range_apart():
 
 # --- links under mobility -------------------------------------------------
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 def _links_track_positions(sc: Scenario) -> int:
     """Run `sc`, asserting after every mobility tick that the live links are
     exactly the pairs in radio range; return the number of ticks checked."""
@@ -299,7 +296,7 @@ def _links_track_positions(sc: Scenario) -> int:
 def test_links_track_positions_with_scripted_events():
     # a link_down of an in-range pair and a link_up of an out-of-range pair
     # change the links between two mobility ticks; each tick must undo them
-    sc = parse_scenario((GOLDEN / "waypoint-events.json").read_text())
+    sc = parse_scenario((Path(__file__).parent / "golden" / "waypoint-events.json").read_text())
     assert {type(ev).__name__ for ev in sc.events} == {"LinkEvent", "DropEvent"}
     assert _links_track_positions(sc) == sc.t_max
 
@@ -308,8 +305,9 @@ def test_links_track_positions_with_scripted_events():
 def waypoint_scenarios(draw) -> Scenario:
     n = draw(st.integers(2, 9))
     names = [f"n{i}" for i in range(n)]
-    lo = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    mobility = RandomWaypoint(area=(60.0, 40.0), speed=(lo, lo + draw(st.sampled_from([0.0, 2.5]))),
+    slowest = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    fastest = slowest + draw(st.sampled_from([0.0, 2.5]))
+    mobility = RandomWaypoint(area=(60.0, 40.0), speed=(slowest, fastest),
                               pause=draw(st.integers(0, 4)),
                               radio_range=draw(st.sampled_from([10.0, 20.0, 25.0])))
     events = []
