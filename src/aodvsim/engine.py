@@ -55,7 +55,7 @@ class Engine:
         for a, b, delay in scenario.links_by_id():
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
-        self._links: set[tuple[NodeId, NodeId]] = set(self.base_delay)
+        self._live_pairs: set[tuple[NodeId, NodeId]] = set(self.base_delay)
         self.new_links: set[tuple[NodeId, NodeId]] = set()
         self.loss_filter: set[tuple[int, NodeId, NodeId]] = set()
 
@@ -147,7 +147,7 @@ class Engine:
             )
         # under mobility the link set is purely position-derived
         self._adj = [{} for _ in range(self.scenario.node_count)]
-        self._links = set()
+        self._live_pairs = set()
         self._recompute_links()
 
     # -- link handling
@@ -155,7 +155,7 @@ class Engine:
     @property
     def live_links(self) -> dict[frozenset, int]:
         """The current links as {frozenset((a, b)): delay}; a copy."""
-        return {frozenset((a, b)): self._adj[a][b] for a, b in self._links}
+        return {frozenset((a, b)): self._adj[a][b] for a, b in self._live_pairs}
 
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""
@@ -164,11 +164,11 @@ class Engine:
             self._adj[a].pop(b, None)
             self._adj[b].pop(a, None)
             self.new_links.discard(key)
-            self._links.discard(key)
+            self._live_pairs.discard(key)
         elif b not in self._adj[a]:
             self._adj[a][b] = self._adj[b][a] = self.base_delay.get(key, 1)
             self.new_links.add(key)
-            self._links.add(key)
+            self._live_pairs.add(key)
 
     def link_peers(self, node: NodeId) -> list[NodeId]:
         return sorted(self._adj[node])
@@ -208,11 +208,11 @@ class Engine:
     def _recompute_links(self) -> None:
         pos = [self.positions[i] for i in range(self.scenario.node_count)]
         wanted = set(pairs_in_range(pos, self._mobility_spec.radio_range))
-        for a, b in sorted(self._links - wanted):
+        for a, b in sorted(self._live_pairs - wanted):
             self.apply_link_event("link_down", a, b)
             if self.trace is not None:
                 self._trace(a, "link-down", f"range {self._labels[b]}")
-        for a, b in sorted(wanted - self._links):
+        for a, b in sorted(wanted - self._live_pairs):
             self.apply_link_event("link_up", a, b)
             if self.trace is not None:
                 self._trace(a, "link-up", f"range {self._labels[b]}")
