@@ -266,11 +266,11 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
     if missing:
         raise MalformedCsv(f"CSV lacks required columns: {', '.join(missing)}")
     out: list[tuple[str, Totals]] = []
-    lines, end = text.split("\n"), reader.line_num
+    lines, end = text.split("\n"), reader.reader.line_num
     for row in reader:
-        # a record starts on the first line after the last record that is not blank
-        line = next(n for n in range(end + 1, reader.line_num + 1) if lines[n - 1].strip("\r"))
-        end = reader.line_num
+        # first non-blank line after the previous record, by the inner csv.reader's count
+        prev, end = end, reader.reader.line_num
+        line = next(n for n in range(prev + 1, end + 1) if lines[n - 1].strip("\r"))
         values = []
         for c in _TOTALS:
             cell = row.get(c.name) or ""

@@ -1,12 +1,12 @@
 import gc
 import io
+import json
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from aodvsim.engine import Engine, run
 from aodvsim.node import ProtocolConfig
@@ -26,6 +26,7 @@ from aodvsim.scenario import (
 from aodvsim.suppression import Connectivity
 
 from oracles import bfs_distances
+from test_fuzz import valid_scenarios
 
 
 def chain(n_labels, traffic=None, delay=1, **kw):
@@ -293,34 +294,6 @@ def _links_track_positions(sc: Scenario) -> int:
     return len(ticks)
 
 
-def test_links_track_positions_with_scripted_events():
-    # a link_down of an in-range pair and a link_up of an out-of-range pair
-    # change the links between two mobility ticks; each tick must undo them
-    sc = parse_scenario((Path(__file__).parent / "golden" / "waypoint-events.json").read_text())
-    assert {type(ev).__name__ for ev in sc.events} == {"LinkEvent", "DropEvent"}
-    assert _links_track_positions(sc) == sc.t_max
-
-
-@st.composite
-def waypoint_scenarios(draw) -> Scenario:
-    n = draw(st.integers(2, 9))
-    names = [f"n{i}" for i in range(n)]
-    slowest = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    fastest = slowest + draw(st.sampled_from([0.0, 2.5]))
-    mobility = RandomWaypoint(area=(60.0, 40.0), speed=(slowest, fastest),
-                              pause=draw(st.integers(0, 4)),
-                              radio_range=draw(st.sampled_from([10.0, 20.0, 25.0])))
-    events = []
-    for _ in range(draw(st.integers(0, 4))):
-        a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
-        at = draw(st.integers(0, 60))
-        kind = draw(st.sampled_from(["link_up", "link_down", "drop"]))
-        events.append(DropEvent(at, a, b) if kind == "drop" else LinkEvent(at, kind, a, b))
-    return Scenario(name="walk", nodes=[NodeSpec(x) for x in names], links=[],
-                    traffic=[TrafficSpec("n0", names[-1])], mobility=mobility,
-                    events=events, seed=draw(st.integers(0, 99)), t_max=60)
-
-
 # still nodes, with one pair exactly the radio range apart
 _STILL = Scenario(name="still", nodes=[NodeSpec("a", (0.0, 0.0)), NodeSpec("b", (15.0, 20.0)),
                                        NodeSpec("c", (30.0, 40.000001))],
@@ -330,9 +303,18 @@ _STILL = Scenario(name="still", nodes=[NodeSpec("a", (0.0, 0.0)), NodeSpec("b", 
                   events=[LinkEvent(5, "link_down", "a", "b"), LinkEvent(5, "link_up", "b", "c")])
 
 
+# a link_down of an in-range pair and a link_up of an out-of-range pair
+# change the links between two mobility ticks; each tick must undo them
+_WAYPOINT_EVENTS = parse_scenario(
+    (Path(__file__).parent / "golden" / "waypoint-events.json").read_text())
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @example(sc=_STILL)
-@given(sc=waypoint_scenarios())
+@example(sc=_WAYPOINT_EVENTS)
+@given(sc=valid_scenarios()     # the distance strategy needs positions a drawn doc may lack
+       .filter(lambda doc: "mobility" in doc and doc["strategy"]["kind"] != "distance")
+       .map(lambda doc: parse_scenario(json.dumps(doc))))
 def test_links_track_positions_on_every_tick(sc):
     assert _links_track_positions(sc) == sc.t_max
 

@@ -73,8 +73,9 @@ def valid_scenarios(draw) -> dict:
            "strategy": copy.deepcopy(draw(st.sampled_from(STRATEGIES))),
            "seed": draw(st.integers(0, 99)), "t_max": draw(st.integers(1, T_MAX))}
     if draw(st.booleans()):
-        doc["mobility"] = {"model": "random_waypoint", "area": [60, 60], "speed": [1, 4],
-                           "pause": 3, "range": 30}
+        doc["mobility"] = {"model": "random_waypoint", "area": [60, 60],
+                           "speed": draw(st.sampled_from([[1, 4], [0, 0]])),
+                           "pause": draw(st.sampled_from([3, 0])), "range": 30}
     if draw(st.booleans()):
         doc["params"] = {"hello_interval": draw(st.integers(1, 20)),
                          "max_retries": draw(st.integers(1, 3))}

@@ -180,6 +180,14 @@ def test_comparison_csv_is_also_parseable():
     assert parsed[1][1].suppressed_forwards == 6
 
 
+def test_parser_skips_blank_lines_between_records():
+    text = "strategy,rreq_tx,discoveries_ok\nflood,3,1\n\nconnectivity,2,1\n"
+    assert [label for label, _ in parse_run_csv(text)] == ["flood", "connectivity"]
+    # the line count stays right past the blank line
+    with pytest.raises(ValueError, match="line 5, column rreq_tx"):
+        parse_run_csv(text + "counter,abc,1\n")
+
+
 def test_parser_names_missing_columns():
     with pytest.raises(ValueError, match="rreq_tx"):
         parse_run_csv("strategy,discoveries_ok\nflood,1\n")
