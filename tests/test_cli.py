@@ -384,6 +384,21 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     assert path in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("params,code,stderr", [
+    ({"max_retries": "two"}, 1, "aodvsim: params.max_retries: expected an integer, got 'two'\n"),
+    ({"hello_interval": 0}, 1, "aodvsim: params.hello_interval: must be >= 1, got 0\n"),
+    ({"intermediate_reply": "yes"}, 1,
+     "aodvsim: params.intermediate_reply: expected true or false, got 'yes'\n"),
+    ({"attempt_timeout": 5}, 1, "aodvsim: params: unknown field(s) attempt_timeout\n"),
+    ({"discovery_deadline": None}, 0, ""),      # null: the derived default
+])
+def test_params_messages_are_pinned(tmp_path, capsys, params, code, stderr):
+    scenario = tmp_path / "params.json"
+    scenario.write_text(json.dumps(_scenario_doc(params=params)))
+    assert run_cli("run", "--scenario", str(scenario)) == code
+    assert capsys.readouterr().err == stderr
+
+
 def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):
     scenario = tmp_path / "far.json"
     scenario.write_text(json.dumps(_scenario_doc(
