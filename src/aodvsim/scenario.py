@@ -23,12 +23,14 @@ from .suppression import (
 )
 from .wire import (
     ValidationError,
+    check,
     check_keys,
     read_bool,
     read_fields,
     read_int,
     read_list,
     read_object,
+    read_str,
     require,
 )
 
@@ -120,14 +122,14 @@ class Scenario:
         return [(ids[l.a], ids[l.b], l.delay) for l in self.links]
 
     def validate(self) -> None:
-        if not self.name.isprintable():     # a line break would split run's summary
-            raise ValidationError(f"name: not printable, got {self.name!r}")
+        # a line break would split run's summary
+        check(self.name.isprintable(), "name", "not printable", self.name)
         seen_names = set()
         for i, n in enumerate(self.nodes):
             if not n.name:
                 raise ValidationError(f"nodes[{i}].name: empty")
-            if not n.name.isprintable():    # a tab or line break would split a trace line
-                raise ValidationError(f"nodes[{i}].name: not printable, got {n.name!r}")
+            # a tab or line break would split a trace line
+            check(n.name.isprintable(), f"nodes[{i}].name", "not printable", n.name)
             if n.name in seen_names:
                 raise ValidationError(f"nodes[{i}].name: duplicate {n.name!r}")
             seen_names.add(n.name)
@@ -162,18 +164,13 @@ class Scenario:
                     (m.radio_range > 0, "range", "must be > 0", m.radio_range),
                     (m.area[0] > 0 and m.area[1] > 0, "area", "both sides must be > 0", list(m.area)),
                     (m.pause >= 0, "pause", "must be >= 0", m.pause)):
-                if not ok:
-                    raise ValidationError(f"mobility.{key}: {rule}, got {value!r}")
+                check(ok, f"mobility.{key}", rule, value)
         # params first: the traffic checks below use the discovery deadline
         for f in fields(ProtocolConfig):
             value = getattr(self.params, f.name)
-            path = f"params.{f.name}"
-            if f.name == "intermediate_reply":
-                read_bool(value, path)
-            elif value is not None or f.default is not None:   # None: the derived default
+            if f.name != "intermediate_reply" and value is not None:   # None: the derived default
                 # a zero interval would requeue its event at the same tick forever
-                if read_int(value, path) < 1:
-                    raise ValidationError(f"{path}: must be >= 1, got {value!r}")
+                check(value >= 1, f"params.{f.name}", "must be >= 1", value)
         if not self.traffic:
             raise ValidationError("traffic: at least one flow is required")
         min_spacing = self.params.min_round_spacing(self.node_count)
@@ -249,22 +246,17 @@ def parse_scenario(text: str) -> Scenario:
 
     flags = read_object(raw.get("flags", {}), "flags")
     check_keys(flags, {"intermediate_reply", "per_neighbor_aggregate"}, "flags")
-    p = read_object(raw.get("params", {}), "params")
-    check_keys(p, {f.name for f in fields(ProtocolConfig)}, "params")
-    params = ProtocolConfig()
-    for key, value in p.items():
-        setattr(params, key, value)
+    params = read_fields(ProtocolConfig, raw.get("params", {}), "params")
     # two spellings of one setting: flags.intermediate_reply and params.intermediate_reply
     if "intermediate_reply" in flags:
         reply = read_bool(flags["intermediate_reply"], "flags.intermediate_reply")
-        if read_bool(p.get("intermediate_reply", reply), "params.intermediate_reply") != reply:
+        if params.setdefault("intermediate_reply", reply) != reply:
             raise ValidationError("flags.intermediate_reply and params.intermediate_reply "
                                   "disagree")
-        params.intermediate_reply = reply
 
     scenario = Scenario(
-        name=str(require(raw, "name", "top level")),
-        comment=str(raw.get("comment", "")),
+        name=read_str(require(raw, "name", "top level"), "name"),
+        comment=read_str(raw.get("comment", ""), "comment"),
         nodes=nodes,
         links=links,
         mobility=mobility,
@@ -275,7 +267,7 @@ def parse_scenario(text: str) -> Scenario:
         t_max=read_int(require(raw, "t_max", "top level"), "t_max"),
         per_neighbor_aggregate=read_bool(flags.get("per_neighbor_aggregate", False),
                                          "flags.per_neighbor_aggregate"),
-        params=params,
+        params=ProtocolConfig(**params),
     )
     scenario.validate()
     return scenario
@@ -368,7 +360,7 @@ def _random_geometric(n: int, seed: int) -> Scenario:
     import random as _random
 
     if n < 2:
-        raise UnknownScenario(f"random-{n}: need at least 2 nodes")
+        raise ValidationError(f"random-{n}: need at least 2 nodes")
     rng = _random.Random(seed)
     side = 100.0
     radio = 45.0

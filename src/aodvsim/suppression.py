@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .protocol import NodeId, RreqId
-from .wire import ValidationError, read_fields, read_object, require
+from .wire import ValidationError, check, read_fields, read_object, require
 
 
 class ConfigError(Exception):
@@ -96,27 +96,21 @@ class ConnectivityConfig:
     new_link_bonus: float = 0.1
     attempt_timeout: int | None = None   # None: use the discovery deadline
 
-    def validate(self, path: str | None = None) -> None:
-        """Reject a setting out of range, naming it: `threshold must ...` for
-        a command-line option, `strategy.threshold: must ...` for settings
-        read from the JSON object at `path`."""
-        def check(ok: bool, name: str, rule: str) -> None:
-            if not ok:
-                raise (ValidationError(f"{path}.{name}: {rule}") if path
-                       else ConfigError(f"{name} {rule}"))
-        check(self.mode in ("raw", "ema", "blend"), "mode",
-              f"must be raw, ema or blend, got {self.mode!r}")
-        check(self.mode == "raw" or 0.0 < self.alpha < 1.0, "alpha",
-              f"must lie strictly between 0 and 1, got {self.alpha}")
-        check(self.warmup_attempts >= 0, "warmup_attempts", "must be non-negative")
-        check(0.0 <= self.initial_index <= 1.0, "initial_index", "must lie in [0, 1]")
-        # a negative threshold is the acceptance gate's never-suppress setting
-        check(-math.inf < self.threshold <= 1.0, "threshold",
-              f"must be finite and at most 1, got {self.threshold}")
-        check(0.0 <= self.new_link_bonus < math.inf, "new_link_bonus",
-              f"must be finite and >= 0, got {self.new_link_bonus}")
-        check(self.attempt_timeout is None or self.attempt_timeout >= 1, "attempt_timeout",
-              f"must be >= 1, got {self.attempt_timeout}")
+    def validate(self) -> None:
+        """Reject a setting out of range, naming it `strategy.<field>`."""
+        for ok, name, rule in (
+                (self.mode in ("raw", "ema", "blend"), "mode", "must be raw, ema or blend"),
+                (self.mode == "raw" or 0.0 < self.alpha < 1.0, "alpha",
+                 "must lie strictly between 0 and 1"),
+                (self.warmup_attempts >= 0, "warmup_attempts", "must be non-negative"),
+                (0.0 <= self.initial_index <= 1.0, "initial_index", "must lie in [0, 1]"),
+                # a negative threshold is the acceptance gate's never-suppress setting
+                (-math.inf < self.threshold <= 1.0, "threshold", "must be finite and at most 1"),
+                (0.0 <= self.new_link_bonus < math.inf, "new_link_bonus",
+                 "must be finite and >= 0"),
+                (self.attempt_timeout is None or self.attempt_timeout >= 1, "attempt_timeout",
+                 "must be >= 1")):
+            check(ok, f"strategy.{name}", rule, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,7 @@ class Connectivity(Strategy):
 
     @classmethod
     def from_json(cls, obj: dict, path: str) -> Connectivity:
-        config = ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",)))
-        config.validate(path)
-        return cls(config)
+        return cls(ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",))))
 
     def validate(self, nodes: list) -> None:
         self.config.validate()
@@ -174,8 +166,7 @@ class Probabilistic(_RelayFilter):
     p: float = 0.5
 
     def validate(self, nodes):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValidationError("strategy.p: must lie in [0, 1]")
+        check(0.0 <= self.p <= 1.0, "strategy.p", "must lie in [0, 1]", self.p)
 
     def forwards(self, view, rng):
         return rng.random() < self.p
@@ -188,8 +179,7 @@ class CounterBased(_RelayFilter):
     max_copies: int = 3
 
     def validate(self, nodes):
-        if self.max_copies < 0:
-            raise ValidationError("strategy.max_copies: negative")
+        check(self.max_copies >= 0, "strategy.max_copies", "must be >= 0", self.max_copies)
 
     def forwards(self, view, rng):
         return view.copies_heard <= self.max_copies
@@ -201,13 +191,11 @@ class DistanceBased(_RelayFilter):
     min_distance: float = 0.0
 
     def validate(self, nodes):
-        if not (0.0 <= self.min_distance < math.inf):
-            raise ValidationError("strategy.min_distance: must be finite and >= 0")
-        missing = [n.name for n in nodes if n.pos is None]
-        if missing:
-            raise ValidationError(
-                f"strategy distance: nodes without positions: {', '.join(missing)}"
-            )
+        check(0.0 <= self.min_distance < math.inf, "strategy.min_distance",
+              "must be finite and >= 0", self.min_distance)
+        for i, n in enumerate(nodes):
+            check(n.pos is not None, f"nodes[{i}].pos",
+                  "the distance strategy needs positions on every node", n.pos)
 
     def forwards(self, view, rng):
         if view.distance_to_previous is None:
@@ -224,10 +212,11 @@ class ExpandingRing(Strategy):
     ttl_threshold: int = 7
 
     def validate(self, nodes):
-        if self.ttl_start < 1 or self.ttl_increment < 1:
-            raise ValidationError("strategy ring: ttl_start and ttl_increment must be >= 1")
-        if self.ttl_threshold < self.ttl_start:
-            raise ValidationError("strategy ring: ttl_threshold below ttl_start")
+        check(self.ttl_start >= 1, "strategy.ttl_start", "must be >= 1", self.ttl_start)
+        check(self.ttl_increment >= 1, "strategy.ttl_increment", "must be >= 1",
+              self.ttl_increment)
+        check(self.ttl_threshold >= self.ttl_start, "strategy.ttl_threshold",
+              "must be >= ttl_start", self.ttl_threshold)
 
     def attempt_ttl(self, attempt_index, node_count):
         """Grows linearly to the threshold; the first attempt at or past the

@@ -35,6 +35,12 @@ def read_bool(value, path: str) -> bool:
     return value
 
 
+def read_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def read_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a list")
@@ -59,8 +65,14 @@ def read_pair(value, path: str) -> tuple[float, float]:
     return (read_number(value[0], f"{path}[0]"), read_number(value[1], f"{path}[1]"))
 
 
-# the reader for each declared field type; a text field takes any value as a name
-_READERS = {"int": read_int, "float": read_number, "str": lambda value, path: str(value),
+def check(ok: bool, path: str, rule: str, value) -> None:
+    """Reject a value that breaks a range rule: `<path>: <rule>, got <value>`."""
+    if not ok:
+        raise ValidationError(f"{path}: {rule}, got {value!r}")
+
+
+# the reader for each declared field type
+_READERS = {"int": read_int, "float": read_number, "str": read_str, "bool": read_bool,
             "tuple[float, float]": read_pair}
 
 

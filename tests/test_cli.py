@@ -375,6 +375,17 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable"),
     ({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable"),
     ({"name": "two\nlines"}, "name: not printable, got 'two\\nlines'"),
+    ({"name": None}, "name: expected a string, got None"),
+    ({"comment": ["x"]}, "comment: expected a string, got ['x']"),
+    ({"nodes": [{"name": {"id": 1}}, {"name": "b"}]},
+     "nodes[0].name: expected a string, got {'id': 1}"),
+    ({"links": [{"a": 1, "b": "b"}]}, "links[0].a: expected a string, got 1"),
+    ({"traffic": [{"origin": "a", "dest": None}]}, "traffic[0].dest: expected a string, got None"),
+    ({"events": [{"kind": "drop", "at": 1, "from": "a", "to": 2}]},
+     "events[0].to: expected a string, got 2"),
+    ({"events": [{"kind": "link_up", "at": 1, "a": "a", "b": False}]},
+     "events[0].b: expected a string, got False"),
+    ({"strategy": {"kind": "connectivity", "mode": 5}}, "strategy.mode: expected a string, got 5"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"
@@ -397,6 +408,46 @@ def test_params_messages_are_pinned(tmp_path, capsys, params, code, stderr):
     scenario.write_text(json.dumps(_scenario_doc(params=params)))
     assert run_cli("run", "--scenario", str(scenario)) == code
     assert capsys.readouterr().err == stderr
+
+
+@pytest.mark.parametrize("argv,strategy,stderr", [
+    (["--strategy", "connectivity", "--threshold", "2"], {"kind": "connectivity", "threshold": 2},
+     "strategy.threshold: must be finite and at most 1, got 2.0"),
+    (["--strategy", "connectivity", "--warmup", "-1"],
+     {"kind": "connectivity", "warmup_attempts": -1},
+     "strategy.warmup_attempts: must be non-negative, got -1"),
+    (["--strategy", "connectivity", "--mode", "ema", "--alpha", "1"],
+     {"kind": "connectivity", "mode": "ema", "alpha": 1},
+     "strategy.alpha: must lie strictly between 0 and 1, got 1.0"),
+    (["--strategy", "probabilistic:2"], {"kind": "probabilistic", "p": 2},
+     "strategy.p: must lie in [0, 1], got 2.0"),
+    (["--strategy", "counter:-1"], {"kind": "counter", "max_copies": -1},
+     "strategy.max_copies: must be >= 0, got -1"),
+    (["--strategy", "distance:-1"], {"kind": "distance", "min_distance": -1},
+     "strategy.min_distance: must be finite and >= 0, got -1.0"),
+    (["--strategy", "ring:0:2:7"], {"kind": "expanding_ring", "ttl_start": 0},
+     "strategy.ttl_start: must be >= 1, got 0"),
+    (["--strategy", "ring:1:0:7"], {"kind": "expanding_ring", "ttl_increment": 0},
+     "strategy.ttl_increment: must be >= 1, got 0"),
+    (["--strategy", "ring:5:2:3"],
+     {"kind": "expanding_ring", "ttl_start": 5, "ttl_threshold": 3},
+     "strategy.ttl_threshold: must be >= ttl_start, got 3"),
+    (["--strategy", "distance:1"], {"kind": "distance", "min_distance": 1},
+     "nodes[0].pos: the distance strategy needs positions on every node, got None"),
+])
+def test_one_fault_one_message_from_option_or_file(tmp_path, capsys, argv, strategy, stderr):
+    assert run_cli("run", "--scenario", "fig1", *argv) == 1
+    from_options = capsys.readouterr().err
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_scenario_doc(strategy=strategy)))
+    assert run_cli("run", "--scenario", str(scenario)) == 1
+    assert from_options == capsys.readouterr().err == f"aodvsim: {stderr}\n"
+
+
+@pytest.mark.parametrize("name", ["random-0", "random-1"])
+def test_random_builtin_below_two_nodes_exits_one_with_its_own_message(capsys, name):
+    assert run_cli("run", "--scenario", name) == 1
+    assert capsys.readouterr().err == f"aodvsim: {name}: need at least 2 nodes\n"
 
 
 def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):

@@ -259,7 +259,7 @@ def test_distance_strategy_requires_positions_everywhere():
 
 
 def test_ring_strategy_bounds():
-    with pytest.raises(ValidationError, match="ring"):
+    with pytest.raises(ValidationError, match="ttl_threshold"):
         two_node_scenario(
             strategy=ExpandingRing(ttl_start=5, ttl_increment=2, ttl_threshold=3)
         ).validate()

@@ -21,6 +21,7 @@ from aodvsim.suppression import (
     raw_ratio,
 )
 from aodvsim.node import select_targets
+from aodvsim.wire import ValidationError
 
 
 def state(mode="raw", **kw) -> ConnectivityState:
@@ -30,20 +31,20 @@ def state(mode="raw", **kw) -> ConnectivityState:
 # --- config ---------------------------------------------------------------
 
 def test_config_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ConnectivityConfig(mode="mean").validate()
 
 
 def test_config_rejects_degenerate_alpha_for_smoothing_modes():
     for alpha in (0.0, 1.0, -0.5):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             ConnectivityConfig(mode="ema", alpha=alpha).validate()
     # raw mode never uses alpha
     ConnectivityConfig(mode="raw", alpha=0.0).validate()
 
 
 def test_config_rejects_bad_initial_index():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ConnectivityConfig(initial_index=1.5).validate()
 
 
