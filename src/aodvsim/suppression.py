@@ -19,7 +19,7 @@ from .wire import ValidationError, check, read_fields, read_object, require
 
 
 class ConfigError(Exception):
-    """Bad strategy configuration."""
+    """A malformed strategy token, or a strategy run without what it needs."""
 
 
 class InvariantViolation(Exception):
