@@ -72,6 +72,35 @@ def test_scripted_drop_removes_exactly_one_packet():
     assert rep.discoveries[0].attempts == 2
 
 
+def test_one_flood_counts_and_orders_each_kind_of_recipient():
+    # s floods one RREQ at tick 2 to a (delay 1), b (delay 2), c (link taken
+    # down at tick 1, still a neighbor in s's table) and d (scripted drop)
+    sc = Scenario(
+        name="star",
+        nodes=[NodeSpec(l) for l in "sabcd"],
+        links=[LinkSpec("s", "a", 1), LinkSpec("s", "b", 2),
+               LinkSpec("s", "c", 1), LinkSpec("s", "d", 1)],
+        traffic=[TrafficSpec("s", "d", start=2)],
+        events=[LinkEvent(at=1, kind="link_down", a="s", b="c"),
+                DropEvent(at=2, frm="s", to="d")],
+        t_max=6,
+    )
+    buf = io.StringIO()
+    rep = run(sc, trace=buf)
+    assert rep.losses == 2
+    assert rep.rreq_tx == 2
+    assert rep.per_node_rreq_tx == {0: 2}
+    assert rep.per_link_rreq_tx == {(0, 1): 1, (0, 2): 1}
+    lines = [l.split("\t") for l in buf.getvalue().splitlines()]
+    losses = [(t, n, detail) for t, n, kind, detail in lines if kind == "loss"]
+    assert [(t, n) for t, n, _ in losses] == [("2", "s"), ("2", "s")]
+    assert losses[0][2] == "link-absent to=c"
+    assert losses[1][2].startswith("scripted to=d RREQ")
+    delivered = [(t, n) for t, n, kind, detail in lines
+                 if kind == "deliver" and detail.startswith("from=s RREQ")]
+    assert delivered == [("3", "a"), ("4", "b")]
+
+
 def test_same_scenario_same_results_bytewise():
     traces = []
     reports = []
