@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .metrics import MetricsReport
 from .node import DeliverUp, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
@@ -173,35 +173,40 @@ class Engine:
     def link_peers(self, node: NodeId) -> list[NodeId]:
         return sorted(self._adj[node])
 
-    def transmit(self, frm: NodeId, to: NodeId, packet: Packet) -> int | None:
-        """Count one send and return its link delay, or None if it is lost."""
-        delay = self._adj[frm].get(to)
-        if delay is None:
-            self.metrics.losses += 1
-            if self.trace is not None:
-                self._trace(frm, "loss", f"link-absent to={self._labels[to]}")
-            return None
-        if self.loss_filter and (self.now, frm, to) in self.loss_filter:
-            self.metrics.losses += 1
-            if self.trace is not None:
-                self._trace(frm, "loss",
-                            f"scripted to={self._labels[to]} {self._summarize(packet)}")
-            return None
+    def transmit(self, frm: NodeId, to: Sequence[NodeId], packet: Packet,
+                 pending: dict[int, list[tuple[NodeId, Packet]]]) -> None:
+        """Send `packet` to each of `to` in order: count a loss for each
+        recipient without a live link or with a scripted drop, and queue every
+        other one in `pending` under its link delay."""
+        peers = self._adj[frm]
         metrics = self.metrics
         kind = type(packet)
+        sent = 0
+        for t in to:
+            delay = peers.get(t)
+            if delay is None or self.loss_filter and (self.now, frm, t) in self.loss_filter:
+                metrics.losses += 1
+                if self.trace is not None:
+                    self._trace(frm, "loss", f"link-absent to={self._labels[t]}" if delay is None
+                                else f"scripted to={self._labels[t]} {self._summarize(packet)}")
+                continue
+            sent += 1
+            if kind is Rreq:
+                metrics.per_link_rreq_tx[frm, t] = metrics.per_link_rreq_tx.get((frm, t), 0) + 1
+            pending.setdefault(delay, []).append((t, packet))
+        if not sent:
+            return
         if kind is Hello:
-            metrics.hello_tx += 1
+            metrics.hello_tx += sent
         elif kind is Rreq:
-            metrics.rreq_tx += 1
-            metrics.per_node_rreq_tx[frm] = metrics.per_node_rreq_tx.get(frm, 0) + 1
-            metrics.per_link_rreq_tx[frm, to] = metrics.per_link_rreq_tx.get((frm, to), 0) + 1
+            metrics.rreq_tx += sent
+            metrics.per_node_rreq_tx[frm] = metrics.per_node_rreq_tx.get(frm, 0) + sent
         elif kind is Rrep:
-            metrics.rrep_tx += 1
+            metrics.rrep_tx += sent
         elif kind is Rerr:
-            metrics.rerr_tx += 1
+            metrics.rerr_tx += sent
         else:
-            metrics.data_tx += 1
-        return delay
+            metrics.data_tx += sent
 
     # -- mobility
 
@@ -315,9 +320,7 @@ class Engine:
         pending: dict[int, list[tuple[NodeId, Packet]]] = {}
         for e in emissions:
             if type(e) is Send:
-                delay = self.transmit(node, e.to, e.packet)
-                if delay is not None:
-                    pending.setdefault(delay, []).append((e.to, e.packet))
+                self.transmit(node, e.to, e.packet, pending)
                 continue
             if pending:
                 self._push_sends(node, pending)

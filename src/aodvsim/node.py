@@ -4,9 +4,12 @@ Handlers take an event plus the current tick and return a list of emissions
 (sends, timer requests, local deliveries, drops) without doing any I/O
 themselves; the engine owns transmission, timers and bookkeeping. All
 iteration that produces emissions runs in ascending node id so a scenario
-replays identically every time. Packets are frozen and shared: every
-recipient of a flood gets the same object. Emissions are single-use slotted
-records: the engine consumes each one once, and nothing keeps or hashes one.
+replays identically every time. A handler step emits one `Send` per packet,
+naming all of its recipients in send order: a flood, a HELLO round or a RERR
+is one `Send`, a unicast a `Send` to one node, and no `Send` is empty.
+Packets are frozen and shared: every recipient of a flood gets the same
+object. Emissions are single-use slotted records: the engine consumes each
+one once, and nothing keeps or hashes one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .metrics import DiscoveryRecord, MetricsReport
 from .protocol import (
@@ -46,7 +49,7 @@ def select_targets(strategy: Strategy, view: SelectionView, candidates: list[Nod
 
 @dataclass(slots=True)
 class Send:
-    to: NodeId
+    to: Sequence[NodeId]    # the recipients, in send order; never empty
     packet: Packet
 
 
@@ -211,7 +214,7 @@ class Node:
         route = self.valid_route(dest, now)
         if route is not None:
             route.active = True
-            return [Send(route.next_hop, Data(self.me, dest, payload_id))]
+            return [Send((route.next_hop,), Data(self.me, dest, payload_id))]
         emissions: list[Emission] = []
         if dest not in self.pending_discoveries:
             emissions = self.initiate_discovery(dest, now, round_index)
@@ -260,12 +263,12 @@ class Node:
         targets = select_targets(self.strategy, view, candidates, self.rng)
         if len(targets) < len(candidates):
             self.metrics.record("suppressed_forwards", len(candidates) - len(targets))
-        emissions: list[Emission] = []
-        for t in targets:
-            if self.conn is not None:
+        if not targets:
+            return []
+        emissions: list[Emission] = [Send(targets, rreq)]
+        if self.conn is not None:
+            for t in targets:
                 self.conn.open_attempt(rreq.dest, t, rreq.rreq_id)
-            emissions.append(Send(t, rreq))
-        if targets and self.conn is not None:
             emissions.append(SetTimer(AttemptSweep(rreq.rreq_id), now + self.attempt_timeout))
         return emissions
 
@@ -288,7 +291,7 @@ class Node:
 
         if rreq.dest == self.me:
             self.seq += 1
-            return [Send(frm, Rrep(self.me, self.seq, 0, rreq.rreq_id))]
+            return [Send((frm,), Rrep(self.me, self.seq, 0, rreq.rreq_id))]
 
         if self.config.intermediate_reply:
             entry = self.valid_route(rreq.dest, now)
@@ -296,7 +299,7 @@ class Node:
                 rreq.dest_seq_known is None or entry.dest_seq >= rreq.dest_seq_known
             )
             if fresh:
-                return [Send(frm, Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))]
+                return [Send((frm,), Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))]
 
         forwarded = relay_transform(rreq)
         if self.strategy.holds_forward:
@@ -343,7 +346,7 @@ class Node:
                 self.metrics.resolve_discovery(disc.metrics_rec, now, route.hop_count)
                 if disc.queued:
                     route.active = True
-                    emissions.extend(Send(route.next_hop, Data(self.me, rrep.dest, pid))
+                    emissions.extend(Send((route.next_hop,), Data(self.me, rrep.dest, pid))
                                      for pid in disc.queued)
             return emissions
 
@@ -356,8 +359,7 @@ class Node:
         request.replied = True
         targets = [p for p in request.senders if p != frm and p in self.neighbors]
         if targets:
-            forwarded = relay_transform(rrep)
-            emissions.extend(Send(t, forwarded) for t in targets)
+            emissions.append(Send(targets, relay_transform(rrep)))
         return emissions
 
     # -- timers
@@ -388,8 +390,7 @@ class Node:
     # -- liveness and failure
 
     def on_hello_tick(self, now: int, link_peers: list[NodeId]) -> list[Emission]:
-        hello = Hello(self.me)                  # packets are immutable: one serves every peer
-        emissions: list[Emission] = [Send(p, hello) for p in sorted(link_peers)]
+        emissions: list[Emission] = [Send(sorted(link_peers), Hello(self.me))] if link_peers else []
         cutoff = now - self.config.hello_timeout
         stale = sorted(n for n, last in self.neighbors.items() if last < cutoff)
         for neighbor in stale:
@@ -423,7 +424,8 @@ class Node:
         if not dead:
             return []
         rerr = Rerr(tuple((dest, entry.dest_seq) for dest, entry in dead))
-        emissions: list[Emission] = [Send(n, rerr) for n in sorted(self.neighbors) if n != frm]
+        others = [n for n in sorted(self.neighbors) if n != frm]
+        emissions: list[Emission] = [Send(others, rerr)] if others else []
         for dest, entry in dead:
             if entry.active and dest not in self.pending_discoveries and dest != self.me:
                 emissions.extend(self.initiate_discovery(dest, now))
@@ -441,4 +443,4 @@ class Node:
         route = self.valid_route(data.dst, now)
         if route is None:
             return [Drop(data, "no-route")]
-        return [Send(route.next_hop, data)]
+        return [Send((route.next_hop,), data)]

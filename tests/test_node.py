@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import aodvsim.node as node_module
 from aodvsim.metrics import MetricsReport
 from aodvsim.node import (
     AttemptSweep,
@@ -55,6 +56,11 @@ def sends(emissions):
     return [e for e in emissions if isinstance(e, Send)]
 
 
+def recipients(emissions):
+    """Each Send's recipients, in send order: one list per packet."""
+    return [list(e.to) for e in sends(emissions)]
+
+
 def timers(emissions, kind=None):
     out = [e for e in emissions if isinstance(e, SetTimer)]
     if kind is not None:
@@ -80,7 +86,7 @@ def test_send_data_over_valid_route_marks_it_active():
     node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=1,
                                   expires_at=100)
     out = node.send_data(5, 7, now=0)
-    assert out == [Send(1, Data(0, 5, 7))]
+    assert out == [Send((1,), Data(0, 5, 7))]
     assert node.routes[5].active
 
 
@@ -88,7 +94,7 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
     node = make_node(neighbors=[2, 1, 3])
     out = node.send_data(5, 7, now=4)
     # ascending neighbor id, undecremented ttl = node count
-    assert [e.to for e in sends(out)] == [1, 2, 3]
+    assert recipients(out) == [[1, 2, 3]]
     req = sends(out)[0].packet
     assert (req.ttl, req.hop_count, req.rreq_id) == (6, 0, RreqId(0, 0))
     deadline = timers(out, DiscoveryDeadline)
@@ -126,7 +132,7 @@ def test_destination_replies_once_with_fresh_sequence():
     assert len(sends(out)) == 1
     rep = sends(out)[0].packet
     assert isinstance(rep, Rrep)
-    assert (sends(out)[0].to, rep.hop_count, rep.dest_seq) == (4, 0, 1)
+    assert (sends(out)[0].to, rep.hop_count, rep.dest_seq) == ((4,), 0, 1)
     # second copy is a duplicate, no second reply
     dup = node.on_rreq(make_rreq(dest=5), frm=4, now=4)
     assert not sends(dup)
@@ -174,7 +180,7 @@ def test_expired_ttl_is_dropped_before_any_bookkeeping():
 def test_relay_decrements_ttl_and_skips_the_sender():
     node = make_node(me=2, neighbors=[1, 3, 4])
     out = node.on_rreq(make_rreq(ttl=4, hop=1), frm=1, now=0)
-    assert [e.to for e in sends(out)] == [3, 4]
+    assert recipients(out) == [[3, 4]]
     fwd = sends(out)[0].packet
     assert (fwd.ttl, fwd.hop_count) == (3, 2)
 
@@ -187,7 +193,7 @@ def test_intermediate_with_fresh_route_quenches_the_flood():
     assert len(sends(out)) == 1
     rep = sends(out)[0].packet
     assert isinstance(rep, Rrep)
-    assert (sends(out)[0].to, rep.dest_seq, rep.hop_count) == (1, 4, 2)
+    assert (sends(out)[0].to, rep.dest_seq, rep.hop_count) == ((1,), 4, 2)
 
 
 def test_intermediate_with_stale_route_relays_instead():
@@ -252,7 +258,7 @@ def test_relay_fans_reply_to_every_reverse_sender_once():
     out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     fanned = sends(out)
-    assert [e.to for e in fanned] == [1, 4]
+    assert recipients(fanned) == [[1, 4]]
     assert all(e.packet.hop_count == 1 for e in fanned)
     # a second copy of the same reply is not relayed again
     again = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
@@ -267,7 +273,7 @@ def test_reply_relay_skips_reverse_senders_no_longer_neighbors():
     del node.neighbors[4]
     out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
-    assert [e.to for e in sends(out)] == [1]
+    assert recipients(out) == [[1]]
 
 
 def test_reply_without_reverse_path_is_dropped():
@@ -325,7 +331,7 @@ def test_hello_tick_greets_physical_peers_not_beliefs():
     node = make_node(neighbors=[1, 2])
     out = node.on_hello_tick(now=10, link_peers=[3, 1])
     hellos = sends(out)
-    assert [e.to for e in hellos] == [1, 3]
+    assert recipients(hellos) == [[1, 3]]
     assert all(isinstance(e.packet, Hello) for e in hellos)
 
 
@@ -347,7 +353,7 @@ def test_link_break_reports_unexpired_routes_to_remaining_neighbors():
     out = node.on_link_break(1, now=10)
     assert 5 not in node.routes and 6 in node.routes
     errs = [e for e in sends(out) if isinstance(e.packet, Rerr)]
-    assert [e.to for e in errs] == [2, 3]
+    assert recipients(errs) == [[2, 3]]
     assert errs[0].packet.unreachable == ((5, 4),)
 
 
@@ -369,7 +375,7 @@ def test_rerr_only_kills_routes_through_its_sender():
     out = node.on_rerr(Rerr(((5, 5), (6, 2))), frm=1, now=10)
     assert 5 not in node.routes and 6 in node.routes
     onward = [e for e in sends(out) if isinstance(e.packet, Rerr)]
-    assert [e.to for e in onward] == [2, 3]
+    assert recipients(onward) == [[2, 3]]
     assert onward[0].packet.unreachable == ((5, 4),)
     assert node.dest_seq_memory[5] == 5
 
@@ -386,7 +392,7 @@ def test_rerr_on_active_route_restarts_discovery():
                                   expires_at=100, active=True)
     out = node.on_rerr(Rerr(((5, 5),)), frm=1, now=10)
     # the RERR goes on first, to every neighbor but its sender, then the RREQ floods
-    assert [(type(e.packet), e.to) for e in sends(out)] == [(Rerr, 2), (Rreq, 1), (Rreq, 2)]
+    assert [(type(e.packet), list(e.to)) for e in sends(out)] == [(Rerr, [2]), (Rreq, [1, 2])]
     assert sends(out)[1].packet.dest_seq_known == 5     # the RERR's sequence, remembered
     assert 5 in node.pending_discoveries and 5 not in node.routes
 
@@ -420,7 +426,7 @@ def test_data_forwarding_and_dead_end():
     node.routes[5] = RoutingEntry(next_hop=3, hop_count=1, dest_seq=1,
                                   expires_at=100)
     ok = node.on_data(Data(0, 5, 7), frm=1, now=0)
-    assert ok == [Send(3, Data(0, 5, 7))]
+    assert ok == [Send((3,), Data(0, 5, 7))]
     dead = node.on_data(Data(0, 6, 8), frm=1, now=0)
     assert [d.reason for d in dead if isinstance(d, Drop)] == ["no-route"]
 
@@ -439,7 +445,7 @@ def test_counter_strategy_defers_forwarding_one_tick():
     held = timers(out, ForwardDecision)
     assert held and held[0].at == 6
     later = node.on_forward_decision(RreqId(3, 0), now=6)
-    assert [e.to for e in sends(later)] == [3, 4]
+    assert recipients(later) == [[3, 4]]
 
 
 def test_counter_strategy_suppresses_past_copy_budget():
@@ -461,7 +467,7 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
     node = make_node(neighbors=[1, 2], strategy=Connectivity(state.config),
                      connectivity=state)
     out = node.send_data(5, 7, now=0)
-    assert [e.to for e in sends(out)] == [1, 2]
+    assert recipients(out) == [[1, 2]]
     rid = node.pending_discoveries[5].rreq_id
     assert state._open == {rid: {(5, 1): state.peek(5, 1), (5, 2): state.peek(5, 2)}}
     sweep = timers(out, AttemptSweep)
@@ -498,5 +504,27 @@ def test_connectivity_filter_suppresses_weak_links_at_relay():
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=Connectivity(cfg),
                      connectivity=state)
     out = node.on_rreq(make_rreq(dest=5), frm=1, now=1)
-    assert [e.to for e in sends(out)] == [4]
+    assert recipients(out) == [[4]]
     assert node.metrics.suppressed_forwards == 1
+
+
+@pytest.mark.parametrize("name", ["flood", "connectivity"])
+def test_relay_flood_is_one_send_to_the_strategy_targets_in_order(name, monkeypatch):
+    state, strategy = None, Flood()
+    if name == "connectivity":
+        cfg = ConnectivityConfig(warmup_attempts=0)
+        state, strategy = ConnectivityState(cfg), Connectivity(cfg)
+        state.open_attempt(5, 4, RreqId(9, 9))
+        state.fail_pending(RreqId(9, 9))                # index 0.0 on link 4
+    real_select, chosen = node_module.select_targets, []
+
+    def select(*args):
+        chosen.append(real_select(*args))
+        return chosen[-1]
+    monkeypatch.setattr(node_module, "select_targets", select)
+    node = make_node(me=2, neighbors=[6, 1, 4, 3], strategy=strategy, connectivity=state)
+    out = node.on_rreq(make_rreq(ttl=4, hop=1), frm=1, now=0)
+    assert chosen == [[3, 6] if name == "connectivity" else [3, 4, 6]]
+    assert sends(out) == [Send(chosen[0], make_rreq(ttl=3, hop=2))]
+    if state is not None:
+        assert list(state._open[RreqId(3, 0)]) == [(5, t) for t in chosen[0]]
