@@ -23,7 +23,7 @@ from aodvsim.scenario import (
     pairs_in_range,
     parse_scenario,
 )
-from aodvsim.suppression import Connectivity
+from aodvsim.suppression import Connectivity, ExpandingRing
 
 from oracles import bfs_distances
 from test_fuzz import valid_scenarios
@@ -99,6 +99,96 @@ def test_one_flood_counts_and_orders_each_kind_of_recipient():
     delivered = [(t, n) for t, n, kind, detail in lines
                  if kind == "deliver" and detail.startswith("from=s RREQ")]
     assert delivered == [("3", "a"), ("4", "b")]
+
+
+def _protocol_lines(trace: io.StringIO) -> list[str]:
+    """The trace without its HELLO ticks and HELLO deliveries."""
+    return [l for l in trace.getvalue().splitlines()
+            if "\thello-tick\t" not in l and " HELLO from=" not in l]
+
+
+def _requests(eng: Engine) -> dict[str, dict[int, tuple[int, list[str]]]]:
+    """Per node label, each request heard by its number: (copies, senders)."""
+    labels = [n.name for n in eng.scenario.nodes]
+    return {labels[n.me]: {rid.num: (r.copies, [labels[s] for s in r.senders])
+                           for rid, r in n.requests.items()} for n in eng.nodes}
+
+
+def test_repeat_and_ttl_zero_copies_in_a_ring_triangle():
+    # a looks for b with a TTL-1 ring. The first reply is dropped, so c's
+    # relayed TTL-0 copy reaches b, which already holds the record: it dies
+    # as ttl-expired and is not counted. The retry goes out at TTL 3, and c's
+    # relayed copy is then a repeat at b.
+    sc = Scenario(
+        name="triangle",
+        nodes=[NodeSpec(l) for l in "abc"],
+        links=[LinkSpec("a", "b"), LinkSpec("a", "c"), LinkSpec("b", "c")],
+        traffic=[TrafficSpec("a", "b")],
+        strategy=ExpandingRing(ttl_start=1),
+        events=[DropEvent(at=1, frm="b", to="a")],
+        t_max=12,
+    )
+    buf = io.StringIO()
+    eng = Engine(sc, trace=buf)
+    rep = eng.run()
+    assert _protocol_lines(buf) == [
+        "0\ta\tinject\tdest=b round=0",
+        "1\tb\tdeliver\tfrom=a RREQ[0:0] dest=1 hop=0 ttl=1",
+        "1\tb\tloss\tscripted to=a RREP[0:0] dest=1 hop=0 seq=1",
+        "1\tc\tdeliver\tfrom=a RREQ[0:0] dest=1 hop=0 ttl=1",
+        "2\tb\tdeliver\tfrom=c RREQ[0:0] dest=1 hop=1 ttl=0",
+        "2\tb\tdrop\tttl-expired RREQ[0:0] dest=1 hop=1 ttl=0",
+        "6\ta\ttimer\tDiscoveryDeadline",
+        "7\tb\tdeliver\tfrom=a RREQ[0:1] dest=1 hop=0 ttl=3",
+        "7\tc\tdeliver\tfrom=a RREQ[0:1] dest=1 hop=0 ttl=3",
+        "8\ta\tdeliver\tfrom=b RREP[0:1] dest=1 hop=0 seq=2",
+        "8\tb\tdeliver\tfrom=c RREQ[0:1] dest=1 hop=1 ttl=2",
+        "8\tb\tdrop\tduplicate-rreq RREQ[0:1] dest=1 hop=1 ttl=2",
+        "9\tb\tdeliver\tfrom=a DATA 0->1 id=0",
+        "9\tb\tdeliver-up\tpayload=0 src=a",
+        "12\ta\ttimer\tDiscoveryDeadline",
+    ]
+    assert rep.redundant_rreq_rx == 1
+    assert rep.per_node_redundant_rx == {1: 1}
+    assert _requests(eng) == {
+        "a": {0: (1, []), 1: (1, [])},
+        "b": {0: (1, ["a"]), 1: (2, ["a", "c"])},
+        "c": {0: (1, ["a"]), 1: (1, ["a"])},
+    }
+
+
+def test_repeat_copy_from_a_second_relay_in_a_diamond():
+    # s floods for t; t hears the request from x, then from y on the same tick
+    sc = Scenario(
+        name="diamond",
+        nodes=[NodeSpec(l) for l in "sxyt"],
+        links=[LinkSpec("s", "x"), LinkSpec("s", "y"), LinkSpec("x", "t"), LinkSpec("y", "t")],
+        traffic=[TrafficSpec("s", "t")],
+        t_max=8,
+    )
+    buf = io.StringIO()
+    eng = Engine(sc, trace=buf)
+    rep = eng.run()
+    assert _protocol_lines(buf) == [
+        "0\ts\tinject\tdest=t round=0",
+        "1\tx\tdeliver\tfrom=s RREQ[0:0] dest=3 hop=0 ttl=4",
+        "1\ty\tdeliver\tfrom=s RREQ[0:0] dest=3 hop=0 ttl=4",
+        "2\tt\tdeliver\tfrom=x RREQ[0:0] dest=3 hop=1 ttl=3",
+        "2\tt\tdeliver\tfrom=y RREQ[0:0] dest=3 hop=1 ttl=3",
+        "2\tt\tdrop\tduplicate-rreq RREQ[0:0] dest=3 hop=1 ttl=3",
+        "3\tx\tdeliver\tfrom=t RREP[0:0] dest=3 hop=0 seq=1",
+        "4\ts\tdeliver\tfrom=x RREP[0:0] dest=3 hop=1 seq=1",
+        "5\tx\tdeliver\tfrom=s DATA 0->3 id=0",
+        "6\tt\tdeliver\tfrom=x DATA 0->3 id=0",
+        "6\tt\tdeliver-up\tpayload=0 src=s",
+        "8\ts\ttimer\tDiscoveryDeadline",
+    ]
+    assert rep.redundant_rreq_rx == 1
+    assert rep.per_node_redundant_rx == {3: 1}
+    assert _requests(eng) == {
+        "s": {0: (1, [])}, "x": {0: (1, ["s"])}, "y": {0: (1, ["s"])},
+        "t": {0: (2, ["x", "y"])},
+    }
 
 
 def test_same_scenario_same_results_bytewise():
