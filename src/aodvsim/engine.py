@@ -174,13 +174,15 @@ class Engine:
         return sorted(self._adj[node])
 
     def transmit(self, frm: NodeId, to: Sequence[NodeId], packet: Packet,
-                 pending: dict[int, list[tuple[NodeId, Packet]]]) -> None:
+                 pending: dict[int, list[tuple[Packet, list[NodeId]]]]) -> None:
         """Send `packet` to each of `to` in order: count a loss for each
         recipient without a live link or with a scripted drop, and queue every
-        other one in `pending` under its link delay."""
+        other one in `pending` under its link delay, in one (packet,
+        recipients) group per delay."""
         peers = self._adj[frm]
         metrics = self.metrics
         kind = type(packet)
+        groups: dict[int, list[NodeId]] = {}
         sent = 0
         for t in to:
             delay = peers.get(t)
@@ -193,7 +195,11 @@ class Engine:
             sent += 1
             if kind is Rreq:
                 metrics.per_link_rreq_tx[frm, t] = metrics.per_link_rreq_tx.get((frm, t), 0) + 1
-            pending.setdefault(delay, []).append((t, packet))
+            group = groups.get(delay)
+            if group is None:
+                group = groups[delay] = []
+                pending.setdefault(delay, []).append((packet, group))
+            group.append(t)
         if not sent:
             return
         if kind is Hello:
@@ -246,41 +252,46 @@ class Engine:
 
     # -- queue entry handlers
 
-    def _deliver(self, frm: NodeId, items: list[tuple[NodeId, Packet]]) -> None:
+    def _deliver(self, frm: NodeId, groups: list[tuple[Packet, list[NodeId]]]) -> None:
         """Every packet one handler call sent that lands on this tick, as
-        (recipient, packet) in send order. Nothing can run between them (one
-        entry each would have been adjacent), so they share one entry."""
-        tracing = self.trace is not None
-        if tracing:
-            sender = f"from={self._labels[frm]} "
+        (packet, recipients) groups in send order. Nothing can run between
+        them (one entry each would have been adjacent), so they share one
+        entry. A packet's handler and trace text are worked out once for all
+        of its recipients; a repeat RREQ copy is counted and goes no further."""
+        write = self.trace.write if self.trace is not None else None
+        labels = self._labels
         now = self.now
         peers = self._adj[frm]
-        for to, pkt in items:
-            live = to in peers
-            if tracing:
-                self._trace(to, "deliver" if live else "deliver-cancelled",
-                            sender + self._summarize(pkt))
-            if not live:
-                continue
-            node = self.nodes[to]
-            node.note_alive(frm, now)
+        for pkt, recipients in groups:
             kind = type(pkt)
-            if kind is Hello:
-                emissions = node.on_hello(pkt, frm, now)
-            elif kind is Rreq:
-                emissions = node.on_rreq(pkt, frm, now)
-            elif kind is Rrep:
-                key = (min(frm, to), max(frm, to))
-                fresh = key in self.new_links
-                if fresh:
+            handle = (None if kind is Hello else Node.on_rreq if kind is Rreq else Node.on_rrep
+                      if kind is Rrep else Node.on_rerr if kind is Rerr else Node.on_data)
+            if write is not None:
+                text = self._summarize(pkt)
+                tail = f"\tfrom={labels[frm]} {text}\n"
+            for to in recipients:
+                live = to in peers
+                if write is not None:
+                    write(f"{now}\t{labels[to]}\t{'deliver' if live else 'deliver-cancelled'}{tail}")
+                if not live:
+                    continue
+                node = self.nodes[to]
+                node.neighbors[frm] = now       # any reception proves the link
+                if handle is None:
+                    continue                    # a HELLO does nothing more
+                if kind is Rreq and node.heard_before(pkt, frm):
+                    if write is not None:
+                        write(f"{now}\t{labels[to]}\tdrop\tduplicate-rreq {text}\n")
+                    continue
+                if kind is Rrep:
+                    key = (min(frm, to), max(frm, to))
+                    fresh = key in self.new_links
                     self.new_links.discard(key)
-                emissions = node.on_rrep(pkt, frm, now, link_is_new=fresh)
-            elif kind is Rerr:
-                emissions = node.on_rerr(pkt, frm, now)
-            else:
-                emissions = node.on_data(pkt, frm, now)
-            if emissions:
-                self._handle_emissions(to, emissions)
+                    emissions = handle(node, pkt, frm, now, link_is_new=fresh)
+                else:
+                    emissions = handle(node, pkt, frm, now)
+                if emissions:
+                    self._handle_emissions(to, emissions)
 
     def _timer(self, node: NodeId, kind: TimerKind) -> None:
         if self.trace is not None:
@@ -317,7 +328,7 @@ class Engine:
         # consecutive sends are grouped by delay into one delivery entry per
         # tick; the groups are pushed before any other emission, so a timer
         # set between two sends keeps its place in the queue between them
-        pending: dict[int, list[tuple[NodeId, Packet]]] = {}
+        pending: dict[int, list[tuple[Packet, list[NodeId]]]] = {}
         for e in emissions:
             if type(e) is Send:
                 self.transmit(node, e.to, e.packet, pending)
@@ -336,9 +347,9 @@ class Engine:
         if pending:
             self._push_sends(node, pending)
 
-    def _push_sends(self, frm: NodeId, by_delay: dict[int, list[tuple[NodeId, Packet]]]) -> None:
-        for delay, items in by_delay.items():
-            self._push(self.now + delay, Engine._deliver, frm, items)
+    def _push_sends(self, frm: NodeId, by_delay: dict[int, list[tuple[Packet, list[NodeId]]]]) -> None:
+        for delay, groups in by_delay.items():
+            self._push(self.now + delay, Engine._deliver, frm, groups)
 
     # -- main loop
 
@@ -380,7 +391,7 @@ def _cuts_short(entry: tuple) -> bool:
     inject, or a timer other than the route sweep."""
     _, _, handler, args = entry
     if handler is Engine._deliver:
-        return any(type(pkt) is not Hello for _, pkt in args[1])
+        return any(type(pkt) is not Hello for pkt, _ in args[1])
     if handler is Engine._timer:
         return type(args[1]) is not RouteSweep
     return handler is Engine._inject

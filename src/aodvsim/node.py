@@ -9,7 +9,8 @@ naming all of its recipients in send order: a flood, a HELLO round or a RERR
 is one `Send`, a unicast a `Send` to one node, and no `Send` is empty.
 Packets are frozen and shared: every recipient of a flood gets the same
 object. Emissions are single-use slotted records: the engine consumes each
-one once, and nothing keeps or hashes one.
+one once, and nothing keeps or hashes one. The engine counts a repeat copy
+of a request with `heard_before`; `on_rreq` sees first and TTL-0 copies only.
 """
 
 from __future__ import annotations
@@ -187,10 +188,6 @@ class Node:
 
     # -- small helpers
 
-    def note_alive(self, neighbor: NodeId, now: int) -> None:
-        """Any reception proves the link; HELLO is just the keepalive floor."""
-        self.neighbors[neighbor] = now
-
     def valid_route(self, dest: NodeId, now: int) -> RoutingEntry | None:
         entry = self.routes.get(dest)
         if entry is not None and entry.expires_at > now:
@@ -274,19 +271,28 @@ class Node:
 
     # -- request handling
 
+    def heard_before(self, rreq: Rreq, frm: NodeId) -> bool:
+        """Whether `rreq` is a repeat copy of a request already heard. A
+        repeat is counted, and `frm` kept as one more reverse sender; RFC
+        3561 then discards it. A TTL-0 copy is never a repeat: it dies in
+        the air, and on_rreq drops it."""
+        request = self.requests.get(rreq.rreq_id)
+        if request is None or rreq.ttl == 0:
+            return False
+        request.copies += 1
+        if frm not in request.senders:
+            request.senders.append(frm)
+        metrics = self.metrics
+        metrics.redundant_rreq_rx += 1
+        metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
+        return True
+
     def on_rreq(self, rreq: Rreq, frm: NodeId, now: int) -> list[Emission]:
+        """A copy of a request that heard_before found new, or a TTL-0 copy."""
         if rreq.ttl == 0:
             # died in the air: no duplicate marking, no reply even at the target
             return [Drop(rreq, "ttl-expired")]
-        request = self.requests.get(rreq.rreq_id)
-        if request is not None:
-            request.copies += 1
-            if frm not in request.senders:
-                request.senders.append(frm)
-            metrics = self.metrics
-            metrics.redundant_rreq_rx += 1
-            metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
-            return [Drop(rreq, "duplicate-rreq")]
+        assert rreq.rreq_id not in self.requests, "a repeat copy goes to heard_before"
         request = self.requests[rreq.rreq_id] = _Request([frm])
 
         if rreq.dest == self.me:
@@ -398,7 +404,9 @@ class Node:
         return emissions
 
     def on_hello(self, hello: Hello, frm: NodeId, now: int) -> list[Emission]:
-        """A HELLO only proves the link, which _deliver's note_alive has recorded."""
+        """Unused: a HELLO only proves the link, and the engine stamps
+        `neighbors` itself on every reception. Kept because the benchmark's
+        per-layer spans wrap this name; it goes when they stop."""
         return []
 
     def on_link_break(self, lost: NodeId, now: int) -> list[Emission]:

@@ -300,10 +300,17 @@ def test_svg_output_is_deterministic(tmp_path):
 
 # --- trace ----------------------------------------------------------------
 
-def test_trace_to_stdout(capsys):
-    assert run_cli("trace", "--scenario", "ring-demo") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and lines[0].startswith("0\t")
+def test_trace_to_stdout(capsys, tmp_path):
+    # the stdout sink gets every byte a trace file gets, drops included
+    args = ("--scenario", "fig1", "--strategy", "ring:1:2:7")
+    assert run_cli("trace", *args) == 0
+    out = capsys.readouterr().out
+    via_run = tmp_path / "run.tsv"
+    assert run_cli("run", *args, "--trace", str(via_run)) == 0
+    assert out.startswith("0\t")
+    for reason in ("duplicate-rreq", "ttl-expired", "discovery-failed"):
+        assert f"\tdrop\t{reason} " in out
+    assert out == via_run.read_bytes().decode("utf-8")
 
 
 def test_trace_to_file_matches_run_trace(tmp_path):

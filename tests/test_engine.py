@@ -446,7 +446,7 @@ def test_hello_only_queue_tail_is_not_a_truncation():
     rep = eng.run()
     assert rep.discoveries_ok == 1
     tail = [args[1] for _, _, handler, args in eng._queue if handler is Engine._deliver]
-    assert tail and all(isinstance(p, Hello) for items in tail for _, p in items)
+    assert tail and all(isinstance(p, Hello) for groups in tail for p, _ in groups)
     assert not rep.timed_out
 
 

@@ -73,6 +73,14 @@ def make_rreq(origin=3, num=0, dest=5, ttl=6, hop=1, dest_seq=None):
                 hop_count=hop, ttl=ttl)
 
 
+def hear(node, rreq, frm, now):
+    """A request copy as the engine hands it over: a repeat is counted by
+    heard_before and goes no further (None), any other copy reaches on_rreq."""
+    if node.heard_before(rreq, frm):
+        return None
+    return node.on_rreq(rreq, frm, now)
+
+
 # --- originating ----------------------------------------------------------
 
 def test_send_data_to_self_delivers_locally():
@@ -134,15 +142,14 @@ def test_destination_replies_once_with_fresh_sequence():
     assert isinstance(rep, Rrep)
     assert (sends(out)[0].to, rep.hop_count, rep.dest_seq) == ((4,), 0, 1)
     # second copy is a duplicate, no second reply
-    dup = node.on_rreq(make_rreq(dest=5), frm=4, now=4)
-    assert not sends(dup)
+    assert hear(node, make_rreq(dest=5), frm=4, now=4) is None
+    assert node.seq == 1
 
 
 def test_duplicate_copy_records_extra_reverse_sender():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(), frm=1, now=0)
-    out = node.on_rreq(make_rreq(), frm=3, now=1)
-    assert [d.reason for d in out if isinstance(d, Drop)] == ["duplicate-rreq"]
+    assert node.heard_before(make_rreq(), frm=3)
     assert node.requests[RreqId(3, 0)].senders == [1, 3]
     assert node.requests[RreqId(3, 0)].copies == 2
 
@@ -150,7 +157,7 @@ def test_duplicate_copy_records_extra_reverse_sender():
 def test_request_record_keeps_senders_in_arrival_order_without_repeats():
     node = make_node(me=2, neighbors=[1, 3, 4, 5])
     for frm in (4, 5, 4, 3):
-        node.on_rreq(make_rreq(), frm=frm, now=0)
+        hear(node, make_rreq(), frm=frm, now=0)
     assert node.requests[RreqId(3, 0)].senders == [4, 5, 3]
     assert node.requests[RreqId(3, 0)].copies == 4
 
@@ -160,10 +167,10 @@ def test_duplicate_detection_is_per_request_id():
 
     def dropped(out):
         return [d.reason for d in out if isinstance(d, Drop)]
-    assert dropped(node.on_rreq(make_rreq(num=4), frm=1, now=0)) == []
-    assert dropped(node.on_rreq(make_rreq(num=4), frm=3, now=1)) == ["duplicate-rreq"]
-    assert dropped(node.on_rreq(make_rreq(num=5), frm=1, now=2)) == []
-    assert dropped(node.on_rreq(make_rreq(origin=4, num=4), frm=1, now=3)) == []
+    assert dropped(hear(node, make_rreq(num=4), frm=1, now=0)) == []
+    assert hear(node, make_rreq(num=4), frm=3, now=1) is None
+    assert dropped(hear(node, make_rreq(num=5), frm=1, now=2)) == []
+    assert dropped(hear(node, make_rreq(origin=4, num=4), frm=1, now=3)) == []
     assert node.metrics.redundant_rreq_rx == 1
     assert node.metrics.per_node_redundant_rx == {2: 1}
 
@@ -175,6 +182,17 @@ def test_expired_ttl_is_dropped_before_any_bookkeeping():
     # not marked seen: a live copy arriving later still gets the reply
     out = node.on_rreq(make_rreq(dest=5, ttl=1), frm=4, now=1)
     assert sends(out)
+
+
+def test_ttl_zero_copy_of_a_held_request_is_not_a_repeat():
+    node = make_node(me=2, neighbors=[1, 3])
+    node.on_rreq(make_rreq(), frm=1, now=0)
+    late = make_rreq(ttl=0)
+    assert not node.heard_before(late, frm=3)
+    assert [d.reason for d in node.on_rreq(late, frm=3, now=1)] == ["ttl-expired"]
+    assert node.requests[RreqId(3, 0)].copies == 1
+    assert node.requests[RreqId(3, 0)].senders == [1]
+    assert node.metrics.redundant_rreq_rx == 0
 
 
 def test_relay_decrements_ttl_and_skips_the_sender():
@@ -254,7 +272,7 @@ def test_route_freshness_equal_sequence_prefers_fewer_hops():
 def test_relay_fans_reply_to_every_reverse_sender_once():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
-    node.on_rreq(make_rreq(origin=3, dest=5), frm=4, now=0)
+    assert node.heard_before(make_rreq(origin=3, dest=5), frm=4)
     out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     fanned = sends(out)
@@ -269,7 +287,7 @@ def test_relay_fans_reply_to_every_reverse_sender_once():
 def test_reply_relay_skips_reverse_senders_no_longer_neighbors():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
-    node.on_rreq(make_rreq(origin=3, dest=5), frm=4, now=0)
+    assert node.heard_before(make_rreq(origin=3, dest=5), frm=4)
     del node.neighbors[4]
     out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
@@ -451,7 +469,7 @@ def test_counter_strategy_defers_forwarding_one_tick():
 def test_counter_strategy_suppresses_past_copy_budget():
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=CounterBased(max_copies=1))
     node.on_rreq(make_rreq(), frm=1, now=5)
-    node.on_rreq(make_rreq(), frm=3, now=5)   # second copy within the window
+    assert node.heard_before(make_rreq(), frm=3)   # second copy within the window
     out = node.on_forward_decision(RreqId(3, 0), now=6)
     assert not sends(out)
     assert node.metrics.suppressed_forwards == 2
