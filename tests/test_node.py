@@ -184,17 +184,6 @@ def test_expired_ttl_is_dropped_before_any_bookkeeping():
     assert sends(out)
 
 
-def test_ttl_zero_copy_of_a_held_request_is_not_a_repeat():
-    node = make_node(me=2, neighbors=[1, 3])
-    node.on_rreq(make_rreq(), frm=1, now=0)
-    late = make_rreq(ttl=0)
-    assert not node.heard_before(late, frm=3)
-    assert [d.reason for d in node.on_rreq(late, frm=3, now=1)] == ["ttl-expired"]
-    assert node.requests[RreqId(3, 0)].copies == 1
-    assert node.requests[RreqId(3, 0)].senders == [1]
-    assert node.metrics.redundant_rreq_rx == 0
-
-
 def test_relay_decrements_ttl_and_skips_the_sender():
     node = make_node(me=2, neighbors=[1, 3, 4])
     out = node.on_rreq(make_rreq(ttl=4, hop=1), frm=1, now=0)
