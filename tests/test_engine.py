@@ -23,7 +23,7 @@ from aodvsim.scenario import (
     pairs_in_range,
     parse_scenario,
 )
-from aodvsim.suppression import Connectivity, ExpandingRing
+from aodvsim.suppression import Connectivity, ConnectivityConfig, ExpandingRing
 
 from oracles import bfs_distances
 from test_fuzz import valid_scenarios
@@ -189,6 +189,54 @@ def test_repeat_copy_from_a_second_relay_in_a_diamond():
         "s": {0: (1, [])}, "x": {0: (1, ["s"])}, "y": {0: (1, ["s"])},
         "t": {0: (2, ["x", "y"])},
     }
+
+
+def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
+    # b looks for c twice under connectivity with a one-tick attempt timeout:
+    # each flood's AttemptSweep lands on the tick of its delay-1 deliveries,
+    # after them. The reply releases both queued payloads on one tick. When
+    # b-c goes down, b's hello tick at 40 sends a HELLO, a RERR and a new
+    # flood to a (delay 1) and d (delay 2), in that order on each tick.
+    sc = Scenario(
+        name="burst",
+        nodes=[NodeSpec(l) for l in "abcd"],
+        links=[LinkSpec("a", "b", 1), LinkSpec("b", "c", 1), LinkSpec("b", "d", 2)],
+        traffic=[TrafficSpec("b", "c"), TrafficSpec("b", "c", start=1)],
+        strategy=Connectivity(ConnectivityConfig(attempt_timeout=1)),
+        events=[LinkEvent(at=12, kind="link_down", a="b", b="c")],
+        t_max=42,
+    )
+    buf = io.StringIO()
+    rep = run(sc, trace=buf)
+    ticks = {"1", "2", "3", "41", "42"}
+    assert [l for l in buf.getvalue().splitlines() if l.split("\t")[0] in ticks] == [
+        "1\tb\tinject\tdest=c round=0",
+        "1\ta\tdeliver\tfrom=b RREQ[1:0] dest=2 hop=0 ttl=4",
+        "1\tc\tdeliver\tfrom=b RREQ[1:0] dest=2 hop=0 ttl=4",
+        "1\tb\ttimer\tAttemptSweep",
+        "1\tb\tdeliver\tfrom=a HELLO from=0",
+        "1\ta\tdeliver\tfrom=b HELLO from=1",
+        "1\tc\tdeliver\tfrom=b HELLO from=1",
+        "1\tb\tdeliver\tfrom=c HELLO from=2",
+        "2\td\tdeliver\tfrom=b RREQ[1:0] dest=2 hop=0 ttl=4",
+        "2\td\tdeliver\tfrom=b HELLO from=1",
+        "2\tb\tdeliver\tfrom=d HELLO from=3",
+        "2\tb\tdeliver\tfrom=c RREP[1:0] dest=2 hop=0 seq=1",
+        "3\tc\tdeliver\tfrom=b DATA 1->2 id=0",
+        "3\tc\tdeliver-up\tpayload=0 src=b",
+        "3\tc\tdeliver\tfrom=b DATA 1->2 id=1",
+        "3\tc\tdeliver-up\tpayload=1 src=b",
+        "41\tb\tdeliver\tfrom=a HELLO from=0",
+        "41\ta\tdeliver\tfrom=b HELLO from=1",
+        "41\ta\tdeliver\tfrom=b RERR[2]",
+        "41\ta\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "41\tb\ttimer\tAttemptSweep",
+        "42\td\tdeliver\tfrom=b HELLO from=1",
+        "42\td\tdeliver\tfrom=b RERR[2]",
+        "42\td\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "42\tb\tdeliver\tfrom=d HELLO from=3",
+    ]
+    assert rep.rerr_tx == 2 and rep.data_tx == 2
 
 
 def test_same_scenario_same_results_bytewise():
