@@ -117,10 +117,14 @@ def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scena
             sc = replace(sc, seed=args.seed)
         if args.rounds is not None:
             sc = with_rounds(sc, args.rounds)
-    if strategy_token is not None:
-        knobs = {name: getattr(args, opt) for opt, name in _KNOBS.items()}
-        sc = replace(sc, strategy=strategy_from_token(strategy_token, knobs))
-        sc.validate()
+    return sc if strategy_token is None else with_strategy(args, sc, strategy_token)
+
+
+def with_strategy(args: argparse.Namespace, sc: Scenario, strategy_token: str) -> Scenario:
+    """`sc` under the strategy the token names, with the connectivity options."""
+    knobs = {name: getattr(args, opt) for opt, name in _KNOBS.items()}
+    sc = replace(sc, strategy=strategy_from_token(strategy_token, knobs))
+    sc.validate()
     return sc
 
 
@@ -240,9 +244,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not tokens:
             raise CliError("--strategies is empty")
         reject_unused_knobs(args, tokens)
+        base = load_scenario(args, None)
         labeled = []
         for token in tokens:
-            sc = load_scenario(args, token)
+            sc = with_strategy(args, base, token)
             report = Engine(sc).run()
             labeled.append((sc.strategy.label, report.totals()))
     table = compare(labeled)

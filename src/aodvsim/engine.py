@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 from .metrics import MetricsReport
-from .node import DeliverUp, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
+from .node import DeliverUp, DiscoveryDeadline, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
 from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, pairs_in_range
 
@@ -34,9 +34,8 @@ class Engine:
         scenario.validate()
         self.scenario = scenario
         self.trace = trace
-        # trace-only: node labels by id, and the last packet summarized with its text
+        # trace-only: node labels by id
         self._labels = [n.name for n in scenario.nodes] if trace is not None else None
-        self._last_packet, self._last_text = None, ""
         self.now = 0
         self.metrics = MetricsReport()
         self.rng = random.Random(scenario.seed)
@@ -123,14 +122,6 @@ class Engine:
         first, so a run without a trace file formats nothing."""
         self.trace.write(f"{self.now}\t{self._labels[node]}\t{kind}\t{detail}\n")
 
-    def _summarize(self, packet: Packet) -> str:
-        """summarize(packet), reused while one packet object repeats: a
-        flood's copies share one object across deliver and drop lines."""
-        if packet is not self._last_packet:
-            self._last_packet = packet
-            self._last_text = summarize(packet)
-        return self._last_text
-
     def _init_mobility(self, spec: RandomWaypoint) -> None:
         self._mobility_spec = spec
         self._mobility_rng = random.Random(self.scenario.seed ^ 0x5F5E1)
@@ -173,12 +164,12 @@ class Engine:
     def link_peers(self, node: NodeId) -> list[NodeId]:
         return sorted(self._adj[node])
 
-    def transmit(self, frm: NodeId, to: Sequence[NodeId], packet: Packet,
-                 pending: dict[int, list[tuple[Packet, list[NodeId]]]]) -> None:
+    def transmit(self, frm: NodeId, to: Sequence[NodeId], packet: Packet) -> None:
         """Send `packet` to each of `to` in order: count a loss for each
-        recipient without a live link or with a scripted drop, and queue every
-        other one in `pending` under its link delay, in one (packet,
-        recipients) group per delay."""
+        recipient without a live link or with a scripted drop, and queue one
+        delivery entry per link delay for the others, in first-seen delay
+        order. Pushed as a step emits its packets, the entries for one tick
+        run in emission order, with only the step's own timers between them."""
         peers = self._adj[frm]
         metrics = self.metrics
         kind = type(packet)
@@ -190,7 +181,7 @@ class Engine:
                 metrics.losses += 1
                 if self.trace is not None:
                     self._trace(frm, "loss", f"link-absent to={self._labels[t]}" if delay is None
-                                else f"scripted to={self._labels[t]} {self._summarize(packet)}")
+                                else f"scripted to={self._labels[t]} {summarize(packet)}")
                 continue
             sent += 1
             if kind is Rreq:
@@ -198,10 +189,11 @@ class Engine:
             group = groups.get(delay)
             if group is None:
                 group = groups[delay] = []
-                pending.setdefault(delay, []).append((packet, group))
             group.append(t)
         if not sent:
             return
+        for delay, recipients in groups.items():
+            self._push(self.now + delay, Engine._deliver, frm, packet, recipients)
         if kind is Hello:
             metrics.hello_tx += sent
         elif kind is Rreq:
@@ -252,46 +244,43 @@ class Engine:
 
     # -- queue entry handlers
 
-    def _deliver(self, frm: NodeId, groups: list[tuple[Packet, list[NodeId]]]) -> None:
-        """Every packet one handler call sent that lands on this tick, as
-        (packet, recipients) groups in send order. Nothing can run between
-        them (one entry each would have been adjacent), so they share one
-        entry. A packet's handler and trace text are worked out once for all
-        of its recipients; a repeat RREQ copy is counted and goes no further."""
+    def _deliver(self, frm: NodeId, pkt: Packet, recipients: list[NodeId]) -> None:
+        """One packet landing on this tick at each of `recipients`, in send
+        order. Its handler and trace text are worked out once for all of
+        them; a repeat RREQ copy is counted and goes no further."""
         write = self.trace.write if self.trace is not None else None
         labels = self._labels
         now = self.now
         peers = self._adj[frm]
-        for pkt, recipients in groups:
-            kind = type(pkt)
-            handle = (None if kind is Hello else Node.on_rreq if kind is Rreq else Node.on_rrep
-                      if kind is Rrep else Node.on_rerr if kind is Rerr else Node.on_data)
+        kind = type(pkt)
+        handle = (None if kind is Hello else Node.on_rreq if kind is Rreq else Node.on_rrep
+                  if kind is Rrep else Node.on_rerr if kind is Rerr else Node.on_data)
+        if write is not None:
+            text = summarize(pkt)
+            tail = f"\tfrom={labels[frm]} {text}\n"
+        for to in recipients:
+            live = to in peers
             if write is not None:
-                text = self._summarize(pkt)
-                tail = f"\tfrom={labels[frm]} {text}\n"
-            for to in recipients:
-                live = to in peers
+                write(f"{now}\t{labels[to]}\t{'deliver' if live else 'deliver-cancelled'}{tail}")
+            if not live:
+                continue
+            node = self.nodes[to]
+            node.neighbors[frm] = now       # any reception proves the link
+            if handle is None:
+                continue                    # a HELLO does nothing more
+            if kind is Rreq and node.heard_before(pkt, frm):
                 if write is not None:
-                    write(f"{now}\t{labels[to]}\t{'deliver' if live else 'deliver-cancelled'}{tail}")
-                if not live:
-                    continue
-                node = self.nodes[to]
-                node.neighbors[frm] = now       # any reception proves the link
-                if handle is None:
-                    continue                    # a HELLO does nothing more
-                if kind is Rreq and node.heard_before(pkt, frm):
-                    if write is not None:
-                        write(f"{now}\t{labels[to]}\tdrop\tduplicate-rreq {text}\n")
-                    continue
-                if kind is Rrep:
-                    key = (min(frm, to), max(frm, to))
-                    fresh = key in self.new_links
-                    self.new_links.discard(key)
-                    emissions = handle(node, pkt, frm, now, link_is_new=fresh)
-                else:
-                    emissions = handle(node, pkt, frm, now)
-                if emissions:
-                    self._handle_emissions(to, emissions)
+                    write(f"{now}\t{labels[to]}\tdrop\tduplicate-rreq {text}\n")
+                continue
+            if kind is Rrep:
+                key = (min(frm, to), max(frm, to))
+                fresh = key in self.new_links
+                self.new_links.discard(key)
+                emissions = handle(node, pkt, frm, now, link_is_new=fresh)
+            else:
+                emissions = handle(node, pkt, frm, now)
+            if emissions:
+                self._handle_emissions(to, emissions)
 
     def _timer(self, node: NodeId, kind: TimerKind) -> None:
         if self.trace is not None:
@@ -325,31 +314,17 @@ class Engine:
             self._push(self.now + 1, Engine._mobility_tick)
 
     def _handle_emissions(self, node: NodeId, emissions) -> None:
-        # consecutive sends are grouped by delay into one delivery entry per
-        # tick; the groups are pushed before any other emission, so a timer
-        # set between two sends keeps its place in the queue between them
-        pending: dict[int, list[tuple[Packet, list[NodeId]]]] = {}
         for e in emissions:
             if type(e) is Send:
-                self.transmit(node, e.to, e.packet, pending)
-                continue
-            if pending:
-                self._push_sends(node, pending)
-                pending = {}
-            if isinstance(e, SetTimer):
+                self.transmit(node, e.to, e.packet)
+            elif isinstance(e, SetTimer):
                 self._push(max(e.at, self.now), Engine._timer, node, e.kind)
             elif isinstance(e, DeliverUp):
                 if self.trace is not None:
                     self._trace(node, "deliver-up",
                                 f"payload={e.payload_id} src={self._labels[e.src]}")
             elif isinstance(e, Drop) and self.trace is not None:
-                self._trace(node, "drop", f"{e.reason} {self._summarize(e.packet)}")
-        if pending:
-            self._push_sends(node, pending)
-
-    def _push_sends(self, frm: NodeId, by_delay: dict[int, list[tuple[Packet, list[NodeId]]]]) -> None:
-        for delay, groups in by_delay.items():
-            self._push(self.now + delay, Engine._deliver, frm, groups)
+                self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
 
     # -- main loop
 
@@ -386,14 +361,14 @@ class Engine:
 
 
 def _cuts_short(entry: tuple) -> bool:
-    """Whether a queued entry is protocol activity, so that leaving it at
-    t_max means the run was cut short: a delivery other than HELLO, an
-    inject, or a timer other than the route sweep."""
+    """Whether a queued entry left at t_max means the run was cut short: a
+    delivery other than HELLO, an inject, or a timer other than the route
+    sweep and the discovery deadline (run() flags an open discovery itself)."""
     _, _, handler, args = entry
     if handler is Engine._deliver:
-        return any(type(pkt) is not Hello for pkt, _ in args[1])
+        return type(args[1]) is not Hello
     if handler is Engine._timer:
-        return type(args[1]) is not RouteSweep
+        return type(args[1]) not in (RouteSweep, DiscoveryDeadline)
     return handler is Engine._inject
 
 

@@ -135,6 +135,14 @@ def test_rounds_past_t_max_are_never_queued(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_finished_discovery_past_its_deadline_horizon_is_no_truncation(capsys):
+    # the default deadline 2 * 151 = 302 lies past t_max 300; the discovery
+    # succeeds, so the deadline left in the queue is stale
+    assert run_cli("run", "--scenario", "random-151", "--seed", "3") == 0
+    out = capsys.readouterr().out
+    assert "discoveries ok=1 failed=0" in out and "warning" not in out
+
+
 def test_usage_errors_exit_one_not_two(capsys):
     assert run_cli("explode") == 1
     assert run_cli() == 1

@@ -493,9 +493,18 @@ def test_hello_only_queue_tail_is_not_a_truncation():
     eng = Engine(sc, trace=io.StringIO())
     rep = eng.run()
     assert rep.discoveries_ok == 1
+    # a delivery entry's args are (frm, packet, recipients)
     tail = [args[1] for _, _, handler, args in eng._queue if handler is Engine._deliver]
-    assert tail and all(isinstance(p, Hello) for groups in tail for p, _ in groups)
+    assert tail and all(isinstance(p, Hello) for p in tail)
     assert not rep.timed_out
+
+
+def test_stale_discovery_deadline_is_not_a_truncation():
+    # the discovery succeeds at tick 2; its deadline at tick 4 and a route
+    # sweep are all that is left at t_max
+    assert not Engine(chain("ab", t_max=3)).run().timed_out
+    # a DATA delivery still in flight at tick 9 does cut the run short
+    assert Engine(chain("ab", delay=3, t_max=7)).run().timed_out
 
 
 def test_untraced_run_with_hellos_in_flight_at_t_max_reports_the_same():
