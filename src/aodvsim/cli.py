@@ -123,9 +123,7 @@ def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scena
 def with_strategy(args: argparse.Namespace, sc: Scenario, strategy_token: str) -> Scenario:
     """`sc` under the strategy the token names, with the connectivity options."""
     knobs = {name: getattr(args, opt) for opt, name in _KNOBS.items()}
-    sc = replace(sc, strategy=strategy_from_token(strategy_token, knobs))
-    sc.validate()
-    return sc
+    return replace(sc, strategy=strategy_from_token(strategy_token, knobs))
 
 
 def reject_unused_knobs(args: argparse.Namespace, tokens: list[str | None]) -> None:

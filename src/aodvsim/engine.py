@@ -31,7 +31,6 @@ class _Motion:
 
 class Engine:
     def __init__(self, scenario: Scenario, trace: TextIO | None = None):
-        scenario.validate()
         self.scenario = scenario
         self.trace = trace
         # trace-only: node labels by id
@@ -318,7 +317,8 @@ class Engine:
             if type(e) is Send:
                 self.transmit(node, e.to, e.packet)
             elif isinstance(e, SetTimer):
-                self._push(max(e.at, self.now), Engine._timer, node, e.kind)
+                # every timer interval of a valid scenario is >= 1: `at` is after now
+                self._push(e.at, Engine._timer, node, e.kind)
             elif isinstance(e, DeliverUp):
                 if self.trace is not None:
                     self._trace(node, "deliver-up",

@@ -110,7 +110,7 @@ class ForwardDecision:
 TimerKind = DiscoveryDeadline | AttemptSweep | RouteSweep | ForwardDecision
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     hello_interval: int = 10
     hello_timeout: int = 25

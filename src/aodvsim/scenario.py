@@ -92,15 +92,15 @@ class TrafficSpec:
     spacing: int = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
-    nodes: list[NodeSpec]
-    links: list[LinkSpec]
-    traffic: list[TrafficSpec]
+    nodes: tuple[NodeSpec, ...]
+    links: tuple[LinkSpec, ...]
+    traffic: tuple[TrafficSpec, ...]
     strategy: Strategy = field(default_factory=Flood)
     mobility: RandomWaypoint | None = None                     # None: links stay put
-    events: list[LinkEvent | DropEvent] = field(default_factory=list)     # in JSON order
+    events: tuple[LinkEvent | DropEvent, ...] = ()             # in JSON order
     seed: int = 0
     t_max: int = 1000
     per_neighbor_aggregate: bool = False
@@ -121,42 +121,50 @@ class Scenario:
         ids = self.node_ids()
         return [(ids[l.a], ids[l.b], l.delay) for l in self.links]
 
+    def __post_init__(self) -> None:
+        # lists are accepted; tuples keep them from changing after the check
+        for name in ("nodes", "links", "traffic", "events"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.validate()
+
     def validate(self) -> None:
+        """Raise `<path>: <rule>, got <value>` for the first rule broken.
+        `__post_init__` calls it, so every Scenario, a replaced copy too,
+        has passed it once."""
         # a line break would split run's summary
         check(self.name.isprintable(), "name", "not printable", self.name)
         seen_names = set()
         for i, n in enumerate(self.nodes):
-            if not n.name:
-                raise ValidationError(f"nodes[{i}].name: empty")
+            path = f"nodes[{i}].name"
+            check(n.name != "", path, "must not be empty", n.name)
             # a tab or line break would split a trace line
-            check(n.name.isprintable(), f"nodes[{i}].name", "not printable", n.name)
-            if n.name in seen_names:
-                raise ValidationError(f"nodes[{i}].name: duplicate {n.name!r}")
+            check(n.name.isprintable(), path, "not printable", n.name)
+            check(n.name not in seen_names, path, "duplicate", n.name)
             seen_names.add(n.name)
+
+        def known(path: str, *ends: str) -> None:
+            for end in ends:
+                check(end in seen_names, path, "unknown node", end)
+
         seen_links = set()
         for i, l in enumerate(self.links):
-            for end in (l.a, l.b):
-                if end not in seen_names:
-                    raise ValidationError(f"links[{i}]: unknown node {end!r}")
-            if l.a == l.b:
-                raise ValidationError(f"links[{i}]: self-link on {l.a!r}")
+            path = f"links[{i}]"
+            known(path, l.a, l.b)
+            check(l.a != l.b, path, "self-link", l.a)
             key = frozenset((l.a, l.b))
-            if key in seen_links:
-                raise ValidationError(f"links[{i}]: duplicate link {l.a}-{l.b}")
+            check(key not in seen_links, path, "duplicate link", f"{l.a}-{l.b}")
             seen_links.add(key)
-            if l.delay < 1:
-                raise ValidationError(f"links[{i}].delay: must be >= 1")
+            check(l.delay >= 1, f"{path}.delay", "must be >= 1", l.delay)
         for i, ev in enumerate(self.events):
-            link = isinstance(ev, LinkEvent)
-            if link and ev.kind not in ("link_up", "link_down"):
-                raise ValidationError(f"events[{i}].kind: unknown {ev.kind!r}")
-            for end in ((ev.a, ev.b) if link else (ev.frm, ev.to)):
-                if end not in seen_names:
-                    raise ValidationError(f"events[{i}]: unknown node {end!r}")
-            if link and ev.a == ev.b:
-                raise ValidationError(f"events[{i}]: self-link on {ev.a!r}")
-            if ev.at < 0:
-                raise ValidationError(f"events[{i}].at: negative")
+            path = f"events[{i}]"
+            if isinstance(ev, LinkEvent):
+                check(ev.kind in ("link_up", "link_down"), f"{path}.kind",
+                      "must be link_up or link_down", ev.kind)
+                known(path, ev.a, ev.b)
+                check(ev.a != ev.b, path, "self-link", ev.a)
+            else:
+                known(path, ev.frm, ev.to)
+            check(ev.at >= 0, f"{path}.at", "must be >= 0", ev.at)
         m = self.mobility
         if m is not None:
             for ok, key, rule, value in (
@@ -171,26 +179,17 @@ class Scenario:
             if f.name != "intermediate_reply" and value is not None:   # None: the derived default
                 # a zero interval would requeue its event at the same tick forever
                 check(value >= 1, f"params.{f.name}", "must be >= 1", value)
-        if not self.traffic:
-            raise ValidationError("traffic: at least one flow is required")
+        check(bool(self.traffic), "traffic", "at least one flow is required", list(self.traffic))
         min_spacing = self.params.min_round_spacing(self.node_count)
         for i, t in enumerate(self.traffic):
-            for end in (t.origin, t.dest):
-                if end not in seen_names:
-                    raise ValidationError(f"traffic[{i}]: unknown node {end!r}")
-            if t.origin == t.dest:
-                raise ValidationError(f"traffic[{i}]: origin equals dest")
-            if t.rounds < 1:
-                raise ValidationError(f"traffic[{i}].rounds: must be >= 1")
-            if t.start < 0:
-                raise ValidationError(f"traffic[{i}].start: negative")
-            if t.rounds > 1 and t.spacing < min_spacing:
-                raise ValidationError(
-                    f"traffic[{i}].spacing: {t.spacing} overlaps discovery rounds "
-                    f"(need >= {min_spacing})"
-                )
-        if self.t_max <= 0:
-            raise ValidationError("t_max: must be positive")
+            path = f"traffic[{i}]"
+            known(path, t.origin, t.dest)
+            check(t.origin != t.dest, path, "origin equals dest", t.origin)
+            check(t.rounds >= 1, f"{path}.rounds", "must be >= 1", t.rounds)
+            check(t.start >= 0, f"{path}.start", "must be >= 0", t.start)
+            check(t.rounds == 1 or t.spacing >= min_spacing, f"{path}.spacing",
+                  f"must be >= {min_spacing} so that discovery rounds do not overlap", t.spacing)
+        check(self.t_max >= 1, "t_max", "must be >= 1", self.t_max)
         self.strategy.validate(self.nodes)
 
 
@@ -254,7 +253,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError("flags.intermediate_reply and params.intermediate_reply "
                                   "disagree")
 
-    scenario = Scenario(
+    return Scenario(
         name=read_str(require(raw, "name", "top level"), "name"),
         comment=read_str(raw.get("comment", ""), "comment"),
         nodes=nodes,
@@ -269,8 +268,6 @@ def parse_scenario(text: str) -> Scenario:
                                          "flags.per_neighbor_aggregate"),
         params=ProtocolConfig(**params),
     )
-    scenario.validate()
-    return scenario
 
 
 def pairs_in_range(positions: list[tuple[float, float]],
@@ -395,10 +392,7 @@ def builtin(name: str, seed: int | None = None, rounds: int | None = None) -> Sc
         if not m:
             raise UnknownScenario(f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
         sc = _random_geometric(int(m.group(1)), seed_value)
-    if rounds is not None:
-        return with_rounds(sc, rounds)
-    sc.validate()
-    return sc
+    return sc if rounds is None else with_rounds(sc, rounds)
 
 
 def with_rounds(sc: Scenario, rounds: int) -> Scenario:
@@ -408,7 +402,5 @@ def with_rounds(sc: Scenario, rounds: int) -> Scenario:
     t = sc.traffic[0]
     spacing = max(t.spacing, sc.params.min_round_spacing(sc.node_count))
     first = replace(t, rounds=rounds, spacing=spacing)
-    out = replace(sc, traffic=[first, *sc.traffic[1:]],
-                  t_max=max(sc.t_max, t.start + first.spacing * (rounds + 1)))
-    out.validate()
-    return out
+    return replace(sc, traffic=(first, *sc.traffic[1:]),
+                   t_max=max(sc.t_max, t.start + first.spacing * (rounds + 1)))

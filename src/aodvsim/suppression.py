@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 from .protocol import NodeId, RreqId
 from .wire import ValidationError, check, read_fields, read_object, require
@@ -64,7 +64,7 @@ class Strategy:
     def from_json(cls, obj: dict, path: str) -> Strategy:
         return cls(**read_fields(cls, obj, path, ("kind",)))
 
-    def validate(self, nodes: list) -> None:
+    def validate(self, nodes: Sequence) -> None:
         """Reject parameters that do not fit the scenario's nodes."""
 
     def select(self, view: SelectionView, candidates: list[NodeId],
@@ -136,7 +136,7 @@ class Connectivity(Strategy):
     def from_json(cls, obj: dict, path: str) -> Connectivity:
         return cls(ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",))))
 
-    def validate(self, nodes: list) -> None:
+    def validate(self, nodes: Sequence) -> None:
         self.config.validate()
 
     def select(self, view, candidates, rng):

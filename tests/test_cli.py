@@ -9,7 +9,7 @@ import pytest
 
 from aodvsim.cli import main
 from aodvsim.metrics import CSV_COLUMNS, parse_run_csv
-from aodvsim.scenario import builtin, parse_scenario
+from aodvsim.scenario import Scenario, builtin, parse_scenario
 from aodvsim.suppression import STRATEGIES, strategy_from_token
 
 CSV_OK_COL = CSV_COLUMNS.index("discoveries_ok")
@@ -174,6 +174,59 @@ def test_rounds_override_widens_scenario_file_spacing(tmp_path):
                    "--out", str(out)) == 0
     # one discovery; the later rounds reuse its route
     assert out.read_text().splitlines()[1].split(",")[CSV_COLUMNS.index("data_tx")] == "3"
+
+
+def test_seed_option_equals_the_seed_written_into_the_file(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "mixed.json"
+    copy = tmp_path / "mixed-seed-3.json"
+    copy.write_text(json.dumps({**json.loads(golden.read_text()), "seed": 3}))
+
+    def outputs(*argv):
+        out = tmp_path / "o.csv"
+        assert run_cli("run", *argv, "--strategy", "probabilistic:0.6", "--out", str(out)) == 0
+        return capsys.readouterr().out, out.read_text()
+    from_option = outputs("--scenario", str(golden), "--seed", "3")
+    assert from_option == outputs("--scenario", str(copy))
+    assert "seed=3" in from_option[0]
+    # the file's own seed 5 draws other forwarding decisions
+    assert outputs("--scenario", str(golden))[0] != from_option[0]
+
+
+@pytest.mark.parametrize("argv,validated", [
+    (["run", "--scenario", "fig1"], ["flood"]),
+    (["run", "--scenario", "fig1", "--strategy", "flood"], ["flood", "flood"]),
+    (["compare", "--scenario", "fig1", "--strategies", "flood,connectivity,ring:1:2:7"],
+     ["flood", "flood", "connectivity", "ring-1-2-7"]),
+])
+def test_every_scenario_built_is_validated_once(monkeypatch, capsys, argv, validated):
+    # the scenario loaded, then each copy that a strategy token makes
+    real = Scenario.validate
+    labels = []
+
+    def counted(sc):
+        labels.append(sc.strategy.label)
+        real(sc)
+    monkeypatch.setattr(Scenario, "validate", counted)
+    assert run_cli(*argv) == 0
+    assert labels == validated
+
+
+def test_run_without_a_scenario_exits_one(capsys):
+    assert run_cli("run") == 1
+    assert capsys.readouterr().err == "aodvsim: --scenario is required\n"
+
+
+def test_compare_with_only_separators_exits_one(capsys):
+    assert run_cli("compare", "--scenario", "fig1", "--strategies", ",") == 1
+    assert capsys.readouterr().err == "aodvsim: --strategies is empty\n"
+
+
+def test_output_into_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    with pytest.raises(OSError) as exc:
+        open(out, "w")
+    assert run_cli("run", "--scenario", "fig1", "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"aodvsim: {exc.value}\n")
 
 
 # --- strategy registry ----------------------------------------------------
@@ -408,6 +461,40 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     assert run_cli("run", "--scenario", str(scenario)) == 1
     err = capsys.readouterr().err
     assert path in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("overrides,stderr", [
+    ({"nodes": [{"name": ""}, {"name": "b"}]}, "nodes[0].name: must not be empty, got ''"),
+    ({"nodes": [{"name": "a"}, {"name": "a"}]}, "nodes[1].name: duplicate, got 'a'"),
+    ({"links": [{"a": "a", "b": "zz"}]}, "links[0]: unknown node, got 'zz'"),
+    ({"links": [{"a": "a", "b": "a"}]}, "links[0]: self-link, got 'a'"),
+    ({"links": [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]},
+     "links[1]: duplicate link, got 'b-a'"),
+    ({"links": [{"a": "a", "b": "b", "delay": 0}]}, "links[0].delay: must be >= 1, got 0"),
+    ({"events": [{"kind": "drop", "at": 1, "from": "zz", "to": "b"}]},
+     "events[0]: unknown node, got 'zz'"),
+    ({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]},
+     "events[0]: self-link, got 'a'"),
+    ({"events": [{"kind": "link_down", "at": -1, "a": "a", "b": "b"}]},
+     "events[0].at: must be >= 0, got -1"),
+    ({"traffic": []}, "traffic: at least one flow is required, got []"),
+    ({"traffic": [{"origin": "a", "dest": "zz"}]}, "traffic[0]: unknown node, got 'zz'"),
+    ({"traffic": [{"origin": "a", "dest": "a"}]}, "traffic[0]: origin equals dest, got 'a'"),
+    ({"traffic": [{"origin": "a", "dest": "b", "rounds": 0}]},
+     "traffic[0].rounds: must be >= 1, got 0"),
+    ({"traffic": [{"origin": "a", "dest": "b", "start": -5}]},
+     "traffic[0].start: must be >= 0, got -5"),
+    ({"traffic": [{"origin": "a", "dest": "b", "rounds": 3, "spacing": 10}]},
+     "traffic[0].spacing: must be >= 16 so that discovery rounds do not overlap, got 10"),
+    ({"t_max": 0}, "t_max: must be >= 1, got 0"),
+    ({"mobility": {"model": "teleport"}}, "mobility.model: unknown 'teleport'"),
+    ({"mobility": {"model": "static", "area": [50, 50]}}, "mobility: unknown field(s) area"),
+])
+def test_scenario_rejections_are_pinned(tmp_path, capsys, overrides, stderr):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_scenario_doc(**overrides)))
+    assert run_cli("run", "--scenario", str(scenario)) == 1
+    assert capsys.readouterr().err == f"aodvsim: {stderr}\n"
 
 
 @pytest.mark.parametrize("params,code,stderr", [

@@ -410,8 +410,7 @@ def test_untraced_run_formats_nothing(monkeypatch):
 
 
 def test_live_links_is_the_frozenset_keyed_delay_map():
-    sc = chain("abcd", delay=3)
-    sc.links[1] = LinkSpec("b", "c", 2)
+    sc = chain("abcd", links=[LinkSpec("a", "b", 3), LinkSpec("b", "c", 2), LinkSpec("c", "d", 3)])
     eng = Engine(sc)
     full = {frozenset((0, 1)): 3, frozenset((1, 2)): 2, frozenset((2, 3)): 3}
     assert eng.live_links == full

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -205,61 +206,75 @@ def two_node_scenario(**kw):
 
 
 def test_duplicate_node_names_are_rejected():
-    sc = two_node_scenario(nodes=[NodeSpec("a"), NodeSpec("a")])
     with pytest.raises(ValidationError, match=r"nodes\[1\]"):
-        sc.validate()
+        two_node_scenario(nodes=[NodeSpec("a"), NodeSpec("a")])
 
 
 def test_links_must_reference_known_nodes():
-    sc = two_node_scenario(links=[LinkSpec("a", "zz")])
     with pytest.raises(ValidationError, match="zz"):
-        sc.validate()
+        two_node_scenario(links=[LinkSpec("a", "zz")])
 
 
 def test_self_and_duplicate_links_are_rejected():
     with pytest.raises(ValidationError, match="self-link"):
-        two_node_scenario(links=[LinkSpec("a", "a")]).validate()
+        two_node_scenario(links=[LinkSpec("a", "a")])
     with pytest.raises(ValidationError, match="duplicate"):
-        two_node_scenario(links=[LinkSpec("a", "b"), LinkSpec("b", "a")]).validate()
+        two_node_scenario(links=[LinkSpec("a", "b"), LinkSpec("b", "a")])
 
 
 def test_link_delay_must_be_at_least_one_tick():
     with pytest.raises(ValidationError, match="delay"):
-        two_node_scenario(links=[LinkSpec("a", "b", delay=0)]).validate()
+        two_node_scenario(links=[LinkSpec("a", "b", delay=0)])
 
 
 def test_traffic_is_required_and_must_go_somewhere_else():
     with pytest.raises(ValidationError, match="traffic"):
-        two_node_scenario(traffic=[]).validate()
+        two_node_scenario(traffic=[])
     with pytest.raises(ValidationError, match="origin equals dest"):
-        two_node_scenario(traffic=[TrafficSpec("a", "a")]).validate()
+        two_node_scenario(traffic=[TrafficSpec("a", "a")])
 
 
 def test_multi_round_traffic_needs_non_overlapping_spacing():
-    sc = two_node_scenario(traffic=[TrafficSpec("a", "b", rounds=3, spacing=10)])
     with pytest.raises(ValidationError, match="spacing"):
-        sc.validate()
-    two_node_scenario(
-        traffic=[TrafficSpec("a", "b", rounds=3, spacing=16)]).validate()
+        two_node_scenario(traffic=[TrafficSpec("a", "b", rounds=3, spacing=10)])
+    two_node_scenario(traffic=[TrafficSpec("a", "b", rounds=3, spacing=16)])
 
 
 def test_t_max_must_be_positive():
     with pytest.raises(ValidationError, match="t_max"):
-        two_node_scenario(t_max=0).validate()
+        two_node_scenario(t_max=0)
 
 
 def test_distance_strategy_requires_positions_everywhere():
-    sc = two_node_scenario(strategy=DistanceBased(min_distance=5.0))
     with pytest.raises(ValidationError, match="positions"):
-        sc.validate()
-    placed = two_node_scenario(
+        two_node_scenario(strategy=DistanceBased(min_distance=5.0))
+    two_node_scenario(
         nodes=[NodeSpec("a", (0.0, 0.0)), NodeSpec("b", (3.0, 4.0))],
         strategy=DistanceBased(min_distance=5.0))
-    placed.validate()
 
 
 def test_ring_strategy_bounds():
     with pytest.raises(ValidationError, match="ttl_threshold"):
         two_node_scenario(
-            strategy=ExpandingRing(ttl_start=5, ttl_increment=2, ttl_threshold=3)
-        ).validate()
+            strategy=ExpandingRing(ttl_start=5, ttl_increment=2, ttl_threshold=3))
+
+
+def test_link_event_kind_is_checked_for_scenarios_built_in_python():
+    # the JSON reader knows only link_up, link_down and drop, so no file reaches this rule
+    with pytest.raises(ValidationError) as exc:
+        two_node_scenario(events=[LinkEvent(at=1, kind="teleport", a="a", b="b")])
+    assert str(exc.value) == "events[0].kind: must be link_up or link_down, got 'teleport'"
+
+
+def test_scenario_is_frozen_and_replace_validates_the_copy():
+    sc = two_node_scenario()
+    with pytest.raises(FrozenInstanceError):
+        sc.seed = 3
+    with pytest.raises(FrozenInstanceError):
+        sc.params.hello_interval = 0
+    with pytest.raises(TypeError):
+        sc.links[0] = LinkSpec("b", "a")
+    assert replace(sc, seed=3).seed == 3 and sc.seed == 0
+    with pytest.raises(ValidationError) as exc:
+        replace(sc, t_max=0)
+    assert str(exc.value) == "t_max: must be >= 1, got 0"
