@@ -1,7 +1,8 @@
 """Golden digests: `aodvsim run` and `compare` output must stay byte-identical.
 
-Each run entry runs one scenario under one strategy through the CLI and
-hashes the metrics CSV, the trace file and the printed summary. Each untraced
+Each run entry runs one scenario through the CLI, under a strategy token
+and any further options or under a scenario file's own strategy, and hashes
+the metrics CSV, the trace file and the printed summary. Each untraced
 entry runs the same without `--trace` and hashes the CSV and the summary, so
 a run that writes no trace is pinned on its own. Each compare
 entry runs one scenario under every corpus strategy and hashes the comparison
@@ -30,24 +31,31 @@ DIGESTS = GOLDEN / "digests.json"
 STRATEGIES = ["flood", "connectivity", "probabilistic:0.6", "counter:3", "ring:1:2:7"]
 BUILTINS = ["fig1", "fig1-tables", "ring-demo", "random-20", "random-50"]
 COMPARED = ["fig1", "mixed.json"]
+# the connectivity filter's smoothing modes, at settings under which it prunes
+TUNED = "connectivity --alpha 0.3 --threshold 0.3 --warmup 2 --rounds 11"
+OWN = ""        # no options: a scenario file runs under its own strategy block
 
 
 def corpus() -> list[tuple[str, str]]:
-    """(scenario, strategy token); a scenario is a builtin name or a file in golden/."""
+    """(scenario, options); a scenario is a builtin name or a file in golden/,
+    and the options are a strategy token, optionally followed by more `run`
+    options, or OWN."""
     entries = [(sc, st) for sc in BUILTINS for st in STRATEGIES]
     entries += [(sc, st) for sc in ("waypoint.json", "waypoint-events.json")
                 for st in ("flood", "connectivity")]
     entries += [("mixed.json", st) for st in STRATEGIES]
     entries += [("overrun.json", st) for st in STRATEGIES]
+    entries += [("fig1-tables", f"{TUNED} --mode {mode}") for mode in ("ema", "blend")]
+    entries += [("aggregate.json", OWN)]
     return entries
 
 
-def entry_id(scenario: str, strategy: str) -> str:
-    return f"{scenario}/{strategy}"
+def entry_id(scenario: str, options: str) -> str:
+    return f"{scenario}/{options or 'own'}"
 
 
-def untraced_id(scenario: str, strategy: str) -> str:
-    return f"untraced/{scenario}/{strategy}"
+def untraced_id(scenario: str, options: str) -> str:
+    return f"untraced/{entry_id(scenario, options)}"
 
 
 def compare_id(scenario: str) -> str:
@@ -70,22 +78,23 @@ def _main(argv: list[str], what: str) -> str:
     return out.getvalue()
 
 
-def run_outputs(scenario: str, strategy: str, workdir: Path, traced: bool) -> dict[str, bytes]:
+def run_outputs(scenario: str, options: str, workdir: Path, traced: bool) -> dict[str, bytes]:
     """The CSV, the summary and, if traced, the trace of one `aodvsim run`."""
     csv_path, trace_path = workdir / "out.csv", workdir / "out.trace"
-    argv = ["run", "--scenario", _source(scenario), "--strategy", strategy,
-            "--out", str(csv_path)]
+    argv = ["run", "--scenario", _source(scenario), "--out", str(csv_path)]
+    if options:
+        argv += ["--strategy", *options.split()]
     if traced:
         argv += ["--trace", str(trace_path)]
-    summary = _main(argv, entry_id(scenario, strategy))
+    summary = _main(argv, entry_id(scenario, options))
     outputs = {"csv": csv_path.read_bytes(), "summary": summary.encode()}
     if traced:
         outputs["trace"] = trace_path.read_bytes()
     return outputs
 
 
-def digests_of(scenario: str, strategy: str, workdir: Path, traced: bool = True) -> dict[str, str]:
-    return {k: _sha(v) for k, v in run_outputs(scenario, strategy, workdir, traced).items()}
+def digests_of(scenario: str, options: str, workdir: Path, traced: bool = True) -> dict[str, str]:
+    return {k: _sha(v) for k, v in run_outputs(scenario, options, workdir, traced).items()}
 
 
 def compare_digests_of(scenario: str, workdir: Path) -> dict[str, str]:
@@ -101,26 +110,26 @@ def compare_digests_of(scenario: str, workdir: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("scenario,strategy", corpus(),
+@pytest.mark.parametrize("scenario,options", corpus(),
                          ids=[entry_id(*e) for e in corpus()])
-def test_output_matches_golden_digest(scenario, strategy, tmp_path):
-    recorded = json.loads(DIGESTS.read_text())[entry_id(scenario, strategy)]
-    assert digests_of(scenario, strategy, tmp_path) == recorded
+def test_output_matches_golden_digest(scenario, options, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[entry_id(scenario, options)]
+    assert digests_of(scenario, options, tmp_path) == recorded
 
 
-@pytest.mark.parametrize("scenario,strategy", corpus(),
+@pytest.mark.parametrize("scenario,options", corpus(),
                          ids=[untraced_id(*e) for e in corpus()])
-def test_untraced_output_matches_golden_digest(scenario, strategy, tmp_path):
-    recorded = json.loads(DIGESTS.read_text())[untraced_id(scenario, strategy)]
-    assert digests_of(scenario, strategy, tmp_path, traced=False) == recorded
+def test_untraced_output_matches_golden_digest(scenario, options, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[untraced_id(scenario, options)]
+    assert digests_of(scenario, options, tmp_path, traced=False) == recorded
 
 
-@pytest.mark.parametrize("scenario,strategy", corpus(),
+@pytest.mark.parametrize("scenario,options", corpus(),
                          ids=[entry_id(*e) for e in corpus()])
-def test_trace_sink_changes_no_count(scenario, strategy, tmp_path):
+def test_trace_sink_changes_no_count(scenario, options, tmp_path):
     # checked run against run, so it holds whatever the recorded digests say
-    traced = run_outputs(scenario, strategy, tmp_path, traced=True)
-    plain = run_outputs(scenario, strategy, tmp_path, traced=False)
+    traced = run_outputs(scenario, options, tmp_path, traced=True)
+    plain = run_outputs(scenario, options, tmp_path, traced=False)
     assert plain == {"csv": traced["csv"], "summary": traced["summary"]}
 
 
