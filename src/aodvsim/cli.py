@@ -26,14 +26,14 @@ from .scenario import (
     ParseError,
     Scenario,
     UnknownScenario,
-    ValidationError,
     builtin,
     parse_scenario,
     with_rounds,
 )
 from .suppression import ConfigError, Connectivity, strategy_from_token
+from .wire import ValidationError
 
-# connectivity options: command-line name -> ConnectivityConfig field
+# connectivity options: command-line name -> Connectivity field
 _KNOBS = {"mode": "mode", "alpha": "alpha", "threshold": "threshold", "warmup": "warmup_attempts"}
 
 

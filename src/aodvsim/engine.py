@@ -347,7 +347,7 @@ class Engine:
             self.metrics.hello_tx += sum(map(len, self._adj)) * ticks
         return self.metrics
 
-    # -- introspection used by tests and the CLI summary
+    # -- introspection, by name; used by tests
 
     def connectivity_index(self, node: str, dest: str, neighbor: str) -> float | None:
         state = self.nodes[self._ids[node]].conn

@@ -116,7 +116,7 @@ class ProtocolConfig:
     hello_timeout: int = 25
     route_lifetime: int = 50
     max_retries: int = 2               # total attempts allowed per discovery
-    discovery_deadline: int | None = None   # default: 2 * node_count * hop delay
+    discovery_deadline: int | None = None   # default: 2 * node_count
     intermediate_reply: bool = True
 
     def deadline_for(self, node_count: int) -> int:
@@ -182,9 +182,9 @@ class Node:
 
     @property
     def attempt_timeout(self) -> int:
-        if self.conn is not None and self.conn.config.attempt_timeout is not None:
-            return self.conn.config.attempt_timeout
-        return self.config.deadline_for(self.node_count)
+        """How long a connectivity attempt stays open; asked only when `conn` is set."""
+        timeout = self.conn.strategy.attempt_timeout
+        return self.config.deadline_for(self.node_count) if timeout is None else timeout
 
     # -- small helpers
 
@@ -374,7 +374,7 @@ class Node:
         disc = self.pending_discoveries.get(dest)
         if disc is None or now < disc.deadline_at:
             return []   # resolved earlier, or a newer attempt reset the deadline
-        if self.conn is not None and disc.rreq_id is not None:
+        if self.conn is not None:
             self.conn.fail_pending(disc.rreq_id)
         if disc.metrics_rec.attempts < self.config.max_retries:
             disc.metrics_rec.attempts += 1
@@ -384,8 +384,8 @@ class Node:
         return [Drop(Data(self.me, dest, pid), "discovery-failed") for pid in disc.queued]
 
     def on_attempt_sweep(self, rreq_id: RreqId, now: int) -> list[Emission]:
-        if self.conn is not None:
-            self.conn.fail_pending(rreq_id)
+        """An AttemptSweep is set only when `conn` exists."""
+        self.conn.fail_pending(rreq_id)
         return []
 
     def on_route_sweep(self, now: int) -> list[Emission]:

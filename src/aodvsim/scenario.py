@@ -15,16 +15,15 @@ from dataclasses import dataclass, field, fields, replace
 from .node import ProtocolConfig
 from .suppression import (
     Connectivity,
-    ConnectivityConfig,
     ExpandingRing,
     Flood,
     Strategy,
     strategy_from_json,
 )
 from .wire import (
-    ValidationError,
     check,
     check_keys,
+    check_one_of,
     read_bool,
     read_fields,
     read_int,
@@ -158,8 +157,7 @@ class Scenario:
         for i, ev in enumerate(self.events):
             path = f"events[{i}]"
             if isinstance(ev, LinkEvent):
-                check(ev.kind in ("link_up", "link_down"), f"{path}.kind",
-                      "must be link_up or link_down", ev.kind)
+                check_one_of(ev.kind, ("link_up", "link_down"), f"{path}.kind")
                 known(path, ev.a, ev.b)
                 check(ev.a != ev.b, path, "self-link", ev.a)
             else:
@@ -196,11 +194,10 @@ class Scenario:
 def _parse_event(ev, path: str) -> LinkEvent | DropEvent:
     ev = read_object(ev, path)
     kind = require(ev, "kind", path)
-    if kind in ("link_up", "link_down"):
-        return LinkEvent(**read_fields(LinkEvent, ev, path))
+    check_one_of(kind, ("link_up", "link_down", "drop"), f"{path}.kind")
     if kind == "drop":
         return DropEvent(**read_fields(DropEvent, ev, path, ("kind",)))
-    raise ValidationError(f"{path}.kind: unknown {kind!r}")
+    return LinkEvent(**read_fields(LinkEvent, ev, path))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -212,9 +209,8 @@ def parse_scenario(text: str) -> Scenario:
     allowed = {"schema", "name", "comment", "nodes", "links", "mobility",
                "events", "traffic", "strategy", "seed", "t_max", "flags", "params"}
     check_keys(raw, allowed, "top level")
-    schema = require(raw, "schema", "top level")
-    if schema != SCHEMA_VERSION:
-        raise ValidationError(f"schema: unsupported version {schema!r} (expected {SCHEMA_VERSION})")
+    schema = read_int(require(raw, "schema", "top level"), "schema")
+    check(schema == SCHEMA_VERSION, "schema", f"must be {SCHEMA_VERSION}", schema)
 
     nodes = [NodeSpec(**read_fields(NodeSpec, n, f"nodes[{i}]"))
              for i, n in enumerate(read_list(require(raw, "nodes", "top level"), "nodes"))]
@@ -226,12 +222,11 @@ def parse_scenario(text: str) -> Scenario:
     if "mobility" in raw:
         m = read_object(raw["mobility"], "mobility")
         model = require(m, "model", "mobility")
+        check_one_of(model, ("static", "random_waypoint"), "mobility.model")
         if model == "static":
             check_keys(m, {"model"}, "mobility")
-        elif model == "random_waypoint":
-            mobility = RandomWaypoint(**read_fields(RandomWaypoint, m, "mobility", ("model",)))
         else:
-            raise ValidationError(f"mobility.model: unknown {model!r}")
+            mobility = RandomWaypoint(**read_fields(RandomWaypoint, m, "mobility", ("model",)))
 
     events = [_parse_event(ev, f"events[{i}]")
               for i, ev in enumerate(read_list(raw.get("events", []), "events"))]
@@ -249,9 +244,8 @@ def parse_scenario(text: str) -> Scenario:
     # two spellings of one setting: flags.intermediate_reply and params.intermediate_reply
     if "intermediate_reply" in flags:
         reply = read_bool(flags["intermediate_reply"], "flags.intermediate_reply")
-        if params.setdefault("intermediate_reply", reply) != reply:
-            raise ValidationError("flags.intermediate_reply and params.intermediate_reply "
-                                  "disagree")
+        check(params.setdefault("intermediate_reply", reply) == reply,
+              "flags.intermediate_reply", "must match params.intermediate_reply", reply)
 
     return Scenario(
         name=read_str(require(raw, "name", "top level"), "name"),
@@ -329,7 +323,7 @@ def _fig1_tables(seed: int, rounds: int) -> Scenario:
             LinkEvent(at=950, kind="link_up", a="N5", b="N6"),
             DropEvent(at=607, frm="N4", to="S"),
         ],
-        strategy=Connectivity(ConnectivityConfig(mode="raw", warmup_attempts=10)),
+        strategy=Connectivity(mode="raw", warmup_attempts=10),
         params=ProtocolConfig(intermediate_reply=False),
         seed=seed,
         t_max=_ROUND_SPACING * (rounds + 1),
@@ -356,8 +350,7 @@ def _ring_demo(seed: int) -> Scenario:
 def _random_geometric(n: int, seed: int) -> Scenario:
     import random as _random
 
-    if n < 2:
-        raise ValidationError(f"random-{n}: need at least 2 nodes")
+    check(n >= 2, f"random-{n}", "need at least 2 nodes", n)
     rng = _random.Random(seed)
     side = 100.0
     radio = 45.0

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
 from .protocol import NodeId, RreqId
-from .wire import ValidationError, check, read_fields, read_object, require
+from .wire import check, check_one_of, read_fields, read_object, require
 
 
 class ConfigError(Exception):
-    """A malformed strategy token, or a strategy run without what it needs."""
+    """A malformed or unknown strategy token."""
 
 
 class InvariantViolation(Exception):
@@ -32,8 +32,9 @@ class Strategy:
 
     A strategy's `token` names it on the command line and in labels, its
     `kind` in scenario JSON; its fields are its parameters, in token order
-    (`counter:3`). The defaults here forward to every candidate with a
-    network-wide TTL and keep no per-node state.
+    (`counter:3`), and sit flat beside `kind` in JSON. The defaults here
+    forward to every candidate with a network-wide TTL and keep no per-node
+    state.
     """
 
     token: ClassVar[str]
@@ -60,10 +61,6 @@ class Strategy:
         return "-".join([self.token, *(f"{v:g}" if isinstance(v, float) else str(v)
                                        for v in values)])
 
-    @classmethod
-    def from_json(cls, obj: dict, path: str) -> Strategy:
-        return cls(**read_fields(cls, obj, path, ("kind",)))
-
     def validate(self, nodes: Sequence) -> None:
         """Reject parameters that do not fit the scenario's nodes."""
 
@@ -87,7 +84,11 @@ class Flood(Strategy):
 
 
 @dataclass(frozen=True)
-class ConnectivityConfig:
+class Connectivity(Strategy):
+    """Its settings come from options on the command line, not from the
+    token, so it overrides only the token parse and the label."""
+
+    token = kind = "connectivity"
     mode: str = "raw"               # raw | ema | blend
     alpha: float = 0.3
     threshold: float = 0.5
@@ -96,8 +97,17 @@ class ConnectivityConfig:
     new_link_bonus: float = 0.1
     attempt_timeout: int | None = None   # None: use the discovery deadline
 
-    def validate(self) -> None:
-        """Reject a setting out of range, naming it `strategy.<field>`."""
+    @classmethod
+    def from_token(cls, args: str, knobs: dict) -> Connectivity:
+        if args:
+            raise ValueError("takes no values; its settings are options")
+        return cls(**{k: v for k, v in knobs.items() if v is not None})
+
+    @property
+    def label(self) -> str:
+        return self.token
+
+    def validate(self, nodes: Sequence) -> None:
         for ok, name, rule in (
                 (self.mode in ("raw", "ema", "blend"), "mode", "must be raw, ema or blend"),
                 (self.mode == "raw" or 0.0 < self.alpha < 1.0, "alpha",
@@ -112,41 +122,12 @@ class ConnectivityConfig:
                  "must be >= 1")):
             check(ok, f"strategy.{name}", rule, getattr(self, name))
 
-
-@dataclass(frozen=True)
-class Connectivity(Strategy):
-    """Its settings come from options on the command line and sit flat
-    beside `kind` in JSON."""
-
-    token = kind = "connectivity"
-    config: ConnectivityConfig = field(default_factory=ConnectivityConfig)
-
-    @classmethod
-    def from_token(cls, args: str, knobs: dict) -> Connectivity:
-        if args:
-            raise ValueError("takes no values; its settings are options")
-        given = {k: v for k, v in knobs.items() if v is not None}
-        return cls(ConnectivityConfig(**given))
-
-    @property
-    def label(self) -> str:
-        return self.token
-
-    @classmethod
-    def from_json(cls, obj: dict, path: str) -> Connectivity:
-        return cls(ConnectivityConfig(**read_fields(ConnectivityConfig, obj, path, ("kind",))))
-
-    def validate(self, nodes: Sequence) -> None:
-        self.config.validate()
-
     def select(self, view, candidates, rng):
         state = view.connectivity
-        if state is None:
-            raise ConfigError("connectivity strategy requires connectivity state")
         return [n for n in candidates if state.eligible(view.dest, n)]
 
     def node_state(self, per_neighbor_aggregate):
-        return ConnectivityState(self.config, per_neighbor_aggregate)
+        return ConnectivityState(self, per_neighbor_aggregate)
 
 
 class _RelayFilter(Strategy):
@@ -198,8 +179,6 @@ class DistanceBased(_RelayFilter):
                   "the distance strategy needs positions on every node", n.pos)
 
     def forwards(self, view, rng):
-        if view.distance_to_previous is None:
-            raise ConfigError("distance strategy requires node positions")
         return view.distance_to_previous >= self.min_distance
 
 
@@ -222,8 +201,6 @@ class ExpandingRing(Strategy):
         """Grows linearly to the threshold; the first attempt at or past the
         threshold uses the threshold itself, anything after that goes
         network-wide."""
-        if attempt_index < 0:
-            raise ConfigError("attempt_index must be non-negative")
         raw = self.ttl_start + attempt_index * self.ttl_increment
         if raw < self.ttl_threshold:
             return raw
@@ -251,10 +228,9 @@ def strategy_from_token(token: str, knobs: dict | None = None) -> Strategy:
 def strategy_from_json(obj, path: str) -> Strategy:
     obj = read_object(obj, path)
     kind = require(obj, "kind", path)
-    cls = next((s for s in STRATEGIES if s.kind == kind), None)
-    if cls is None:
-        raise ValidationError(f"{path}.kind: unknown strategy {kind!r}")
-    return cls.from_json(obj, path)
+    check_one_of(kind, [s.kind for s in STRATEGIES], f"{path}.kind")
+    cls = next(s for s in STRATEGIES if s.kind == kind)
+    return cls(**read_fields(cls, obj, path, ("kind",)))
 
 
 # --- connectivity index ---------------------------------------------------
@@ -287,8 +263,8 @@ class ConnectivityState:
     the key collapses to the neighbor alone.
     """
 
-    def __init__(self, config: ConnectivityConfig, per_neighbor_aggregate: bool = False):
-        self.config = config
+    def __init__(self, strategy: Connectivity, per_neighbor_aggregate: bool = False):
+        self.strategy = strategy        # its settings
         self.aggregate = per_neighbor_aggregate
         self.records: dict[tuple, ConnectivityRecord] = {}
         # the open attempts: per request, the records it is still waiting on,
@@ -302,7 +278,7 @@ class ConnectivityState:
         key = self._key(dest, neighbor)
         rec = self.records.get(key)
         if rec is None:
-            rec = ConnectivityRecord(index=self.config.initial_index)
+            rec = ConnectivityRecord(index=self.strategy.initial_index)
             self.records[key] = rec
         return rec
 
@@ -332,7 +308,7 @@ class ConnectivityState:
         return True
 
     def _recompute(self, rec: ConnectivityRecord, success: bool) -> None:
-        cfg = self.config
+        cfg = self.strategy
         ratio = raw_ratio(rec.successes, rec.attempts, cfg.initial_index)
         if cfg.mode == "raw":
             rec.index = ratio
@@ -354,16 +330,16 @@ class ConnectivityState:
     def boost_new_link(self, dest: NodeId, neighbor: NodeId) -> float:
         """Nudge a link that just (re)appeared and carried a successful discovery."""
         rec = self.record_for(dest, neighbor)
-        rec.index = min(1.0, rec.index + self.config.new_link_bonus)
+        rec.index = min(1.0, rec.index + self.strategy.new_link_bonus)
         return rec.index
 
     def eligible(self, dest: NodeId, neighbor: NodeId) -> bool:
         """Below the warm-up attempt count every link qualifies; after it the
         index must sit strictly above the threshold."""
         rec = self.peek(dest, neighbor)
-        if rec is None or rec.attempts < self.config.warmup_attempts:
+        if rec is None or rec.attempts < self.strategy.warmup_attempts:
             return True
-        return rec.index > self.config.threshold
+        return rec.index > self.strategy.threshold
 
     def snapshot(self, dest: NodeId | None = None) -> dict[tuple, tuple[int, int, float]]:
         """(attempts, successes, index) per key, optionally for one destination."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, fields
+from typing import Sequence
 
 
 class ValidationError(Exception):
@@ -69,6 +70,11 @@ def check(ok: bool, path: str, rule: str, value) -> None:
     """Reject a value that breaks a range rule: `<path>: <rule>, got <value>`."""
     if not ok:
         raise ValidationError(f"{path}: {rule}, got {value!r}")
+
+
+def check_one_of(value, choices: Sequence[str], path: str) -> None:
+    """Reject a value not among `choices`: `<path>: must be a, b or c, got <value>`."""
+    check(value in choices, path, f"must be {', '.join(choices[:-1])} or {choices[-1]}", value)
 
 
 # the reader for each declared field type

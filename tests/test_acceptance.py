@@ -19,7 +19,6 @@ from aodvsim.protocol import RreqId
 from aodvsim.scenario import builtin
 from aodvsim.suppression import (
     Connectivity,
-    ConnectivityConfig,
     ConnectivityState,
     CounterBased,
     ExpandingRing,
@@ -139,7 +138,7 @@ def test_criterion_5_degeneration_suite():
     vacuous = [
         Probabilistic(p=1.0),
         CounterBased(max_copies=10 ** 9),
-        Connectivity(ConnectivityConfig(threshold=-1.0)),
+        Connectivity(threshold=-1.0),
     ]
     for strategy in vacuous:
         got = run(replace(builtin("fig1"), strategy=strategy)).counter_tuple()
@@ -152,7 +151,7 @@ def test_criterion_5_degeneration_suite():
 @given(st.floats(min_value=0.01, max_value=0.99),
        st.integers(min_value=0, max_value=50))
 def test_criterion_6_ema_decay(alpha, k):
-    s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
+    s = ConnectivityState(Connectivity(mode="ema", alpha=alpha))
     for i in range(k):
         rid = RreqId(0, i)
         s.open_attempt(9, 1, rid)
@@ -165,7 +164,7 @@ def test_criterion_6_ema_decay(alpha, k):
 @given(st.floats(min_value=0.01, max_value=0.99),
        st.lists(st.booleans(), max_size=50))
 def test_criterion_6_ema_bounds(alpha, outcomes):
-    s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
+    s = ConnectivityState(Connectivity(mode="ema", alpha=alpha))
     for i, ok in enumerate(outcomes):
         rid = RreqId(0, i)
         s.open_attempt(9, 1, rid)
@@ -178,7 +177,7 @@ def test_criterion_6_verdict():
     for _ in range(200):
         alpha = rng.uniform(0.01, 0.99)
         k = rng.randint(0, 50)
-        s = ConnectivityState(ConnectivityConfig(mode="ema", alpha=alpha))
+        s = ConnectivityState(Connectivity(mode="ema", alpha=alpha))
         for i in range(k):
             rid = RreqId(0, i)
             s.open_attempt(9, 1, rid)
@@ -193,7 +192,7 @@ def test_criterion_6_verdict():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(["success", "failure", "open"]), max_size=40))
 def test_criterion_7_raw_refold(script):
-    s = ConnectivityState(ConnectivityConfig(mode="raw"))
+    s = ConnectivityState(Connectivity(mode="raw"))
     folded, opened, successes = 1.0, 0, 0
     for i, action in enumerate(script):
         rid = RreqId(0, i)
@@ -216,7 +215,7 @@ def test_criterion_7_verdict():
     for _ in range(200):
         script = rng.choices(["success", "failure", "open"],
                              k=rng.randint(1, 40))
-        s = ConnectivityState(ConnectivityConfig(mode="raw"))
+        s = ConnectivityState(Connectivity(mode="raw"))
         folded, opened, successes = 1.0, 0, 0
         for i, action in enumerate(script):
             rid = RreqId(0, i)

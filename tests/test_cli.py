@@ -268,7 +268,9 @@ def test_unknown_strategy_token_and_kind_exit_one(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(_scenario_doc(strategy={"kind": "telepathy"})))
     assert run_cli("run", "--scenario", str(scenario)) == 1
-    assert capsys.readouterr().err == "aodvsim: strategy.kind: unknown strategy 'telepathy'\n"
+    assert capsys.readouterr().err == (
+        "aodvsim: strategy.kind: must be flood, connectivity, probabilistic, counter, "
+        "distance or expanding_ring, got 'telepathy'\n")
 
 
 # --- compare --------------------------------------------------------------
@@ -420,7 +422,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"params": {"discovery_deadline": "x"},
       "traffic": [{"origin": "a", "dest": "b", "rounds": 2}]}, "params.discovery_deadline"),
     ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
-     "flags.intermediate_reply and params.intermediate_reply"),
+     "flags.intermediate_reply: must match params.intermediate_reply"),
     ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
                  {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
     ({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold"),
@@ -487,8 +489,15 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     ({"traffic": [{"origin": "a", "dest": "b", "rounds": 3, "spacing": 10}]},
      "traffic[0].spacing: must be >= 16 so that discovery rounds do not overlap, got 10"),
     ({"t_max": 0}, "t_max: must be >= 1, got 0"),
-    ({"mobility": {"model": "teleport"}}, "mobility.model: unknown 'teleport'"),
+    ({"mobility": {"model": "teleport"}},
+     "mobility.model: must be static or random_waypoint, got 'teleport'"),
     ({"mobility": {"model": "static", "area": [50, 50]}}, "mobility: unknown field(s) area"),
+    ({"events": [{"kind": "teleport", "at": 1}]},
+     "events[0].kind: must be link_up, link_down or drop, got 'teleport'"),
+    ({"schema": 2}, "schema: must be 1, got 2"),
+    ({"schema": True}, "schema: expected an integer, got True"),
+    ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
+     "flags.intermediate_reply: must match params.intermediate_reply, got True"),
 ])
 def test_scenario_rejections_are_pinned(tmp_path, capsys, overrides, stderr):
     scenario = tmp_path / "bad.json"
@@ -549,7 +558,8 @@ def test_one_fault_one_message_from_option_or_file(tmp_path, capsys, argv, strat
 @pytest.mark.parametrize("name", ["random-0", "random-1"])
 def test_random_builtin_below_two_nodes_exits_one_with_its_own_message(capsys, name):
     assert run_cli("run", "--scenario", name) == 1
-    assert capsys.readouterr().err == f"aodvsim: {name}: need at least 2 nodes\n"
+    n = name.removeprefix("random-")
+    assert capsys.readouterr().err == f"aodvsim: {name}: need at least 2 nodes, got {n}\n"
 
 
 def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):

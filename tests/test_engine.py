@@ -23,7 +23,13 @@ from aodvsim.scenario import (
     pairs_in_range,
     parse_scenario,
 )
-from aodvsim.suppression import Connectivity, ConnectivityConfig, ExpandingRing
+from aodvsim.suppression import (
+    STRATEGIES,
+    Connectivity,
+    ConnectivityState,
+    DistanceBased,
+    ExpandingRing,
+)
 
 from oracles import bfs_distances
 from test_fuzz import valid_scenarios
@@ -202,7 +208,7 @@ def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
         nodes=[NodeSpec(l) for l in "abcd"],
         links=[LinkSpec("a", "b", 1), LinkSpec("b", "c", 1), LinkSpec("b", "d", 2)],
         traffic=[TrafficSpec("b", "c"), TrafficSpec("b", "c", start=1)],
-        strategy=Connectivity(ConnectivityConfig(attempt_timeout=1)),
+        strategy=Connectivity(attempt_timeout=1),
         events=[LinkEvent(at=12, kind="link_down", a="b", b="c")],
         t_max=42,
     )
@@ -378,6 +384,22 @@ def test_connectivity_run_leaves_no_attempt_open(scenario, left_open):
     assert sum(len(opened) for ledger in ledgers for opened in ledger.values()) == left_open
     # a request whose attempts are all closed leaves the ledger
     assert all(opened for ledger in ledgers for opened in ledger.values())
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig1-tables", "ring-demo", "random-20"])
+def test_each_node_holds_the_state_its_strategy_needs(name):
+    base = builtin(name)
+    for cls in STRATEGIES:
+        if cls is DistanceBased and base.nodes[0].pos is None:
+            continue            # rejected when built: the builtin has no positions
+        sc = replace(base, strategy=cls(), per_neighbor_aggregate=name == "ring-demo")
+        states = [node.conn for node in Engine(sc).nodes]
+        if cls is Connectivity:
+            assert all(type(s) is ConnectivityState and s.strategy is sc.strategy
+                       and s.aggregate == sc.per_neighbor_aggregate for s in states)
+            assert len(set(map(id, states))) == len(states)     # one table per node
+        else:
+            assert states == [None] * len(states)
 
 
 def test_engine_introspection_helpers():

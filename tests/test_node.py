@@ -28,7 +28,6 @@ from aodvsim.protocol import (
 )
 from aodvsim.suppression import (
     Connectivity,
-    ConnectivityConfig,
     ConnectivityState,
     CounterBased,
     Flood,
@@ -470,8 +469,8 @@ def test_stale_forward_decision_is_a_no_op():
 
 
 def test_connectivity_origin_opens_attempts_and_arms_sweep():
-    state = ConnectivityState(ConnectivityConfig())
-    node = make_node(neighbors=[1, 2], strategy=Connectivity(state.config),
+    state = ConnectivityState(Connectivity())
+    node = make_node(neighbors=[1, 2], strategy=state.strategy,
                      connectivity=state)
     out = node.send_data(5, 7, now=0)
     assert recipients(out) == [[1, 2]]
@@ -482,9 +481,9 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
 
 
 def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
-    cfg = ConnectivityConfig(warmup_attempts=0, new_link_bonus=0.1)
-    state = ConnectivityState(cfg)
-    node = make_node(neighbors=[1], strategy=Connectivity(cfg), connectivity=state)
+    strategy = Connectivity(warmup_attempts=0, new_link_bonus=0.1)
+    state = ConnectivityState(strategy)
+    node = make_node(neighbors=[1], strategy=strategy, connectivity=state)
     # history: 9 attempts, 5 successes -> 5/9, barely over the bar
     for i in range(9):
         rid = RreqId(0, 100 + i)
@@ -503,12 +502,12 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
 
 
 def test_connectivity_filter_suppresses_weak_links_at_relay():
-    cfg = ConnectivityConfig(warmup_attempts=0)
-    state = ConnectivityState(cfg)
+    strategy = Connectivity(warmup_attempts=0)
+    state = ConnectivityState(strategy)
     rid = RreqId(9, 9)
     state.open_attempt(5, 3, rid)
     state.fail_pending(rid)                             # index 0.0 on link 3
-    node = make_node(me=2, neighbors=[1, 3, 4], strategy=Connectivity(cfg),
+    node = make_node(me=2, neighbors=[1, 3, 4], strategy=strategy,
                      connectivity=state)
     out = node.on_rreq(make_rreq(dest=5), frm=1, now=1)
     assert recipients(out) == [[4]]
@@ -519,8 +518,8 @@ def test_connectivity_filter_suppresses_weak_links_at_relay():
 def test_relay_flood_is_one_send_to_the_strategy_targets_in_order(name, monkeypatch):
     state, strategy = None, Flood()
     if name == "connectivity":
-        cfg = ConnectivityConfig(warmup_attempts=0)
-        state, strategy = ConnectivityState(cfg), Connectivity(cfg)
+        strategy = Connectivity(warmup_attempts=0)
+        state = ConnectivityState(strategy)
         state.open_attempt(5, 4, RreqId(9, 9))
         state.fail_pending(RreqId(9, 9))                # index 0.0 on link 4
     real_select, chosen = node_module.select_targets, []

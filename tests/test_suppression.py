@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from aodvsim.protocol import RreqId
 from aodvsim.suppression import (
-    ConfigError,
     Connectivity,
-    ConnectivityConfig,
     ConnectivityState,
     CounterBased,
     DistanceBased,
@@ -25,27 +23,27 @@ from aodvsim.wire import ValidationError
 
 
 def state(mode="raw", **kw) -> ConnectivityState:
-    return ConnectivityState(ConnectivityConfig(mode=mode, **kw))
+    return ConnectivityState(Connectivity(mode=mode, **kw))
 
 
 # --- config ---------------------------------------------------------------
 
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValidationError):
-        ConnectivityConfig(mode="mean").validate()
+        Connectivity(mode="mean").validate([])
 
 
 def test_config_rejects_degenerate_alpha_for_smoothing_modes():
     for alpha in (0.0, 1.0, -0.5):
         with pytest.raises(ValidationError):
-            ConnectivityConfig(mode="ema", alpha=alpha).validate()
+            Connectivity(mode="ema", alpha=alpha).validate([])
     # raw mode never uses alpha
-    ConnectivityConfig(mode="raw", alpha=0.0).validate()
+    Connectivity(mode="raw", alpha=0.0).validate([])
 
 
 def test_config_rejects_bad_initial_index():
     with pytest.raises(ValidationError):
-        ConnectivityConfig(initial_index=1.5).validate()
+        Connectivity(initial_index=1.5).validate([])
 
 
 def test_strategy_labels():
@@ -117,7 +115,7 @@ def test_fail_pending_closes_every_record_for_that_request():
 
 @pytest.mark.parametrize("aggregate", [False, True])
 def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregate):
-    s = ConnectivityState(ConnectivityConfig(), per_neighbor_aggregate=aggregate)
+    s = ConnectivityState(Connectivity(), per_neighbor_aggregate=aggregate)
     r, other = RreqId(0, 1), RreqId(3, 1)
     s.open_attempt(9, 1, r)
     s.open_attempt(9, 2, r)
@@ -158,7 +156,7 @@ def test_boost_can_lift_a_link_back_over_the_threshold():
 
 
 def test_aggregate_mode_pools_destinations():
-    s = ConnectivityState(ConnectivityConfig(), per_neighbor_aggregate=True)
+    s = ConnectivityState(Connectivity(), per_neighbor_aggregate=True)
     s.open_attempt(9, 1, RreqId(0, 1))
     s.open_attempt(5, 1, RreqId(0, 2))
     assert s.peek(9, 1) is s.peek(5, 1)
@@ -331,35 +329,24 @@ def test_distance_gate_uses_inclusive_minimum():
     assert keep == CANDIDATES and drop == []
 
 
-def test_distance_gate_requires_positions():
-    with pytest.raises(ConfigError):
-        select_targets(DistanceBased(min_distance=1.0), view(), CANDIDATES,
-                       random.Random(0))
-
-
 def test_connectivity_filters_per_link_even_at_origin():
     s = state(warmup_attempts=0)
     rid = RreqId(0, 1)
     s.open_attempt(9, 1, rid)
     s.fail_pending(rid)                      # link 1 now at 0.0
-    got = select_targets(Connectivity(s.config),
+    got = select_targets(s.strategy,
                          view(previous_hop=None, connectivity=s),
                          [1, 2, 3], random.Random(0))
     assert got == [2, 3]
 
 
-def test_connectivity_requires_state():
-    with pytest.raises(ConfigError):
-        select_targets(Connectivity(), view(connectivity=None), [1], random.Random(0))
-
-
 @given(st.floats(min_value=-1.0, max_value=-0.001))
 def test_negative_threshold_degenerates_to_flood(threshold):
-    s = ConnectivityState(ConnectivityConfig(threshold=threshold, warmup_attempts=0))
+    s = ConnectivityState(Connectivity(threshold=threshold, warmup_attempts=0))
     rid = RreqId(0, 1)
     s.open_attempt(9, 1, rid)
     s.fail_pending(rid)
-    got = select_targets(Connectivity(s.config), view(connectivity=s),
+    got = select_targets(s.strategy, view(connectivity=s),
                          [1, 2], random.Random(0))
     assert got == [1, 2]
 
@@ -376,11 +363,6 @@ def test_ring_first_attempt_at_or_past_threshold_uses_threshold():
     ring = ExpandingRing(ttl_start=9, ttl_increment=2, ttl_threshold=7)
     assert ring.attempt_ttl(0, node_count=20) == 7
     assert ring.attempt_ttl(1, node_count=20) == 20
-
-
-def test_ring_rejects_negative_attempts():
-    with pytest.raises(ConfigError):
-        ExpandingRing().attempt_ttl(-1, node_count=5)
 
 
 @given(st.integers(min_value=1, max_value=5),
