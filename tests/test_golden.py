@@ -47,6 +47,8 @@ def corpus() -> list[tuple[str, str]]:
     entries += [("overrun.json", st) for st in STRATEGIES]
     entries += [("fig1-tables", f"{TUNED} --mode {mode}") for mode in ("ema", "blend")]
     entries += [("aggregate.json", OWN)]
+    # the distance strategy on a builtin with positions, and a file under a given seed
+    entries += [("random-20", "distance:20"), ("mixed.json", "flood --seed 3")]
     return entries
 
 
