@@ -4,6 +4,11 @@ Integer ticks; a queue entry is (tick, insertion sequence, handler, args) and
 runs as `handler(engine, *args)`, so a scenario plus a seed fixes the entire
 run. Transmission, link state, scripted losses, mobility, metrics and tracing
 live here; protocol behavior lives in the per-node state machines.
+
+The engine is each node's `net`: a handler calls `transmit`, `set_timer`,
+`deliver_up` and `drop` as its steps happen. `transmit` and `set_timer` only
+push queue entries, and no handler runs inside another, so the entries and
+the trace lines of one step come in the order the step made its calls.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ import heapq
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 from .metrics import MetricsReport
-from .node import DeliverUp, DiscoveryDeadline, Drop, Node, RouteSweep, Send, SetTimer, TimerKind
+from .node import DiscoveryDeadline, Node, RouteSweep, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
 from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, pairs_in_range
 
@@ -63,10 +69,13 @@ class Engine:
         if scenario.mobility is not None:
             self._init_mobility(scenario.mobility)
 
+        # a proxy, so that the nodes refer back to the engine without a cycle
+        net = weakref.proxy(self)
         self.nodes: list[Node] = []
         for i in range(scenario.node_count):
             self.nodes.append(Node(
                 me=i,
+                net=net,
                 config=scenario.params,
                 strategy=scenario.strategy,
                 node_count=scenario.node_count,
@@ -167,8 +176,8 @@ class Engine:
         """Send `packet` to each of `to` in order: count a loss for each
         recipient without a live link or with a scripted drop, and queue one
         delivery entry per link delay for the others, in first-seen delay
-        order. Pushed as a step emits its packets, the entries for one tick
-        run in emission order, with only the step's own timers between them."""
+        order. Pushed as a step sends its packets, the entries for one tick
+        run in send order, with only the step's own timers between them."""
         peers = self._adj[frm]
         metrics = self.metrics
         kind = type(packet)
@@ -204,6 +213,18 @@ class Engine:
             metrics.rerr_tx += sent
         else:
             metrics.data_tx += sent
+
+    def set_timer(self, node: NodeId, at: int, kind: TimerKind) -> None:
+        # every timer interval of a valid scenario is >= 1: `at` is after now
+        self._push(at, Engine._timer, node, kind)
+
+    def deliver_up(self, node: NodeId, payload_id: int, src: NodeId) -> None:
+        if self.trace is not None:
+            self._trace(node, "deliver-up", f"payload={payload_id} src={self._labels[src]}")
+
+    def drop(self, node: NodeId, packet: Packet, reason: str) -> None:
+        if self.trace is not None:
+            self._trace(node, "drop", f"{reason} {summarize(packet)}")
 
     # -- mobility
 
@@ -275,22 +296,19 @@ class Engine:
                 key = (min(frm, to), max(frm, to))
                 fresh = key in self.new_links
                 self.new_links.discard(key)
-                emissions = handle(node, pkt, frm, now, link_is_new=fresh)
+                handle(node, pkt, frm, now, link_is_new=fresh)
             else:
-                emissions = handle(node, pkt, frm, now)
-            if emissions:
-                self._handle_emissions(to, emissions)
+                handle(node, pkt, frm, now)
 
     def _timer(self, node: NodeId, kind: TimerKind) -> None:
         if self.trace is not None:
             self._trace(node, "timer", type(kind).__name__)
-        self._handle_emissions(node, kind.fire(self.nodes[node], self.now))
+        kind.fire(self.nodes[node], self.now)
 
     def _hello_tick(self, node: NodeId) -> None:
         if self.trace is not None:
             self._trace(node, "hello-tick")
-        emissions = self.nodes[node].on_hello_tick(self.now, self.link_peers(node))
-        self._handle_emissions(node, emissions)
+        self.nodes[node].on_hello_tick(self.now, self.link_peers(node))
         nxt = self.now + self.scenario.params.hello_interval
         if nxt <= self.scenario.t_max:
             self._push(nxt, Engine._hello_tick, node)
@@ -298,8 +316,7 @@ class Engine:
     def _inject(self, node: NodeId, dest: NodeId, payload_id: int, round_index: int) -> None:
         if self.trace is not None:
             self._trace(node, "inject", f"dest={self._labels[dest]} round={round_index}")
-        emissions = self.nodes[node].send_data(dest, payload_id, self.now, round_index)
-        self._handle_emissions(node, emissions)
+        self.nodes[node].send_data(dest, payload_id, self.now, round_index)
 
     def _link_change(self, kind: str, a: NodeId, b: NodeId) -> None:
         if self.trace is not None:
@@ -311,20 +328,6 @@ class Engine:
         self._recompute_links()
         if self.now + 1 <= self.scenario.t_max:
             self._push(self.now + 1, Engine._mobility_tick)
-
-    def _handle_emissions(self, node: NodeId, emissions) -> None:
-        for e in emissions:
-            if type(e) is Send:
-                self.transmit(node, e.to, e.packet)
-            elif isinstance(e, SetTimer):
-                # every timer interval of a valid scenario is >= 1: `at` is after now
-                self._push(e.at, Engine._timer, node, e.kind)
-            elif isinstance(e, DeliverUp):
-                if self.trace is not None:
-                    self._trace(node, "deliver-up",
-                                f"payload={e.payload_id} src={self._labels[e.src]}")
-            elif isinstance(e, Drop) and self.trace is not None:
-                self._trace(node, "drop", f"{e.reason} {summarize(e.packet)}")
 
     # -- main loop
 

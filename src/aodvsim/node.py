@@ -1,31 +1,34 @@
 """Per-node protocol state machine.
 
-Handlers take an event plus the current tick and return a list of emissions
-(sends, timer requests, local deliveries, drops) without doing any I/O
-themselves; the engine owns transmission, timers and bookkeeping. All
-iteration that produces emissions runs in ascending node id so a scenario
-replays identically every time. A handler step emits one `Send` per packet,
-naming all of its recipients in send order: a flood, a HELLO round or a RERR
-is one `Send`, a unicast a `Send` to one node, and no `Send` is empty.
-Packets are frozen and shared: every recipient of a flood gets the same
-object. Emissions are single-use slotted records: the engine consumes each
-one once, and nothing keeps or hashes one. The engine counts a repeat copy
-of a request with `heard_before`; `on_rreq` sees first and TTL-0 copies only.
+Handlers take an event plus the current tick, change the node's state and
+act through `net`, the engine of the run, with four calls made in the order
+the steps happen; a handler returns nothing and does no I/O itself:
+
+- `net.transmit(me, to, packet)` sends one packet to each of `to`, in order;
+- `net.set_timer(me, at, kind)` fires `kind` at this node at tick `at` > now;
+- `net.deliver_up(me, payload_id, src)` hands a payload to the application;
+- `net.drop(me, packet, reason)` gives up on a packet.
+
+A step makes one `transmit` per packet, naming all of its recipients in send
+order: a flood, a HELLO round or a RERR is one call, a unicast a call to one
+node, and no call names nobody. All iteration that picks recipients runs in
+ascending node id so a scenario replays identically every time. Packets are
+frozen and shared: every recipient of a flood gets the same object. The
+engine counts a repeat copy of a request with `heard_before`; `on_rreq` sees
+first and TTL-0 copies only.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .metrics import DiscoveryRecord, MetricsReport
 from .protocol import (
     Data,
     Hello,
     NodeId,
-    Packet,
     Rerr,
     RoutingEntry,
     Rrep,
@@ -36,43 +39,10 @@ from .protocol import (
 from .suppression import ConnectivityState, SelectionView, Strategy
 
 
-class InvalidDestination(Exception):
-    """A node asked to discover a route to itself."""
-
-
 def select_targets(strategy: Strategy, view: SelectionView, candidates: list[NodeId],
                    rng: random.Random) -> list[NodeId]:
     """The forwarding decision, one module-level name so it can be wrapped."""
     return strategy.select(view, candidates, rng)
-
-
-# --- emissions ------------------------------------------------------------
-
-@dataclass(slots=True)
-class Send:
-    to: Sequence[NodeId]    # the recipients, in send order; never empty
-    packet: Packet
-
-
-@dataclass(slots=True)
-class SetTimer:
-    kind: "TimerKind"
-    at: int
-
-
-@dataclass(slots=True)
-class DeliverUp:
-    payload_id: int
-    src: NodeId
-
-
-@dataclass(slots=True)
-class Drop:
-    packet: Packet
-    reason: str
-
-
-Emission = Send | SetTimer | DeliverUp | Drop
 
 
 # --- timer kinds: each one fires its node's handler -----------------------
@@ -81,30 +51,30 @@ Emission = Send | SetTimer | DeliverUp | Drop
 class DiscoveryDeadline:
     dest: NodeId
 
-    def fire(self, node: Node, now: int) -> list[Emission]:
-        return node.on_discovery_timeout(self.dest, now)
+    def fire(self, node: Node, now: int) -> None:
+        node.on_discovery_timeout(self.dest, now)
 
 
 @dataclass(frozen=True)
 class AttemptSweep:
     rreq_id: RreqId
 
-    def fire(self, node: Node, now: int) -> list[Emission]:
-        return node.on_attempt_sweep(self.rreq_id, now)
+    def fire(self, node: Node, now: int) -> None:
+        node.on_attempt_sweep(self.rreq_id, now)
 
 
 @dataclass(frozen=True)
 class RouteSweep:
-    def fire(self, node: Node, now: int) -> list[Emission]:
-        return node.on_route_sweep(now)
+    def fire(self, node: Node, now: int) -> None:
+        node.on_route_sweep(now)
 
 
 @dataclass(frozen=True)
 class ForwardDecision:
     rreq_id: RreqId
 
-    def fire(self, node: Node, now: int) -> list[Emission]:
-        return node.on_forward_decision(self.rreq_id, now)
+    def fire(self, node: Node, now: int) -> None:
+        node.on_forward_decision(self.rreq_id, now)
 
 
 TimerKind = DiscoveryDeadline | AttemptSweep | RouteSweep | ForwardDecision
@@ -153,6 +123,7 @@ class Node:
     def __init__(
         self,
         me: NodeId,
+        net,
         config: ProtocolConfig,
         strategy: Strategy,
         node_count: int,
@@ -162,6 +133,7 @@ class Node:
         position_of: Callable[[NodeId], tuple[float, float] | None] | None = None,
     ):
         self.me = me
+        self.net = net      # the engine, or a stand-in that records the calls
         self.config = config
         self.strategy = strategy
         self.node_count = node_count
@@ -194,41 +166,28 @@ class Node:
             return entry
         return None
 
-    def _distance_to(self, other: NodeId) -> float | None:
-        if self.position_of is None:
-            return None
-        mine = self.position_of(self.me)
-        theirs = self.position_of(other)
-        if mine is None or theirs is None:
-            return None
-        return math.hypot(mine[0] - theirs[0], mine[1] - theirs[1])
-
     # -- originating traffic
 
-    def send_data(self, dest: NodeId, payload_id: int, now: int, round_index: int | None = None) -> list[Emission]:
-        if dest == self.me:
-            return [DeliverUp(payload_id, self.me)]
+    def send_data(self, dest: NodeId, payload_id: int, now: int, round_index: int | None = None) -> None:
+        """`dest` is never this node: a validated scenario has no flow to itself."""
         route = self.valid_route(dest, now)
         if route is not None:
             route.active = True
-            return [Send((route.next_hop,), Data(self.me, dest, payload_id))]
-        emissions: list[Emission] = []
+            self.net.transmit(self.me, (route.next_hop,), Data(self.me, dest, payload_id))
+            return
         if dest not in self.pending_discoveries:
-            emissions = self.initiate_discovery(dest, now, round_index)
+            self.initiate_discovery(dest, now, round_index)
         self.pending_discoveries[dest].queued.append(payload_id)
-        return emissions
 
-    def initiate_discovery(self, dest: NodeId, now: int, round_index: int | None = None) -> list[Emission]:
-        if dest == self.me:
-            raise InvalidDestination(f"node {self.me} cannot discover itself")
+    def initiate_discovery(self, dest: NodeId, now: int, round_index: int | None = None) -> None:
         assert dest not in self.pending_discoveries, "discovery already live"
         self.seq += 1
         rec = self.metrics.begin_discovery(self.me, dest, round_index, now)
         disc = _Discovery(rec)
         self.pending_discoveries[dest] = disc
-        return self._launch_attempt(disc, now)
+        self._launch_attempt(disc, now)
 
-    def _launch_attempt(self, disc: _Discovery, now: int) -> list[Emission]:
+    def _launch_attempt(self, disc: _Discovery, now: int) -> None:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
         disc.rreq_id = rid
@@ -243,11 +202,10 @@ class Node:
             hop_count=0,
             ttl=self.strategy.attempt_ttl(rec.attempts - 1, self.node_count),
         )
-        emissions = self._targeted_sends(rreq, previous_hop=None, now=now)
-        emissions.append(SetTimer(DiscoveryDeadline(rec.dest), disc.deadline_at))
-        return emissions
+        self._targeted_sends(rreq, previous_hop=None, now=now)
+        self.net.set_timer(self.me, disc.deadline_at, DiscoveryDeadline(rec.dest))
 
-    def _targeted_sends(self, rreq: Rreq, previous_hop: NodeId | None, now: int) -> list[Emission]:
+    def _targeted_sends(self, rreq: Rreq, previous_hop: NodeId | None, now: int) -> None:
         """Run the suppression decision and open one attempt per chosen link."""
         candidates = sorted(n for n in self.neighbors if n != previous_hop)
         view = SelectionView(
@@ -255,19 +213,19 @@ class Node:
             previous_hop=previous_hop,
             connectivity=self.conn,
             copies_heard=self.requests[rreq.rreq_id].copies,
-            distance_to_previous=self._distance_to(previous_hop) if previous_hop is not None else None,
+            me=self.me,
+            position_of=self.position_of,
         )
         targets = select_targets(self.strategy, view, candidates, self.rng)
         if len(targets) < len(candidates):
             self.metrics.record("suppressed_forwards", len(candidates) - len(targets))
         if not targets:
-            return []
-        emissions: list[Emission] = [Send(targets, rreq)]
+            return
+        self.net.transmit(self.me, targets, rreq)
         if self.conn is not None:
             for t in targets:
                 self.conn.open_attempt(rreq.dest, t, rreq.rreq_id)
-            emissions.append(SetTimer(AttemptSweep(rreq.rreq_id), now + self.attempt_timeout))
-        return emissions
+            self.net.set_timer(self.me, now + self.attempt_timeout, AttemptSweep(rreq.rreq_id))
 
     # -- request handling
 
@@ -287,17 +245,19 @@ class Node:
         metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
         return True
 
-    def on_rreq(self, rreq: Rreq, frm: NodeId, now: int) -> list[Emission]:
+    def on_rreq(self, rreq: Rreq, frm: NodeId, now: int) -> None:
         """A copy of a request that heard_before found new, or a TTL-0 copy."""
         if rreq.ttl == 0:
             # died in the air: no duplicate marking, no reply even at the target
-            return [Drop(rreq, "ttl-expired")]
+            self.net.drop(self.me, rreq, "ttl-expired")
+            return
         assert rreq.rreq_id not in self.requests, "a repeat copy goes to heard_before"
         request = self.requests[rreq.rreq_id] = _Request([frm])
 
         if rreq.dest == self.me:
             self.seq += 1
-            return [Send((frm,), Rrep(self.me, self.seq, 0, rreq.rreq_id))]
+            self.net.transmit(self.me, (frm,), Rrep(self.me, self.seq, 0, rreq.rreq_id))
+            return
 
         if self.config.intermediate_reply:
             entry = self.valid_route(rreq.dest, now)
@@ -305,25 +265,28 @@ class Node:
                 rreq.dest_seq_known is None or entry.dest_seq >= rreq.dest_seq_known
             )
             if fresh:
-                return [Send((frm,), Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))]
+                self.net.transmit(self.me, (frm,),
+                                  Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))
+                return
 
         forwarded = relay_transform(rreq)
         if self.strategy.holds_forward:
             request.held = forwarded
-            return [SetTimer(ForwardDecision(rreq.rreq_id), now + 1)]
-        return self._targeted_sends(forwarded, previous_hop=frm, now=now)
+            self.net.set_timer(self.me, now + 1, ForwardDecision(rreq.rreq_id))
+            return
+        self._targeted_sends(forwarded, previous_hop=frm, now=now)
 
-    def on_forward_decision(self, rreq_id: RreqId, now: int) -> list[Emission]:
+    def on_forward_decision(self, rreq_id: RreqId, now: int) -> None:
         request = self.requests.get(rreq_id)
         if request is None or request.held is None:
-            return []
+            return
         forwarded, request.held = request.held, None
-        return self._targeted_sends(forwarded, previous_hop=request.senders[0], now=now)
+        self._targeted_sends(forwarded, previous_hop=request.senders[0], now=now)
 
     # -- reply handling
 
-    def on_rrep(self, rrep: Rrep, frm: NodeId, now: int, link_is_new: bool = False) -> list[Emission]:
-        emissions: list[Emission] = []
+    def on_rrep(self, rrep: Rrep, frm: NodeId, now: int, link_is_new: bool = False) -> None:
+        net = self.net
         candidate_hops = rrep.hop_count + 1
         current = self.valid_route(rrep.dest, now)
         fresher = (
@@ -336,7 +299,7 @@ class Node:
                 next_hop=frm, hop_count=candidate_hops, dest_seq=rrep.dest_seq,
                 expires_at=now + self.config.route_lifetime,
                 active=current is not None and current.active)
-            emissions.append(SetTimer(RouteSweep(), entry.expires_at))
+            net.set_timer(self.me, entry.expires_at, RouteSweep())
         self._note_dest_seq(rrep.dest, rrep.dest_seq)
 
         if self.conn is not None:
@@ -352,73 +315,72 @@ class Node:
                 self.metrics.resolve_discovery(disc.metrics_rec, now, route.hop_count)
                 if disc.queued:
                     route.active = True
-                    emissions.extend(Send((route.next_hop,), Data(self.me, rrep.dest, pid))
-                                     for pid in disc.queued)
-            return emissions
+                    for pid in disc.queued:
+                        net.transmit(self.me, (route.next_hop,), Data(self.me, rrep.dest, pid))
+            return
 
         request = self.requests.get(rrep.rreq_id)
         if request is None:
-            emissions.append(Drop(rrep, "no-reverse-path"))
-            return emissions
+            net.drop(self.me, rrep, "no-reverse-path")
+            return
         if request.replied:
-            return emissions
+            return
         request.replied = True
         targets = [p for p in request.senders if p != frm and p in self.neighbors]
         if targets:
-            emissions.append(Send(targets, relay_transform(rrep)))
-        return emissions
+            net.transmit(self.me, targets, relay_transform(rrep))
 
     # -- timers
 
-    def on_discovery_timeout(self, dest: NodeId, now: int) -> list[Emission]:
+    def on_discovery_timeout(self, dest: NodeId, now: int) -> None:
         disc = self.pending_discoveries.get(dest)
         if disc is None or now < disc.deadline_at:
-            return []   # resolved earlier, or a newer attempt reset the deadline
+            return   # resolved earlier, or a newer attempt reset the deadline
         if self.conn is not None:
             self.conn.fail_pending(disc.rreq_id)
         if disc.metrics_rec.attempts < self.config.max_retries:
             disc.metrics_rec.attempts += 1
-            return self._launch_attempt(disc, now)
+            self._launch_attempt(disc, now)
+            return
         del self.pending_discoveries[dest]
         self.metrics.fail_discovery(disc.metrics_rec)
-        return [Drop(Data(self.me, dest, pid), "discovery-failed") for pid in disc.queued]
+        for pid in disc.queued:
+            self.net.drop(self.me, Data(self.me, dest, pid), "discovery-failed")
 
-    def on_attempt_sweep(self, rreq_id: RreqId, now: int) -> list[Emission]:
+    def on_attempt_sweep(self, rreq_id: RreqId, now: int) -> None:
         """An AttemptSweep is set only when `conn` exists."""
         self.conn.fail_pending(rreq_id)
-        return []
 
-    def on_route_sweep(self, now: int) -> list[Emission]:
+    def on_route_sweep(self, now: int) -> None:
         for dest in [d for d, e in self.routes.items() if e.expires_at <= now]:
             del self.routes[dest]
-        return []
 
     # -- liveness and failure
 
-    def on_hello_tick(self, now: int, link_peers: list[NodeId]) -> list[Emission]:
-        emissions: list[Emission] = [Send(sorted(link_peers), Hello(self.me))] if link_peers else []
+    def on_hello_tick(self, now: int, link_peers: list[NodeId]) -> None:
+        """`link_peers` are this node's live peers in ascending id."""
+        if link_peers:
+            self.net.transmit(self.me, link_peers, Hello(self.me))
         cutoff = now - self.config.hello_timeout
         stale = sorted(n for n, last in self.neighbors.items() if last < cutoff)
         for neighbor in stale:
-            emissions.extend(self.on_link_break(neighbor, now))
-        return emissions
+            self.on_link_break(neighbor, now)
 
-    def on_hello(self, hello: Hello, frm: NodeId, now: int) -> list[Emission]:
+    def on_hello(self, hello: Hello, frm: NodeId, now: int) -> None:
         """Unused: a HELLO only proves the link, and the engine stamps
         `neighbors` itself on every reception. Kept because the benchmark's
         per-layer spans wrap this name; it goes when they stop."""
-        return []
 
-    def on_link_break(self, lost: NodeId, now: int) -> list[Emission]:
+    def on_link_break(self, lost: NodeId, now: int) -> None:
         self.neighbors.pop(lost, None)
-        return self._lose_routes(sorted(self.routes), now, lost)
+        self._lose_routes(sorted(self.routes), now, lost)
 
-    def on_rerr(self, rerr: Rerr, frm: NodeId, now: int) -> list[Emission]:
+    def on_rerr(self, rerr: Rerr, frm: NodeId, now: int) -> None:
         for dest, seq in rerr.unreachable:
             self._note_dest_seq(dest, seq)
-        return self._lose_routes([dest for dest, _ in rerr.unreachable], now, frm)
+        self._lose_routes([dest for dest, _ in rerr.unreachable], now, frm)
 
-    def _lose_routes(self, dests: list[NodeId], now: int, frm: NodeId) -> list[Emission]:
+    def _lose_routes(self, dests: list[NodeId], now: int, frm: NodeId) -> None:
         """Drop each valid route among `dests` whose next hop is `frm` (the
         lost neighbor or the RERR's sender), report them in one RERR to every
         other neighbor, and rediscover those that carried data. Only routes
@@ -430,14 +392,14 @@ class Node:
                 del self.routes[dest]
                 dead.append((dest, entry))
         if not dead:
-            return []
+            return
         rerr = Rerr(tuple((dest, entry.dest_seq) for dest, entry in dead))
         others = [n for n in sorted(self.neighbors) if n != frm]
-        emissions: list[Emission] = [Send(others, rerr)] if others else []
+        if others:
+            self.net.transmit(self.me, others, rerr)
         for dest, entry in dead:
             if entry.active and dest not in self.pending_discoveries and dest != self.me:
-                emissions.extend(self.initiate_discovery(dest, now))
-        return emissions
+                self.initiate_discovery(dest, now)
 
     def _note_dest_seq(self, dest: NodeId, seq: int) -> None:
         """Keep the highest sequence number heard for `dest`."""
@@ -445,10 +407,12 @@ class Node:
 
     # -- payload forwarding
 
-    def on_data(self, data: Data, frm: NodeId, now: int) -> list[Emission]:
+    def on_data(self, data: Data, frm: NodeId, now: int) -> None:
         if data.dst == self.me:
-            return [DeliverUp(data.payload_id, data.src)]
+            self.net.deliver_up(self.me, data.payload_id, data.src)
+            return
         route = self.valid_route(data.dst, now)
         if route is None:
-            return [Drop(data, "no-route")]
-        return [Send((route.next_hop,), data)]
+            self.net.drop(self.me, data, "no-route")
+            return
+        self.net.transmit(self.me, (route.next_hop,), data)

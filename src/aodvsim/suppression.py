@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .protocol import NodeId, RreqId
 from .wire import check, check_one_of, read_fields, read_object, require
@@ -179,7 +179,8 @@ class DistanceBased(_RelayFilter):
                   "the distance strategy needs positions on every node", n.pos)
 
     def forwards(self, view, rng):
-        return view.distance_to_previous >= self.min_distance
+        (x, y), (px, py) = view.position_of(view.me), view.position_of(view.previous_hop)
+        return math.hypot(x - px, y - py) >= self.min_distance
 
 
 @dataclass(frozen=True)
@@ -361,4 +362,5 @@ class SelectionView:
     previous_hop: NodeId | None          # None at the originator
     connectivity: ConnectivityState | None = None
     copies_heard: int = 1
-    distance_to_previous: float | None = None
+    me: NodeId | None = None
+    position_of: Callable[[NodeId], tuple[float, float] | None] | None = None

@@ -590,6 +590,14 @@ def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, te
     assert str(bad) in err and where in err
 
 
+def test_blank_required_compare_cell_exits_one_with_its_message(tmp_path, capsys):
+    bad = tmp_path / "blank.csv"
+    bad.write_text("strategy,rreq_tx,discoveries_ok\nflood,,1\n")
+    assert run_cli("compare", "--inputs", str(bad)) == 1
+    assert capsys.readouterr().err == (
+        f"aodvsim: {bad}: line 2, column rreq_tx: expected a value, got ''\n")
+
+
 # --- README ---------------------------------------------------------------
 
 def readme_quick_start() -> list[str]:

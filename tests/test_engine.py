@@ -29,6 +29,7 @@ from aodvsim.suppression import (
     ConnectivityState,
     DistanceBased,
     ExpandingRing,
+    Flood,
 )
 
 from oracles import bfs_distances
@@ -400,6 +401,20 @@ def test_each_node_holds_the_state_its_strategy_needs(name):
             assert len(set(map(id, states))) == len(states)     # one table per node
         else:
             assert states == [None] * len(states)
+
+
+def test_only_the_distance_strategy_reads_positions():
+    def unreadable(node):
+        raise LookupError(f"read the position of node {node}")
+    for strategy in (Flood(), DistanceBased(min_distance=20.0)):
+        eng = Engine(replace(builtin("random-20"), strategy=strategy))
+        for node in eng.nodes:
+            node.position_of = unreadable
+        if strategy.kind == "distance":
+            with pytest.raises(LookupError):
+                eng.run()
+        else:
+            assert eng.run().rreq_tx == 144     # every relay decided, no position read
 
 
 def test_engine_introspection_helpers():

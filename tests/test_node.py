@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -6,16 +7,10 @@ import aodvsim.node as node_module
 from aodvsim.metrics import MetricsReport
 from aodvsim.node import (
     AttemptSweep,
-    DeliverUp,
     DiscoveryDeadline,
-    Drop,
     ForwardDecision,
-    InvalidDestination,
     Node,
     ProtocolConfig,
-    RouteSweep,
-    Send,
-    SetTimer,
 )
 from aodvsim.protocol import (
     Data,
@@ -34,10 +29,71 @@ from aodvsim.suppression import (
 )
 
 
+# --- a recording net: what a node asks of its engine, as records ----------
+
+@dataclass
+class Send:
+    to: list
+    packet: object
+
+
+@dataclass
+class SetTimer:
+    kind: object
+    at: int
+
+
+@dataclass
+class DeliverUp:
+    payload_id: int
+    src: int
+
+
+@dataclass
+class Drop:
+    packet: object
+    reason: str
+
+
+class Recorder:
+    """Stands in for the engine as one node's `net` and keeps each call."""
+
+    def __init__(self, me):
+        self.me = me
+        self.calls = []
+
+    def _add(self, me, record):
+        assert me == self.me
+        self.calls.append(record)
+
+    def transmit(self, me, to, packet):
+        assert to, "a send names at least one recipient"
+        self._add(me, Send(to, packet))
+
+    def set_timer(self, me, at, kind):
+        self._add(me, SetTimer(kind, at))
+
+    def deliver_up(self, me, payload_id, src):
+        self._add(me, DeliverUp(payload_id, src))
+
+    def drop(self, me, packet, reason):
+        self._add(me, Drop(packet, reason))
+
+
+def step(handler, *args, **kw):
+    """Run one handler of a node from make_node; return the calls it made
+    through its `net`, in order. A handler returns nothing."""
+    calls = handler.__self__.net.calls
+    calls.clear()
+    assert handler(*args, **kw) is None
+    return list(calls)
+
+
 def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None,
               connectivity=None, **kw):
     node = Node(
         me=me,
+        net=Recorder(me),
         config=config or ProtocolConfig(),
         strategy=strategy or Flood(),
         node_count=node_count,
@@ -77,29 +133,23 @@ def hear(node, rreq, frm, now):
     heard_before and goes no further (None), any other copy reaches on_rreq."""
     if node.heard_before(rreq, frm):
         return None
-    return node.on_rreq(rreq, frm, now)
+    return step(node.on_rreq, rreq, frm, now)
 
 
 # --- originating ----------------------------------------------------------
-
-def test_send_data_to_self_delivers_locally():
-    node = make_node()
-    assert make_node().send_data(0, 7, now=0) == [DeliverUp(7, 0)]
-    assert not node.pending_discoveries
-
 
 def test_send_data_over_valid_route_marks_it_active():
     node = make_node(neighbors=[1])
     node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=1,
                                   expires_at=100)
-    out = node.send_data(5, 7, now=0)
+    out = step(node.send_data, 5, 7, now=0)
     assert out == [Send((1,), Data(0, 5, 7))]
     assert node.routes[5].active
 
 
 def test_send_data_without_route_floods_request_and_arms_deadline():
     node = make_node(neighbors=[2, 1, 3])
-    out = node.send_data(5, 7, now=4)
+    out = step(node.send_data, 5, 7, now=4)
     # ascending neighbor id, undecremented ttl = node count
     assert recipients(out) == [[1, 2, 3]]
     req = sends(out)[0].packet
@@ -112,20 +162,15 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
 def test_second_payload_joins_live_discovery_without_new_flood():
     node = make_node(neighbors=[1])
     node.send_data(5, 7, now=0)
-    assert node.send_data(5, 8, now=1) == []
+    assert step(node.send_data, 5, 8, now=1) == []
     assert node.pending_discoveries[5].queued == [7, 8]
-
-
-def test_discovery_to_self_is_refused():
-    with pytest.raises(InvalidDestination):
-        make_node().initiate_discovery(0, now=0)
 
 
 def test_discovery_with_no_neighbors_still_times_out_cleanly():
     node = make_node(neighbors=[], config=ProtocolConfig(max_retries=1))
-    out = node.send_data(5, 7, now=0)
+    out = step(node.send_data, 5, 7, now=0)
     assert not sends(out)
-    fail = node.on_discovery_timeout(5, now=12)
+    fail = step(node.on_discovery_timeout, 5, now=12)
     assert [e.packet.payload_id for e in fail if isinstance(e, Drop)] == [7]
     assert node.metrics.discoveries_failed == 1
     assert 5 not in node.pending_discoveries
@@ -135,7 +180,7 @@ def test_discovery_with_no_neighbors_still_times_out_cleanly():
 
 def test_destination_replies_once_with_fresh_sequence():
     node = make_node(me=5, neighbors=[4])
-    out = node.on_rreq(make_rreq(dest=5), frm=4, now=3)
+    out = step(node.on_rreq, make_rreq(dest=5), frm=4, now=3)
     assert len(sends(out)) == 1
     rep = sends(out)[0].packet
     assert isinstance(rep, Rrep)
@@ -176,16 +221,16 @@ def test_duplicate_detection_is_per_request_id():
 
 def test_expired_ttl_is_dropped_before_any_bookkeeping():
     node = make_node(me=5, neighbors=[4])
-    out = node.on_rreq(make_rreq(dest=5, ttl=0), frm=4, now=0)
+    out = step(node.on_rreq, make_rreq(dest=5, ttl=0), frm=4, now=0)
     assert [d.reason for d in out if isinstance(d, Drop)] == ["ttl-expired"]
     # not marked seen: a live copy arriving later still gets the reply
-    out = node.on_rreq(make_rreq(dest=5, ttl=1), frm=4, now=1)
+    out = step(node.on_rreq, make_rreq(dest=5, ttl=1), frm=4, now=1)
     assert sends(out)
 
 
 def test_relay_decrements_ttl_and_skips_the_sender():
     node = make_node(me=2, neighbors=[1, 3, 4])
-    out = node.on_rreq(make_rreq(ttl=4, hop=1), frm=1, now=0)
+    out = step(node.on_rreq, make_rreq(ttl=4, hop=1), frm=1, now=0)
     assert recipients(out) == [[3, 4]]
     fwd = sends(out)[0].packet
     assert (fwd.ttl, fwd.hop_count) == (3, 2)
@@ -195,7 +240,7 @@ def test_intermediate_with_fresh_route_quenches_the_flood():
     node = make_node(me=2, neighbors=[1, 3])
     node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=4,
                                   expires_at=100)
-    out = node.on_rreq(make_rreq(dest=5, dest_seq=3), frm=1, now=0)
+    out = step(node.on_rreq, make_rreq(dest=5, dest_seq=3), frm=1, now=0)
     assert len(sends(out)) == 1
     rep = sends(out)[0].packet
     assert isinstance(rep, Rrep)
@@ -206,7 +251,7 @@ def test_intermediate_with_stale_route_relays_instead():
     node = make_node(me=2, neighbors=[1, 3])
     node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=2,
                                   expires_at=100)
-    out = node.on_rreq(make_rreq(dest=5, dest_seq=3), frm=1, now=0)
+    out = step(node.on_rreq, make_rreq(dest=5, dest_seq=3), frm=1, now=0)
     assert all(isinstance(e.packet, Rreq) for e in sends(out))
 
 
@@ -215,7 +260,7 @@ def test_query_quenching_can_be_disabled():
                      config=ProtocolConfig(intermediate_reply=False))
     node.routes[5] = RoutingEntry(next_hop=3, hop_count=2, dest_seq=9,
                                   expires_at=100)
-    out = node.on_rreq(make_rreq(dest=5), frm=1, now=0)
+    out = step(node.on_rreq, make_rreq(dest=5), frm=1, now=0)
     assert all(isinstance(e.packet, Rreq) for e in sends(out))
 
 
@@ -229,7 +274,7 @@ def make_rrep(origin=0, dest=5, seq=2, hop=1, num=0):
 def test_origin_installs_route_resolves_discovery_flushes_outbox():
     node = make_node(neighbors=[1])
     node.send_data(5, 7, now=0)
-    out = node.on_rrep(make_rrep(hop=3), frm=1, now=8)
+    out = step(node.on_rrep, make_rrep(hop=3), frm=1, now=8)
     entry = node.routes[5]
     assert (entry.next_hop, entry.hop_count, entry.expires_at) == (1, 4, 58)
     assert node.metrics.discoveries_ok == 1
@@ -261,13 +306,13 @@ def test_relay_fans_reply_to_every_reverse_sender_once():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
     assert node.heard_before(make_rreq(origin=3, dest=5), frm=4)
-    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
+    out = step(node.on_rrep, Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     fanned = sends(out)
     assert recipients(fanned) == [[1, 4]]
     assert all(e.packet.hop_count == 1 for e in fanned)
     # a second copy of the same reply is not relayed again
-    again = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
+    again = step(node.on_rrep, Rrep(dest=5, dest_seq=2, hop_count=0,
                               rreq_id=RreqId(3, 0)), frm=3, now=2)
     assert not sends(again)
 
@@ -277,14 +322,14 @@ def test_reply_relay_skips_reverse_senders_no_longer_neighbors():
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)
     assert node.heard_before(make_rreq(origin=3, dest=5), frm=4)
     del node.neighbors[4]
-    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
+    out = step(node.on_rrep, Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 0)), frm=3, now=1)
     assert recipients(out) == [[1]]
 
 
 def test_reply_without_reverse_path_is_dropped():
     node = make_node(me=2, neighbors=[1])
-    out = node.on_rrep(Rrep(dest=5, dest_seq=2, hop_count=0,
+    out = step(node.on_rrep, Rrep(dest=5, dest_seq=2, hop_count=0,
                             rreq_id=RreqId(3, 9)), frm=1, now=0)
     assert [d.reason for d in out if isinstance(d, Drop)] == ["no-reverse-path"]
 
@@ -294,7 +339,7 @@ def test_reply_without_reverse_path_is_dropped():
 def test_early_deadline_timer_from_superseded_attempt_is_ignored():
     node = make_node(neighbors=[1])
     node.send_data(5, 7, now=0)
-    assert node.on_discovery_timeout(5, now=5) == []
+    assert step(node.on_discovery_timeout, 5, now=5) == []
     assert 5 in node.pending_discoveries
 
 
@@ -302,7 +347,7 @@ def test_deadline_retries_with_a_fresh_request_id():
     node = make_node(neighbors=[1])
     node.send_data(5, 7, now=0)
     first_rid = node.pending_discoveries[5].rreq_id
-    out = node.on_discovery_timeout(5, now=12)
+    out = step(node.on_discovery_timeout, 5, now=12)
     assert sends(out)
     second_rid = node.pending_discoveries[5].rreq_id
     assert second_rid != first_rid
@@ -314,7 +359,7 @@ def test_retries_exhaust_into_failure_and_payload_drops():
     node = make_node(neighbors=[1], config=ProtocolConfig(max_retries=2))
     node.send_data(5, 7, now=0)
     node.on_discovery_timeout(5, now=12)
-    out = node.on_discovery_timeout(5, now=24)
+    out = step(node.on_discovery_timeout, 5, now=24)
     drops = [d for d in out if isinstance(d, Drop)]
     assert [d.reason for d in drops] == ["discovery-failed"]
     assert node.metrics.discoveries_failed == 1
@@ -335,7 +380,7 @@ def test_route_sweep_expires_on_the_boundary_tick():
 
 def test_hello_tick_greets_physical_peers_not_beliefs():
     node = make_node(neighbors=[1, 2])
-    out = node.on_hello_tick(now=10, link_peers=[3, 1])
+    out = step(node.on_hello_tick, now=10, link_peers=[1, 3])     # live peers, ascending
     hellos = sends(out)
     assert recipients(hellos) == [[1, 3]]
     assert all(isinstance(e.packet, Hello) for e in hellos)
@@ -344,7 +389,7 @@ def test_hello_tick_greets_physical_peers_not_beliefs():
 def test_silent_neighbor_is_pruned_strictly_after_timeout():
     node = make_node(neighbors=[1])
     node.neighbors[1] = 5
-    out = node.on_hello_tick(now=30, link_peers=[])   # 5 >= 30 - 25: keep
+    out = step(node.on_hello_tick, now=30, link_peers=[])   # 5 >= 30 - 25: keep
     assert 1 in node.neighbors and not sends(out)
     node.on_hello_tick(now=31, link_peers=[])          # 5 < 31 - 25: prune
     assert 1 not in node.neighbors
@@ -356,7 +401,7 @@ def test_link_break_reports_unexpired_routes_to_remaining_neighbors():
                                   expires_at=100)
     node.routes[6] = RoutingEntry(next_hop=2, hop_count=1, dest_seq=1,
                                   expires_at=100)
-    out = node.on_link_break(1, now=10)
+    out = step(node.on_link_break, 1, now=10)
     assert 5 not in node.routes and 6 in node.routes
     errs = [e for e in sends(out) if isinstance(e.packet, Rerr)]
     assert recipients(errs) == [[2, 3]]
@@ -367,7 +412,7 @@ def test_link_break_on_active_route_restarts_discovery():
     node = make_node(neighbors=[1, 2])
     node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100, active=True)
-    out = node.on_link_break(1, now=10)
+    out = step(node.on_link_break, 1, now=10)
     reqs = [e for e in sends(out) if isinstance(e.packet, Rreq)]
     assert reqs and 5 in node.pending_discoveries
 
@@ -378,7 +423,7 @@ def test_rerr_only_kills_routes_through_its_sender():
                                   expires_at=100)
     node.routes[6] = RoutingEntry(next_hop=2, hop_count=2, dest_seq=1,
                                   expires_at=100)
-    out = node.on_rerr(Rerr(((5, 5), (6, 2))), frm=1, now=10)
+    out = step(node.on_rerr, Rerr(((5, 5), (6, 2))), frm=1, now=10)
     assert 5 not in node.routes and 6 in node.routes
     onward = [e for e in sends(out) if isinstance(e.packet, Rerr)]
     assert recipients(onward) == [[2, 3]]
@@ -388,7 +433,7 @@ def test_rerr_only_kills_routes_through_its_sender():
 
 def test_rerr_for_unknown_routes_goes_nowhere():
     node = make_node(me=0, neighbors=[1, 2])
-    out = node.on_rerr(Rerr(((5, 5),)), frm=1, now=10)
+    out = step(node.on_rerr, Rerr(((5, 5),)), frm=1, now=10)
     assert not sends(out)
 
 
@@ -396,7 +441,7 @@ def test_rerr_on_active_route_restarts_discovery():
     node = make_node(me=0, neighbors=[1, 2])
     node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=4,
                                   expires_at=100, active=True)
-    out = node.on_rerr(Rerr(((5, 5),)), frm=1, now=10)
+    out = step(node.on_rerr, Rerr(((5, 5),)), frm=1, now=10)
     # the RERR goes on first, to every neighbor but its sender, then the RREQ floods
     assert [(type(e.packet), list(e.to)) for e in sends(out)] == [(Rerr, [2]), (Rreq, [1, 2])]
     assert sends(out)[1].packet.dest_seq_known == 5     # the RERR's sequence, remembered
@@ -404,8 +449,8 @@ def test_rerr_on_active_route_restarts_discovery():
 
 
 @pytest.mark.parametrize("lose", [
-    lambda node: node.on_link_break(1, now=60),
-    lambda node: node.on_rerr(Rerr(((5, 5),)), frm=1, now=60),
+    lambda node: step(node.on_link_break, 1, now=60),
+    lambda node: step(node.on_rerr, Rerr(((5, 5),)), frm=1, now=60),
 ], ids=["link-break", "rerr"])
 def test_expired_route_through_lost_neighbor_is_neither_reported_nor_rediscovered(lose):
     node = make_node(me=0, neighbors=[1, 2])
@@ -420,7 +465,7 @@ def test_rerr_with_older_sequence_keeps_the_higher_one():
     node.dest_seq_memory[5] = 7
     node.routes[5] = RoutingEntry(next_hop=1, hop_count=2, dest_seq=7,
                                   expires_at=100)
-    out = node.on_rerr(Rerr(((5, 3),)), frm=1, now=10)
+    out = step(node.on_rerr, Rerr(((5, 3),)), frm=1, now=10)
     assert node.dest_seq_memory[5] == 7
     assert [e.packet.unreachable for e in sends(out)] == [((5, 7),)]
 
@@ -431,26 +476,26 @@ def test_data_forwarding_and_dead_end():
     node = make_node(me=2, neighbors=[1, 3])
     node.routes[5] = RoutingEntry(next_hop=3, hop_count=1, dest_seq=1,
                                   expires_at=100)
-    ok = node.on_data(Data(0, 5, 7), frm=1, now=0)
+    ok = step(node.on_data, Data(0, 5, 7), frm=1, now=0)
     assert ok == [Send((3,), Data(0, 5, 7))]
-    dead = node.on_data(Data(0, 6, 8), frm=1, now=0)
+    dead = step(node.on_data, Data(0, 6, 8), frm=1, now=0)
     assert [d.reason for d in dead if isinstance(d, Drop)] == ["no-route"]
 
 
 def test_data_at_destination_goes_up():
     node = make_node(me=5)
-    assert node.on_data(Data(0, 5, 7), frm=4, now=0) == [DeliverUp(7, 0)]
+    assert step(node.on_data, Data(0, 5, 7), frm=4, now=0) == [DeliverUp(7, 0)]
 
 
 # --- strategy hooks -------------------------------------------------------
 
 def test_counter_strategy_defers_forwarding_one_tick():
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=CounterBased(max_copies=2))
-    out = node.on_rreq(make_rreq(), frm=1, now=5)
+    out = step(node.on_rreq, make_rreq(), frm=1, now=5)
     assert not sends(out)
     held = timers(out, ForwardDecision)
     assert held and held[0].at == 6
-    later = node.on_forward_decision(RreqId(3, 0), now=6)
+    later = step(node.on_forward_decision, RreqId(3, 0), now=6)
     assert recipients(later) == [[3, 4]]
 
 
@@ -458,21 +503,21 @@ def test_counter_strategy_suppresses_past_copy_budget():
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=CounterBased(max_copies=1))
     node.on_rreq(make_rreq(), frm=1, now=5)
     assert node.heard_before(make_rreq(), frm=3)   # second copy within the window
-    out = node.on_forward_decision(RreqId(3, 0), now=6)
+    out = step(node.on_forward_decision, RreqId(3, 0), now=6)
     assert not sends(out)
     assert node.metrics.suppressed_forwards == 2
 
 
 def test_stale_forward_decision_is_a_no_op():
     node = make_node(me=2, strategy=CounterBased())
-    assert node.on_forward_decision(RreqId(3, 9), now=6) == []
+    assert step(node.on_forward_decision, RreqId(3, 9), now=6) == []
 
 
 def test_connectivity_origin_opens_attempts_and_arms_sweep():
     state = ConnectivityState(Connectivity())
     node = make_node(neighbors=[1, 2], strategy=state.strategy,
                      connectivity=state)
-    out = node.send_data(5, 7, now=0)
+    out = step(node.send_data, 5, 7, now=0)
     assert recipients(out) == [[1, 2]]
     rid = node.pending_discoveries[5].rreq_id
     assert state._open == {rid: {(5, 1): state.peek(5, 1), (5, 2): state.peek(5, 2)}}
@@ -509,7 +554,7 @@ def test_connectivity_filter_suppresses_weak_links_at_relay():
     state.fail_pending(rid)                             # index 0.0 on link 3
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=strategy,
                      connectivity=state)
-    out = node.on_rreq(make_rreq(dest=5), frm=1, now=1)
+    out = step(node.on_rreq, make_rreq(dest=5), frm=1, now=1)
     assert recipients(out) == [[4]]
     assert node.metrics.suppressed_forwards == 1
 
@@ -529,7 +574,7 @@ def test_relay_flood_is_one_send_to_the_strategy_targets_in_order(name, monkeypa
         return chosen[-1]
     monkeypatch.setattr(node_module, "select_targets", select)
     node = make_node(me=2, neighbors=[6, 1, 4, 3], strategy=strategy, connectivity=state)
-    out = node.on_rreq(make_rreq(ttl=4, hop=1), frm=1, now=0)
+    out = step(node.on_rreq, make_rreq(ttl=4, hop=1), frm=1, now=0)
     assert chosen == [[3, 6] if name == "connectivity" else [3, 4, 6]]
     assert sends(out) == [Send(chosen[0], make_rreq(ttl=3, hop=2))]
     if state is not None:

@@ -324,8 +324,11 @@ def test_counter_forwards_iff_copies_within_budget(copies, budget):
 
 def test_distance_gate_uses_inclusive_minimum():
     s = DistanceBased(min_distance=10.0)
-    keep = select_targets(s, view(distance_to_previous=10.0), CANDIDATES, random.Random(0))
-    drop = select_targets(s, view(distance_to_previous=9.99), CANDIDATES, random.Random(0))
+    # the relay (node 7) works out its distance to the previous hop (node 0)
+    at = {7: (3.0, 4.0), 0: (9.0, 12.0)}.get
+    keep = select_targets(s, view(me=7, position_of=at), CANDIDATES, random.Random(0))
+    at = {7: (3.0, 4.0), 0: (9.0, 11.99)}.get
+    drop = select_targets(s, view(me=7, position_of=at), CANDIDATES, random.Random(0))
     assert keep == CANDIDATES and drop == []
 
 
