@@ -107,17 +107,17 @@ def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None,
     return node
 
 
-def sends(emissions):
-    return [e for e in emissions if isinstance(e, Send)]
+def sends(calls):
+    return [e for e in calls if isinstance(e, Send)]
 
 
-def recipients(emissions):
+def recipients(calls):
     """Each Send's recipients, in send order: one list per packet."""
-    return [list(e.to) for e in sends(emissions)]
+    return [list(e.to) for e in sends(calls)]
 
 
-def timers(emissions, kind=None):
-    out = [e for e in emissions if isinstance(e, SetTimer)]
+def timers(calls, kind=None):
+    out = [e for e in calls if isinstance(e, SetTimer)]
     if kind is not None:
         out = [e for e in out if isinstance(e.kind, kind)]
     return out
