@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, compare, trace, list. Exit codes: 0 success, 1 for bad
-arguments or scenario validation problems, 2 for failures at runtime.
+input, 2 for failures at runtime. Bad input raises `ValidationError` with a
+message that names the JSON path, flag, file or CSV line at fault.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import replace
 from .engine import Engine
 from .metrics import (
     CSV_COLUMNS,
-    EmptyComparison,
-    MalformedCsv,
     MetricsReport,
     compare,
     parse_run_csv,
@@ -23,33 +22,24 @@ from .metrics import (
 )
 from .scenario import (
     BUILTIN_NAMES,
-    ParseError,
     Scenario,
     UnknownScenario,
     builtin,
     parse_scenario,
     with_rounds,
 )
-from .suppression import ConfigError, Connectivity, strategy_from_token
+from .suppression import Connectivity, strategy_from_token
 from .wire import ValidationError
 
 # connectivity options: command-line name -> Connectivity field
 _KNOBS = {"mode": "mode", "alpha": "alpha", "threshold": "threshold", "warmup": "warmup_attempts"}
 
 
-class CliError(Exception):
-    """Bad input: unknown scenario, malformed strategy token, missing file."""
-
-
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; the contract reserves 2 for
     # runtime failures, so route usage problems through exit code 1 instead
     def error(self, message):
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 def build_parser() -> _Parser:
@@ -102,17 +92,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read(path: str, what: str) -> str:
+    """The text of a UTF-8 file; `what` names it in the missing-file message."""
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scenario:
     if not args.scenario:
-        raise CliError("--scenario is required")
+        raise ValidationError("--scenario is required")
     try:
         sc = builtin(args.scenario, seed=args.seed, rounds=args.rounds)
     except UnknownScenario:
-        path = args.scenario
-        if not os.path.exists(path):
-            raise CliError(f"scenario file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            sc = parse_scenario(fh.read())
+        sc = parse_scenario(_read(args.scenario, "scenario file"))
         if args.seed is not None:
             sc = replace(sc, seed=args.seed)
         if args.rounds is not None:
@@ -132,9 +129,9 @@ def reject_unused_knobs(args: argparse.Namespace, tokens: list[str | None]) -> N
     if not any(t and t.partition(":")[0] == Connectivity.token for t in tokens):
         for opt in _KNOBS:
             if getattr(args, opt) is not None:
-                raise CliError(f"--{opt} applies only to --strategy connectivity")
+                raise ValidationError(f"--{opt} applies only to --strategy connectivity")
     elif args.alpha is not None and args.mode not in ("ema", "blend"):
-        raise CliError("--alpha applies only to --mode ema or blend")
+        raise ValidationError("--alpha applies only to --mode ema or blend")
 
 
 # --- output helpers -------------------------------------------------------
@@ -223,24 +220,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.inputs:
         for flag in ("scenario", "strategies", "seed", "rounds"):
             if getattr(args, flag) is not None:
-                raise CliError(f"--inputs cannot be combined with --{flag}")
+                raise ValidationError(f"--inputs cannot be combined with --{flag}")
         reject_unused_knobs(args, [])
         labeled = []
         for path in args.inputs:
-            if not os.path.exists(path):
-                raise CliError(f"metrics file not found: {path}")
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read(path, "metrics file")
             try:
                 labeled.extend(parse_run_csv(text))
-            except MalformedCsv as exc:
-                raise CliError(f"{path}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
     else:
         if not args.strategies:
-            raise CliError("--strategies is required unless --inputs is given")
+            raise ValidationError("--strategies is required unless --inputs is given")
         tokens = [t.strip() for t in args.strategies.split(",") if t.strip()]
         if not tokens:
-            raise CliError("--strategies is empty")
+            raise ValidationError("--strategies is empty")
         reject_unused_knobs(args, tokens)
         base = load_scenario(args, None)
         labeled = []
@@ -284,16 +278,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"aodvsim: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, ParseError, ValidationError,
-            UnknownScenario, EmptyComparison) as exc:
+    except ValidationError as exc:
         print(f"aodvsim: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

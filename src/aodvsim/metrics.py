@@ -9,13 +9,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
-
-class EmptyComparison(Exception):
-    """compare() needs at least one report."""
-
-
-class MalformedCsv(ValueError):
-    """A metrics CSV that cannot be read back; the message names the line and column."""
+from .wire import ValidationError
 
 
 # CSV cell readers; a blank cell is an absent figure
@@ -240,7 +234,7 @@ def compare(labeled: list[tuple[str, Totals]]) -> ComparisonTable:
     row. Negative delta means fewer request transmissions than the baseline.
     """
     if not labeled:
-        raise EmptyComparison("nothing to compare")
+        raise ValidationError("nothing to compare")
     baseline, base = next((pair for pair in labeled if pair[0] == "flood"), labeled[0])
     rows = []
     for label, t in labeled:
@@ -260,17 +254,25 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
     mean latency; a required one may not be blank.
     """
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise EmptyComparison("empty CSV input")
-    missing = [c.name for c in COLUMNS if c.required and c.name not in reader.fieldnames]
+    try:    # a cell past csv's size limit; before Python 3.11, a NUL byte
+        header, end = reader.fieldnames, reader.reader.line_num
+        rows = [(row, reader.reader.line_num) for row in reader]
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValidationError("empty CSV input")
+    missing = [c.name for c in COLUMNS if c.required and c.name not in header]
     if missing:
-        raise MalformedCsv(f"CSV lacks required columns: {', '.join(missing)}")
+        raise ValidationError(f"CSV lacks required columns: {', '.join(missing)}")
     out: list[tuple[str, Totals]] = []
-    lines, end = text.split("\n"), reader.reader.line_num
-    for row in reader:
+    lines = text.split("\n")
+    for row, row_end in rows:
         # first non-blank line after the previous record, by the inner csv.reader's count
-        prev, end = end, reader.reader.line_num
+        prev, end = end, row_end
         line = next(n for n in range(prev + 1, end + 1) if lines[n - 1].strip("\r"))
+        if None in row:     # DictReader files the cells past the header's under None
+            raise ValidationError(f"line {line}: more cells than the header's {len(header)}, "
+                                  f"got {len(header) + len(row[None])}")
         values = []
         for c in _TOTALS:
             cell = row.get(c.name) or ""
@@ -279,11 +281,11 @@ def parse_run_csv(text: str) -> list[tuple[str, Totals]]:
                     raise ValueError("expected a value")
                 values.append(c.read(cell))
             except ValueError as exc:
-                raise MalformedCsv(f"line {line}, column {c.name}: "
-                                   f"{exc}, got {cell!r}") from None
+                raise ValidationError(f"line {line}, column {c.name}: "
+                                      f"{exc}, got {cell!r}") from None
         label = row[STRATEGY.name] or ""
         if not label.isprintable():     # a line break would split the text table
-            raise MalformedCsv(f"line {line}, column {STRATEGY.name}: "
-                               f"not printable, got {label!r}")
+            raise ValidationError(f"line {line}, column {STRATEGY.name}: "
+                                  f"not printable, got {label!r}")
         out.append((label, Totals._make(values)))
     return out

@@ -14,10 +14,6 @@ NodeId = int
 SeqNum = int
 
 
-class NotRelayable(Exception):
-    """Raised when a packet cannot legally be forwarded another hop."""
-
-
 class RreqId(NamedTuple):
     origin: NodeId
     num: int
@@ -71,15 +67,12 @@ class RoutingEntry:
 
 
 def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:
-    """One-hop forwarding transform: requests burn TTL, replies grow hop count."""
+    """One-hop forwarding transform: requests burn TTL, replies grow hop count.
+    `Node.on_rreq` drops a copy whose TTL is spent before it relays one."""
     if isinstance(packet, Rreq):
-        if packet.ttl < 1:
-            raise NotRelayable("request TTL exhausted")
         return Rreq(packet.rreq_id, packet.dest, packet.dest_seq_known,
                     packet.hop_count + 1, packet.ttl - 1)
-    if isinstance(packet, Rrep):
-        return Rrep(packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
-    raise TypeError(f"only requests and replies are relayed, got {type(packet).__name__}")
+    return Rrep(packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
 
 
 def summarize(packet: Packet) -> str:

@@ -21,6 +21,7 @@ from .suppression import (
     strategy_from_json,
 )
 from .wire import (
+    ValidationError,
     check,
     check_keys,
     check_one_of,
@@ -38,11 +39,7 @@ SCHEMA_VERSION = 1
 BUILTIN_NAMES = ["fig1", "fig1-tables", "ring-demo", "random-N"]
 
 
-class ParseError(Exception):
-    """The text is not valid JSON."""
-
-
-class UnknownScenario(Exception):
+class UnknownScenario(ValidationError):
     """No builtin by that name."""
 
 
@@ -201,10 +198,11 @@ def _parse_event(ev, path: str) -> LinkEvent | DropEvent:
 
 
 def parse_scenario(text: str) -> Scenario:
+    # a syntax error, an integer past Python's digit limit or nesting past its recursion limit
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from None
     raw = read_object(raw, "top level")
     allowed = {"schema", "name", "comment", "nodes", "links", "mobility",
                "events", "traffic", "strategy", "seed", "t_max", "flags", "params"}

@@ -15,11 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
 from .protocol import NodeId, RreqId
-from .wire import check, check_one_of, read_fields, read_object, require
-
-
-class ConfigError(Exception):
-    """A malformed or unknown strategy token."""
+from .wire import ValidationError, check, check_one_of, read_fields, read_object, require
 
 
 class InvariantViolation(Exception):
@@ -219,11 +215,11 @@ def strategy_from_token(token: str, knobs: dict | None = None) -> Strategy:
     name, _, args = token.partition(":")
     cls = next((s for s in STRATEGIES if s.token == name), None)
     if cls is None:
-        raise ConfigError(f"unknown strategy {token!r}")
+        raise ValidationError(f"unknown strategy {token!r}")
     try:
         return cls.from_token(args, knobs or {})
     except ValueError as exc:
-        raise ConfigError(f"bad strategy token {token!r}: {exc}") from exc
+        raise ValidationError(f"bad strategy token {token!r}: {exc}") from exc
 
 
 def strategy_from_json(obj, path: str) -> Strategy:

@@ -1,4 +1,4 @@
-"""Typed readers for the scenario JSON; every error names the JSON path."""
+"""Typed readers for the scenario JSON, and the one exception for bad input."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from typing import Sequence
 
 
 class ValidationError(Exception):
-    """The JSON is well-formed but not a valid scenario; message names the path."""
+    """The input is at fault; the message names the JSON path, command-line
+    flag, file or CSV line that is."""
 
 
 def check_keys(obj: dict, allowed: set[str], path: str) -> None:

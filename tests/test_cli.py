@@ -581,13 +581,40 @@ def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):
      "line 2, column strategy: not printable, got 'x\\ny'"),
     ('strategy,rreq_tx,discoveries_ok\nflood,3,1\n\r\n\n"x\ny",15,1\n',
      "line 5, column strategy: not printable, got 'x\\ny'"),
+    pytest.param(b"\xff\xfe", "not UTF-8 text: invalid start byte at byte 0", id="not-utf8"),
+    pytest.param("", "empty CSV input", id="empty"),
+    pytest.param("strategy,rreq_tx,discoveries_ok\nflood,1,1,extra\n",
+                 "line 2: more cells than the header's 3, got 4", id="extra-cell"),
+    pytest.param("strategy,rreq_tx,discoveries_ok\nflood,1," + "9" * 200_000,
+                 "line 2: field larger than field limit (131072)", id="huge-cell"),
 ])
 def test_unreadable_compare_input_exits_one_naming_the_file(tmp_path, capsys, text, where):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(text)
-    assert run_cli("compare", "--inputs", str(bad)) == 1
+    # a readable file first: the message names the file at fault, not the first
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("strategy,rreq_tx,discoveries_ok\nflood,1,1\n")
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert run_cli("compare", "--inputs", str(good), str(bad)) == 1
     err = capsys.readouterr().err
-    assert str(bad) in err and where in err
+    assert err.startswith(f"aodvsim: {bad}: ") and where in err
+
+
+# Python words the last two messages itself, differently across versions:
+# only their prefix is pinned
+@pytest.mark.parametrize("data,stderr", [
+    (b"\xff\xfe", "aodvsim: {path}: not UTF-8 text: invalid start byte at byte 0\n"),
+    (b"[" * 200_000, "aodvsim: invalid JSON: "),
+    (json.dumps(_scenario_doc()).replace('"t_max": 100', '"t_max": ' + "9" * 5000).encode(),
+     "aodvsim: invalid JSON: "),
+], ids=["not-utf8", "nested-200000-deep", "5000-digit-t_max"])
+def test_unreadable_scenario_file_exits_one(tmp_path, capsys, data, stderr):
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(data)
+    assert run_cli("run", "--scenario", str(scenario)) == 1
+    err = capsys.readouterr().err
+    if stderr.endswith("\n"):
+        assert err == stderr.format(path=scenario)
+    else:
+        assert err.startswith(stderr) and "internal error" not in err
 
 
 def test_blank_required_compare_cell_exits_one_with_its_message(tmp_path, capsys):

@@ -4,13 +4,13 @@ from aodvsim.engine import run
 from aodvsim.metrics import (
     COMPARISON_COLUMNS,
     CSV_COLUMNS,
-    EmptyComparison,
     MetricsReport,
     compare,
     parse_run_csv,
     rows_to_csv,
 )
 from aodvsim.scenario import builtin
+from aodvsim.wire import ValidationError
 
 from oracles import flood_replay
 
@@ -130,7 +130,7 @@ def test_compare_falls_back_to_first_row_without_flood():
 
 
 def test_compare_refuses_empty_input():
-    with pytest.raises(EmptyComparison):
+    with pytest.raises(ValidationError):
         compare([])
 
 
@@ -184,15 +184,15 @@ def test_parser_skips_blank_lines_between_records():
     text = "strategy,rreq_tx,discoveries_ok\nflood,3,1\n\nconnectivity,2,1\n"
     assert [label for label, _ in parse_run_csv(text)] == ["flood", "connectivity"]
     # the line count stays right past the blank line
-    with pytest.raises(ValueError, match="line 5, column rreq_tx"):
+    with pytest.raises(ValidationError, match="line 5, column rreq_tx"):
         parse_run_csv(text + "counter,abc,1\n")
 
 
 def test_parser_names_missing_columns():
-    with pytest.raises(ValueError, match="rreq_tx"):
+    with pytest.raises(ValidationError, match="rreq_tx"):
         parse_run_csv("strategy,discoveries_ok\nflood,1\n")
 
 
 def test_parser_rejects_empty_text():
-    with pytest.raises(EmptyComparison):
+    with pytest.raises(ValidationError):
         parse_run_csv("")

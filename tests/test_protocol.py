@@ -1,9 +1,6 @@
-import pytest
-
 from aodvsim.protocol import (
     Data,
     Hello,
-    NotRelayable,
     RoutingEntry,
     Rrep,
     RreqId,
@@ -37,21 +34,11 @@ def test_relay_transform_allows_ttl_one():
     assert out.ttl == 0
 
 
-def test_relay_transform_refuses_exhausted_ttl():
-    with pytest.raises(NotRelayable):
-        relay_transform(make_rreq(ttl=0))
-
-
 def test_relay_transform_reply_only_grows_hop():
     rep = Rrep(dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1))
     out = relay_transform(rep)
     assert out.hop_count == 2
     assert out.dest_seq == 4
-
-
-def test_relay_transform_rejects_other_packets():
-    with pytest.raises(TypeError):
-        relay_transform(Data(src=0, dst=1, payload_id=0))
 
 
 def test_routing_entry_defaults_inactive():

@@ -9,7 +9,6 @@ from aodvsim.scenario import (
     LinkEvent,
     LinkSpec,
     NodeSpec,
-    ParseError,
     Scenario,
     TrafficSpec,
     UnknownScenario,
@@ -158,7 +157,7 @@ def test_disagreeing_intermediate_reply_spellings_are_rejected():
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         parse_scenario("{nope")
 
 
