@@ -199,17 +199,20 @@ def test_repeat_copy_from_a_second_relay_in_a_diamond():
 
 
 def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
-    # b looks for c twice under connectivity with a one-tick attempt timeout:
-    # each flood's AttemptSweep lands on the tick of its delay-1 deliveries,
-    # after them. The reply releases both queued payloads on one tick. When
-    # b-c goes down, b's hello tick at 40 sends a HELLO, a RERR and a new
-    # flood to a (delay 1) and d (delay 2), in that order on each tick.
+    # b looks for c twice under connectivity with a one-tick discovery
+    # deadline: each flood's AttemptSweep and DiscoveryDeadline land on the
+    # tick of its delay-1 deliveries, after them and in that order, so the
+    # sweep has closed the flood's attempts before the deadline retries. The
+    # first reply releases both queued payloads on one tick. When b-c goes
+    # down, b's hello tick at 40 sends a HELLO, a RERR and a new flood to a
+    # (delay 1) and d (delay 2), in that order on each tick.
     sc = Scenario(
         name="burst",
         nodes=[NodeSpec(l) for l in "abcd"],
         links=[LinkSpec("a", "b", 1), LinkSpec("b", "c", 1), LinkSpec("b", "d", 2)],
         traffic=[TrafficSpec("b", "c"), TrafficSpec("b", "c", start=1)],
-        strategy=Connectivity(attempt_timeout=1),
+        strategy=Connectivity(),
+        params=ProtocolConfig(discovery_deadline=1),
         events=[LinkEvent(at=12, kind="link_down", a="b", b="c")],
         t_max=42,
     )
@@ -221,6 +224,7 @@ def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
         "1\ta\tdeliver\tfrom=b RREQ[1:0] dest=2 hop=0 ttl=4",
         "1\tc\tdeliver\tfrom=b RREQ[1:0] dest=2 hop=0 ttl=4",
         "1\tb\ttimer\tAttemptSweep",
+        "1\tb\ttimer\tDiscoveryDeadline",
         "1\tb\tdeliver\tfrom=a HELLO from=0",
         "1\ta\tdeliver\tfrom=b HELLO from=1",
         "1\tc\tdeliver\tfrom=b HELLO from=1",
@@ -229,21 +233,53 @@ def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
         "2\td\tdeliver\tfrom=b HELLO from=1",
         "2\tb\tdeliver\tfrom=d HELLO from=3",
         "2\tb\tdeliver\tfrom=c RREP[1:0] dest=2 hop=0 seq=1",
+        "2\ta\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "2\tc\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "2\tb\ttimer\tAttemptSweep",
+        "2\tb\ttimer\tDiscoveryDeadline",
+        "3\td\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
         "3\tc\tdeliver\tfrom=b DATA 1->2 id=0",
         "3\tc\tdeliver-up\tpayload=0 src=b",
         "3\tc\tdeliver\tfrom=b DATA 1->2 id=1",
         "3\tc\tdeliver-up\tpayload=1 src=b",
+        "3\tb\tdeliver\tfrom=c RREP[1:1] dest=2 hop=0 seq=2",
         "41\tb\tdeliver\tfrom=a HELLO from=0",
         "41\ta\tdeliver\tfrom=b HELLO from=1",
         "41\ta\tdeliver\tfrom=b RERR[2]",
-        "41\ta\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "41\ta\tdeliver\tfrom=b RREQ[1:2] dest=2 hop=0 ttl=4",
         "41\tb\ttimer\tAttemptSweep",
+        "41\tb\ttimer\tDiscoveryDeadline",
         "42\td\tdeliver\tfrom=b HELLO from=1",
         "42\td\tdeliver\tfrom=b RERR[2]",
-        "42\td\tdeliver\tfrom=b RREQ[1:1] dest=2 hop=0 ttl=4",
+        "42\td\tdeliver\tfrom=b RREQ[1:2] dest=2 hop=0 ttl=4",
         "42\tb\tdeliver\tfrom=d HELLO from=3",
+        "42\ta\tdeliver\tfrom=b RREQ[1:3] dest=2 hop=0 ttl=4",
+        "42\tb\ttimer\tAttemptSweep",
+        "42\tb\ttimer\tDiscoveryDeadline",
     ]
     assert rep.rerr_tx == 2 and rep.data_tx == 2
+
+
+def test_rounds_of_two_flows_on_one_tick_run_in_flow_order():
+    # a->d has rounds at 50 and 250, d->a at 0 and 250: on tick 250 the
+    # first flow's round runs first, though the second flow's first round
+    # ran earlier
+    sc = chain("abcd", traffic=[TrafficSpec("a", "d", start=50, spacing=200, rounds=2),
+                                TrafficSpec("d", "a", start=0, spacing=250, rounds=2)],
+               t_max=400)
+    buf = io.StringIO()
+    rep = run(sc, trace=buf)
+    assert [l for l in buf.getvalue().splitlines() if "\tinject\t" in l or "deliver-up" in l] == [
+        "0\td\tinject\tdest=a round=0",
+        "9\ta\tdeliver-up\tpayload=2 src=d",
+        "50\ta\tinject\tdest=d round=0",
+        "59\td\tdeliver-up\tpayload=0 src=a",
+        "250\ta\tinject\tdest=d round=1",
+        "250\td\tinject\tdest=a round=1",
+        "259\td\tdeliver-up\tpayload=1 src=a",
+        "259\ta\tdeliver-up\tpayload=3 src=d",
+    ]
+    assert rep.discoveries_ok == 4 and not rep.timed_out
 
 
 def test_same_scenario_same_results_bytewise():
