@@ -150,14 +150,6 @@ class Node:
         self.pending_discoveries: dict[NodeId, _Discovery] = {}
         self.dest_seq_memory: dict[NodeId, int] = {}
 
-    # -- derived constants
-
-    @property
-    def attempt_timeout(self) -> int:
-        """How long a connectivity attempt stays open; asked only when `conn` is set."""
-        timeout = self.conn.strategy.attempt_timeout
-        return self.config.deadline_for(self.node_count) if timeout is None else timeout
-
     # -- small helpers
 
     def valid_route(self, dest: NodeId, now: int) -> RoutingEntry | None:
@@ -225,7 +217,10 @@ class Node:
         if self.conn is not None:
             for t in targets:
                 self.conn.open_attempt(rreq.dest, t, rreq.rreq_id)
-            self.net.set_timer(self.me, now + self.attempt_timeout, AttemptSweep(rreq.rreq_id))
+            # open for one discovery deadline: at an originator this sweep is queued
+            # before its DiscoveryDeadline, so it closes the attempts on that tick first
+            self.net.set_timer(self.me, now + self.config.deadline_for(self.node_count),
+                               AttemptSweep(rreq.rreq_id))
 
     # -- request handling
 
@@ -336,8 +331,6 @@ class Node:
         disc = self.pending_discoveries.get(dest)
         if disc is None or now < disc.deadline_at:
             return   # resolved earlier, or a newer attempt reset the deadline
-        if self.conn is not None:
-            self.conn.fail_pending(disc.rreq_id)
         if disc.metrics_rec.attempts < self.config.max_retries:
             disc.metrics_rec.attempts += 1
             self._launch_attempt(disc, now)

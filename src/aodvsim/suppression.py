@@ -88,10 +88,7 @@ class Connectivity(Strategy):
     mode: str = "raw"               # raw | ema | blend
     alpha: float = 0.3
     threshold: float = 0.5
-    initial_index: float = 1.0
     warmup_attempts: int = 10
-    new_link_bonus: float = 0.1
-    attempt_timeout: int | None = None   # None: use the discovery deadline
 
     @classmethod
     def from_token(cls, args: str, knobs: dict) -> Connectivity:
@@ -109,13 +106,8 @@ class Connectivity(Strategy):
                 (self.mode == "raw" or 0.0 < self.alpha < 1.0, "alpha",
                  "must lie strictly between 0 and 1"),
                 (self.warmup_attempts >= 0, "warmup_attempts", "must be non-negative"),
-                (0.0 <= self.initial_index <= 1.0, "initial_index", "must lie in [0, 1]"),
                 # a negative threshold is the acceptance gate's never-suppress setting
-                (-math.inf < self.threshold <= 1.0, "threshold", "must be finite and at most 1"),
-                (0.0 <= self.new_link_bonus < math.inf, "new_link_bonus",
-                 "must be finite and >= 0"),
-                (self.attempt_timeout is None or self.attempt_timeout >= 1, "attempt_timeout",
-                 "must be >= 1")):
+                (-math.inf < self.threshold <= 1.0, "threshold", "must be finite and at most 1")):
             check(ok, f"strategy.{name}", rule, getattr(self, name))
 
     def select(self, view, candidates, rng):
@@ -232,12 +224,14 @@ def strategy_from_json(obj, path: str) -> Strategy:
 
 # --- connectivity index ---------------------------------------------------
 
-def raw_ratio(successes: int, attempts: int, initial: float) -> float:
-    """Successes over attempts; the configured initial value before any attempt."""
-    if attempts < 0 or successes < 0 or successes > attempts:
+NEW_LINK_BONUS = 0.1    # added to a new link's index when it carries a reply
+
+
+def raw_ratio(successes: int, attempts: int) -> float:
+    """Successes over attempts. An index moves only when an attempt closes,
+    so an empty ledger is as impossible as more successes than attempts."""
+    if attempts < 1 or successes < 0 or successes > attempts:
         raise InvariantViolation(f"bad attempt ledger: {successes}/{attempts}")
-    if attempts == 0:
-        return initial
     return successes / attempts
 
 
@@ -250,7 +244,7 @@ def ema_step(previous: float, outcome: float, alpha: float) -> float:
 class ConnectivityRecord:
     attempts: int = 0
     successes: int = 0
-    index: float = 1.0
+    index: float = 1.0      # before any attempt closes, every link is trusted
 
 
 class ConnectivityState:
@@ -275,8 +269,7 @@ class ConnectivityState:
         key = self._key(dest, neighbor)
         rec = self.records.get(key)
         if rec is None:
-            rec = ConnectivityRecord(index=self.strategy.initial_index)
-            self.records[key] = rec
+            rec = self.records[key] = ConnectivityRecord()
         return rec
 
     def peek(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord | None:
@@ -306,7 +299,7 @@ class ConnectivityState:
 
     def _recompute(self, rec: ConnectivityRecord, success: bool) -> None:
         cfg = self.strategy
-        ratio = raw_ratio(rec.successes, rec.attempts, cfg.initial_index)
+        ratio = raw_ratio(rec.successes, rec.attempts)
         if cfg.mode == "raw":
             rec.index = ratio
         elif cfg.mode == "ema":
@@ -327,7 +320,7 @@ class ConnectivityState:
     def boost_new_link(self, dest: NodeId, neighbor: NodeId) -> float:
         """Nudge a link that just (re)appeared and carried a successful discovery."""
         rec = self.record_for(dest, neighbor)
-        rec.index = min(1.0, rec.index + self.strategy.new_link_bonus)
+        rec.index = min(1.0, rec.index + NEW_LINK_BONUS)
         return rec.index
 
     def eligible(self, dest: NodeId, neighbor: NodeId) -> bool:

@@ -237,8 +237,7 @@ TOKENS = {
     "flood": ("flood", "flood", {"kind": "flood"}),
     "connectivity": ("connectivity", "connectivity", {
         "kind": "connectivity", "mode": "raw", "alpha": 0.3, "threshold": 0.5,
-        "initial_index": 1.0, "warmup_attempts": 10, "new_link_bonus": 0.1,
-        "attempt_timeout": None}),
+        "warmup_attempts": 10}),
     "probabilistic": ("probabilistic:0.25", "probabilistic-0.25",
                       {"kind": "probabilistic", "p": 0.25}),
     "counter": ("counter:4", "counter-4", {"kind": "counter", "max_copies": 4}),
@@ -409,7 +408,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"mobility": {**MOBILE, "pause": "x"}}, "mobility.pause"),
     ({"mobility": {**MOBILE, "range": "far"}}, "mobility.range"),
     ({"strategy": {"kind": "connectivity", "attempt_timeout": "x"}},
-     "strategy.attempt_timeout"),
+     "strategy: unknown field(s) attempt_timeout"),
     ({"strategy": {"kind": "probabilistic", "p": [1]}}, "strategy.p"),
     ({"flags": {"intermediate_reply": "no"}}, "flags.intermediate_reply"),
     ({"seed": "x"}, "seed"),
@@ -426,9 +425,10 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
                  {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
     ({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold"),
-    ({"strategy": {"kind": "connectivity", "new_link_bonus": -5}}, "new_link_bonus"),
-    ({"strategy": {"kind": "connectivity", "attempt_timeout": 0}}, "attempt_timeout"),
-    ({"strategy": {"kind": "connectivity", "attempt_timeout": -5}}, "attempt_timeout"),
+    ({"strategy": {"kind": "connectivity", "new_link_bonus": 0.1}}, "new_link_bonus"),
+    ({"strategy": {"kind": "connectivity", "attempt_timeout": 5}}, "attempt_timeout"),
+    ({"strategy": {"kind": "connectivity", "initial_index": 1.0, "attempt_timeout": None}},
+     "attempt_timeout"),
     ({"nodes": [{"name": "a", "pos": [float("nan"), 0]}, {"name": "b"}]}, "nodes[0].pos[0]"),
     ({"nodes": [{"name": "a"}, {"name": "b", "pos": [0, float("inf")]}]}, "nodes[1].pos[1]"),
     ({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]"),
@@ -498,6 +498,9 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     ({"schema": True}, "schema: expected an integer, got True"),
     ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
      "flags.intermediate_reply: must match params.intermediate_reply, got True"),
+    ({"strategy": {"kind": "connectivity", "initial_index": 1.0, "new_link_bonus": 0.1,
+                   "attempt_timeout": 5}},
+     "strategy: unknown field(s) attempt_timeout, initial_index, new_link_bonus"),
 ])
 def test_scenario_rejections_are_pinned(tmp_path, capsys, overrides, stderr):
     scenario = tmp_path / "bad.json"

@@ -28,7 +28,7 @@ STRATEGIES = [
     {"kind": "flood"},
     {"kind": "connectivity"},
     {"kind": "connectivity", "mode": "ema", "alpha": 0.3, "threshold": 0.4,
-     "warmup_attempts": 1, "new_link_bonus": 0.2, "attempt_timeout": 5},
+     "warmup_attempts": 1},
     {"kind": "probabilistic", "p": 0.5},
     {"kind": "counter", "max_copies": 2},
     {"kind": "distance", "min_distance": 10.0},
@@ -129,12 +129,10 @@ EXAMPLES = [
     tiny(params={"hello_interval": 0}),
     tiny(params={"max_retries": "two"}),
     tiny(links=[{"a": "a", "b": "b", "delay": "x"}]),
-    tiny(strategy={"kind": "connectivity", "attempt_timeout": "x"}),
     tiny(strategy={"kind": "connectivity", "threshold": 7}),
     tiny(strategy={"kind": "connectivity", "threshold": math.nan}),
-    tiny(strategy={"kind": "connectivity", "new_link_bonus": -5}),
-    tiny(strategy={"kind": "connectivity", "attempt_timeout": 0}),
-    tiny(strategy={"kind": "connectivity", "attempt_timeout": -5}),
+    tiny(strategy={"kind": "connectivity", "initial_index": 1.0, "new_link_bonus": 0.1,
+                   "attempt_timeout": 5}),
     tiny(nodes=[{"name": "a", "pos": [0, 0]}, {"name": "b", "pos": [3, 4]}],
          strategy={"kind": "distance", "min_distance": math.nan}),
     tiny(nodes=[{"name": "a", "pos": [math.nan, math.inf]}, {"name": "b"}]),

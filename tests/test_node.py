@@ -526,7 +526,7 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
 
 
 def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
-    strategy = Connectivity(warmup_attempts=0, new_link_bonus=0.1)
+    strategy = Connectivity(warmup_attempts=0)
     state = ConnectivityState(strategy)
     node = make_node(neighbors=[1], strategy=strategy, connectivity=state)
     # history: 9 attempts, 5 successes -> 5/9, barely over the bar

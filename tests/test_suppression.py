@@ -41,11 +41,6 @@ def test_config_rejects_degenerate_alpha_for_smoothing_modes():
     Connectivity(mode="raw", alpha=0.0).validate([])
 
 
-def test_config_rejects_bad_initial_index():
-    with pytest.raises(ValidationError):
-        Connectivity(initial_index=1.5).validate([])
-
-
 def test_strategy_labels():
     assert Flood().label == "flood"
     assert Connectivity().label == "connectivity"
@@ -57,16 +52,18 @@ def test_strategy_labels():
 
 # --- attempt ledger -------------------------------------------------------
 
-def test_raw_ratio_prefers_initial_before_any_attempt():
-    assert raw_ratio(0, 0, 0.8) == 0.8
-    assert raw_ratio(3, 4, 0.8) == 0.75
+def test_raw_ratio_rejects_an_empty_ledger():
+    # an index moves only when an attempt closes, so one was always opened
+    with pytest.raises(InvariantViolation):
+        raw_ratio(0, 0)
+    assert raw_ratio(3, 4) == 0.75
 
 
 def test_raw_ratio_rejects_impossible_ledgers():
     with pytest.raises(InvariantViolation):
-        raw_ratio(5, 4, 1.0)
+        raw_ratio(5, 4)
     with pytest.raises(InvariantViolation):
-        raw_ratio(-1, 4, 1.0)
+        raw_ratio(-1, 4)
 
 
 def test_attempts_count_at_open_not_at_resolution():
@@ -134,7 +131,7 @@ def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregat
 
 
 def test_boost_caps_at_one():
-    s = state(new_link_bonus=0.4)
+    s = state()
     rid = RreqId(0, 1)
     s.open_attempt(9, 1, rid)
     s.resolve_attempt(9, 1, rid, success=True)
@@ -142,7 +139,7 @@ def test_boost_caps_at_one():
 
 
 def test_boost_can_lift_a_link_back_over_the_threshold():
-    s = state(warmup_attempts=0, new_link_bonus=0.1)
+    s = state(warmup_attempts=0)
     outcomes = [True, False, False, True, True, True, False, True, False, False]
     for i, ok in enumerate(outcomes):
         rid = RreqId(0, i)
@@ -186,7 +183,7 @@ def attempt_scripts(draw):
 @given(attempt_scripts())
 def test_raw_index_refolds_to_success_over_opened_attempts(script):
     # the index moves only at resolutions; refold the log the same way
-    s = state(mode="raw", initial_index=1.0)
+    s = state(mode="raw")
     folded, opened, successes = 1.0, 0, 0
     for i, action in enumerate(script):
         rid = RreqId(0, i)
@@ -224,7 +221,7 @@ def test_index_stays_inside_unit_interval(script, mode, alpha):
        st.integers(min_value=0, max_value=60))
 @settings(max_examples=200)
 def test_ema_failures_decay_geometrically(alpha, k):
-    s = state(mode="ema", alpha=alpha, initial_index=1.0)
+    s = state(mode="ema", alpha=alpha)
     for i in range(k):
         rid = RreqId(0, i)
         s.open_attempt(9, 1, rid)
