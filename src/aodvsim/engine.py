@@ -24,7 +24,7 @@ from typing import Callable, Sequence, TextIO
 from .metrics import MetricsReport
 from .node import DiscoveryDeadline, Node, RouteSweep, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
-from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, pairs_in_range
+from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, TrafficSpec, pairs_in_range
 
 
 @dataclass
@@ -51,12 +51,12 @@ class Engine:
         self._seq = itertools.count()
         self._ids = ids = scenario.node_ids()
 
-        # link state: each node's live peers with their delay, the live pairs,
-        # and the configured delay for every known pair; pairs are keyed
-        # (low, high). Only apply_link_event changes a live link.
+        # link state: each node's live peers with their delay, the live pairs, and
+        # the configured delay for every listed pair (none under mobility); pairs
+        # are keyed (low, high). Only apply_link_event changes a live link.
         self._adj: list[dict[NodeId, int]] = [{} for _ in range(scenario.node_count)]
         self.base_delay: dict[tuple[NodeId, NodeId], int] = {}
-        for a, b, delay in scenario.links_by_id():
+        for a, b, delay in scenario.links_by_id() if scenario.mobility is None else ():
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
         self._live_pairs: set[tuple[NodeId, NodeId]] = set(self.base_delay)
@@ -95,14 +95,15 @@ class Engine:
                 self.loss_filter.add((ev.at, ids[ev.frm], ids[ev.to]))
             else:
                 self._push(ev.at, Engine._link_change, ev.kind, ids[ev.a], ids[ev.b])
+        # a flow has one round queued at a time, under the sequence number that
+        # is reserved here for its payload id: same-tick rounds run in flow order
+        self._round_base = base = next(self._seq)
         payload = 0
         for flow in scenario.traffic:
-            for r in range(flow.rounds):
-                at = flow.start + r * flow.spacing
-                self._push(at, Engine._inject, ids[flow.origin], ids[flow.dest], payload + r, r)
-                if at > scenario.t_max:
-                    break       # later rounds never run; this one marks the run as cut short
+            heapq.heappush(self._queue, (flow.start, base + payload, Engine._inject,
+                                         (flow, payload, 0)))
             payload += flow.rounds
+        self._seq = itertools.count(base + payload)
         # HELLO elision. On static links with no drop on a hello tick, a node
         # has heard every neighbor at most one interval before each of its
         # hello ticks, or still holds the tick-0 stamp that delay + interval
@@ -144,9 +145,6 @@ class Engine:
                 speed=rng.uniform(*spec.speed),
                 pause_left=0,
             )
-        # under mobility the link set is purely position-derived
-        self._adj = [{} for _ in range(self.scenario.node_count)]
-        self._live_pairs = set()
         self._recompute_links()
 
     # -- link handling
@@ -313,9 +311,13 @@ class Engine:
         if nxt <= self.scenario.t_max:
             self._push(nxt, Engine._hello_tick, node)
 
-    def _inject(self, node: NodeId, dest: NodeId, payload_id: int, round_index: int) -> None:
+    def _inject(self, flow: TrafficSpec, payload_id: int, round_index: int) -> None:
+        node, dest = self._ids[flow.origin], self._ids[flow.dest]
         if self.trace is not None:
             self._trace(node, "inject", f"dest={self._labels[dest]} round={round_index}")
+        if round_index + 1 < flow.rounds:   # one past t_max never runs: it marks a cut-short run
+            heapq.heappush(self._queue, (self.now + flow.spacing, self._round_base + payload_id + 1,
+                                         Engine._inject, (flow, payload_id + 1, round_index + 1)))
         self.nodes[node].send_data(dest, payload_id, self.now, round_index)
 
     def _link_change(self, kind: str, a: NodeId, b: NodeId) -> None:

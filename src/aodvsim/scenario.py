@@ -379,9 +379,12 @@ def builtin(name: str, seed: int | None = None, rounds: int | None = None) -> Sc
     elif name == "ring-demo":
         sc = _ring_demo(seed_value)
     else:
-        m = re.fullmatch(r"random-(\d+)", name)
+        m = re.fullmatch(r"random-0*(\d+)", name)
         if not m:
             raise UnknownScenario(f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
+        # the length first: int() refuses more than 4,300 digits
+        if len(m.group(1)) > 4 or int(m.group(1)) > 2000:
+            raise ValidationError(f"{name}: need at most 2000 nodes")
         sc = _random_geometric(int(m.group(1)), seed_value)
     return sc if rounds is None else with_rounds(sc, rounds)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import shlex
@@ -563,6 +564,27 @@ def test_random_builtin_below_two_nodes_exits_one_with_its_own_message(capsys, n
     assert run_cli("run", "--scenario", name) == 1
     n = name.removeprefix("random-")
     assert capsys.readouterr().err == f"aodvsim: {name}: need at least 2 nodes, got {n}\n"
+
+
+@pytest.mark.parametrize("digits", ["2001", "9" * 5000], ids=["2001", "5000-digits"])
+def test_random_builtin_above_2000_nodes_exits_one(capsys, digits):
+    # the 5,000-digit name is past Python's limit for int(), and meets the same rule
+    assert run_cli("run", "--scenario", f"random-{digits}") == 1
+    assert capsys.readouterr().err == f"aodvsim: random-{digits}: need at most 2000 nodes\n"
+
+
+def test_links_listed_under_mobility_are_ignored(tmp_path, capsys):
+    # positions alone make the links of a mobile scenario, at delay 1
+    doc = json.loads((Path(__file__).parent / "golden" / "waypoint.json").read_text())
+    every_pair = [{"a": a["name"], "b": b["name"], "delay": 5}
+                  for a, b in itertools.combinations(doc["nodes"], 2)]
+    outputs = []
+    for links in ([], every_pair):
+        scenario, csv = tmp_path / "waypoint.json", tmp_path / "waypoint.csv"
+        scenario.write_text(json.dumps({**doc, "links": links}))
+        assert run_cli("run", "--scenario", str(scenario), "--out", str(csv)) == 0
+        outputs.append((csv.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_huge_positions_do_not_overflow_distances(tmp_path, capsys):

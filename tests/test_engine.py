@@ -627,6 +627,12 @@ def test_each_failing_condition_keeps_hellos_per_packet(case):
     assert rep == traced
 
 
+def test_set_up_queues_one_round_per_flow():
+    # so set-up memory does not grow with the round count
+    few, many = Engine(builtin("fig1", rounds=10)), Engine(builtin("fig1", rounds=100_000))
+    assert len(few._queue) == len(many._queue)
+
+
 def test_finished_engine_with_queued_entries_needs_no_cycle_collector():
     # a queue entry names its handler as a plain function, so nothing queued
     # refers back to the engine and dropping the last reference frees it
