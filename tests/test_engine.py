@@ -381,6 +381,20 @@ def test_link_up_is_discovered_through_hellos():
     assert 2 in eng.nodes[0].neighbors
 
 
+def test_only_the_first_reply_over_a_returned_link_finds_it_new():
+    # A-D comes back at 5, and the first reply D sends A over it is dropped.
+    # A later reply finds the link new once; a second bonus would lift A's
+    # index toward D from 2/3 to 0.767.
+    sc = chain("SAD", traffic=[TrafficSpec("S", "D", start=10, rounds=3, spacing=30)],
+               t_max=120, strategy=Connectivity(warmup_attempts=100),
+               events=[LinkEvent(at=0, kind="link_down", a="A", b="D"),
+                       LinkEvent(at=5, kind="link_up", a="A", b="D"),
+                       DropEvent(at=12, frm="D", to="A")])
+    eng = Engine(sc)
+    eng.run()
+    assert eng.connectivity_index("A", "D", "D") == 2 / 3
+
+
 def test_truncation_flag_for_cut_short_discoveries():
     sc = chain("abc", t_max=2)      # reply cannot make it back in time
     rep = run(sc)
