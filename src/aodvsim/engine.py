@@ -81,7 +81,7 @@ class Engine:
                 node_count=scenario.node_count,
                 metrics=self.metrics,
                 rng=self.rng,
-                connectivity=scenario.strategy.node_state(scenario.per_neighbor_aggregate),
+                connectivity=scenario.strategy.node_state(),
                 position_of=self.positions.get if self.positions else None,
             ))
         for a, peers in enumerate(self._adj):
@@ -256,7 +256,7 @@ class Engine:
             dist = math.hypot(dx, dy)
             if dist <= m.speed:
                 self.positions[i] = m.waypoint
-                m.pause_left = max(1, spec.pause)
+                m.pause_left = spec.pause
             else:
                 self.positions[i] = (x + dx / dist * m.speed, y + dy / dist * m.speed)
 
@@ -368,7 +368,7 @@ class Engine:
 def _cuts_short(entry: tuple) -> bool:
     """Whether a queued entry left at t_max means the run was cut short: a
     delivery other than HELLO, an inject, or a timer other than the route
-    sweep and the discovery deadline (run() flags an open discovery itself)."""
+    sweep and the discovery deadline (run() marks an open discovery itself)."""
     _, _, handler, args = entry
     if handler is Engine._deliver:
         return type(args[1]) is not Hello

@@ -25,7 +25,6 @@ from .wire import (
     check,
     check_keys,
     check_one_of,
-    read_bool,
     read_fields,
     read_int,
     read_list,
@@ -99,7 +98,6 @@ class Scenario:
     events: tuple[LinkEvent | DropEvent, ...] = ()             # in JSON order
     seed: int = 0
     t_max: int = 1000
-    per_neighbor_aggregate: bool = False
     params: ProtocolConfig = field(default_factory=ProtocolConfig)
     comment: str = ""
 
@@ -166,7 +164,7 @@ class Scenario:
                     (0 <= m.speed[0] <= m.speed[1], "speed", "need 0 <= min <= max", list(m.speed)),
                     (m.radio_range > 0, "range", "must be > 0", m.radio_range),
                     (m.area[0] > 0 and m.area[1] > 0, "area", "both sides must be > 0", list(m.area)),
-                    (m.pause >= 0, "pause", "must be >= 0", m.pause)):
+                    (m.pause >= 1, "pause", "must be >= 1", m.pause)):
                 check(ok, f"mobility.{key}", rule, value)
         # params first: the traffic checks below use the discovery deadline
         for f in fields(ProtocolConfig):
@@ -205,7 +203,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"invalid JSON: {exc}") from None
     raw = read_object(raw, "top level")
     allowed = {"schema", "name", "comment", "nodes", "links", "mobility",
-               "events", "traffic", "strategy", "seed", "t_max", "flags", "params"}
+               "events", "traffic", "strategy", "seed", "t_max", "params"}
     check_keys(raw, allowed, "top level")
     schema = read_int(require(raw, "schema", "top level"), "schema")
     check(schema == SCHEMA_VERSION, "schema", f"must be {SCHEMA_VERSION}", schema)
@@ -220,11 +218,8 @@ def parse_scenario(text: str) -> Scenario:
     if "mobility" in raw:
         m = read_object(raw["mobility"], "mobility")
         model = require(m, "model", "mobility")
-        check_one_of(model, ("static", "random_waypoint"), "mobility.model")
-        if model == "static":
-            check_keys(m, {"model"}, "mobility")
-        else:
-            mobility = RandomWaypoint(**read_fields(RandomWaypoint, m, "mobility", ("model",)))
+        check(model == "random_waypoint", "mobility.model", "must be random_waypoint", model)
+        mobility = RandomWaypoint(**read_fields(RandomWaypoint, m, "mobility", ("model",)))
 
     events = [_parse_event(ev, f"events[{i}]")
               for i, ev in enumerate(read_list(raw.get("events", []), "events"))]
@@ -236,15 +231,7 @@ def parse_scenario(text: str) -> Scenario:
     if "strategy" in raw:
         strategy = strategy_from_json(raw["strategy"], "strategy")
 
-    flags = read_object(raw.get("flags", {}), "flags")
-    check_keys(flags, {"intermediate_reply", "per_neighbor_aggregate"}, "flags")
     params = read_fields(ProtocolConfig, raw.get("params", {}), "params")
-    # two spellings of one setting: flags.intermediate_reply and params.intermediate_reply
-    if "intermediate_reply" in flags:
-        reply = read_bool(flags["intermediate_reply"], "flags.intermediate_reply")
-        check(params.setdefault("intermediate_reply", reply) == reply,
-              "flags.intermediate_reply", "must match params.intermediate_reply", reply)
-
     return Scenario(
         name=read_str(require(raw, "name", "top level"), "name"),
         comment=read_str(raw.get("comment", ""), "comment"),
@@ -256,8 +243,6 @@ def parse_scenario(text: str) -> Scenario:
         strategy=strategy,
         seed=read_int(raw.get("seed", 0), "seed"),
         t_max=read_int(require(raw, "t_max", "top level"), "t_max"),
-        per_neighbor_aggregate=read_bool(flags.get("per_neighbor_aggregate", False),
-                                         "flags.per_neighbor_aggregate"),
         params=ProtocolConfig(**params),
     )
 

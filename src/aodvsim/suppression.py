@@ -69,7 +69,7 @@ class Strategy:
         """TTL for the given (0-based) attempt; network-wide by default."""
         return node_count
 
-    def node_state(self, per_neighbor_aggregate: bool) -> ConnectivityState | None:
+    def node_state(self) -> ConnectivityState | None:
         """Per-node statistics the strategy keeps, if any."""
         return None
 
@@ -114,8 +114,8 @@ class Connectivity(Strategy):
         state = view.connectivity
         return [n for n in candidates if state.eligible(view.dest, n)]
 
-    def node_state(self, per_neighbor_aggregate):
-        return ConnectivityState(self, per_neighbor_aggregate)
+    def node_state(self):
+        return ConnectivityState(self)
 
 
 class _RelayFilter(Strategy):
@@ -248,46 +248,36 @@ class ConnectivityRecord:
 
 
 class ConnectivityState:
-    """Per-node table of link statistics, keyed by (destination, neighbor).
+    """Per-node table of link statistics, keyed by (destination, neighbor)."""
 
-    With per_neighbor_aggregate set, statistics pool across destinations and
-    the key collapses to the neighbor alone.
-    """
-
-    def __init__(self, strategy: Connectivity, per_neighbor_aggregate: bool = False):
+    def __init__(self, strategy: Connectivity):
         self.strategy = strategy        # its settings
-        self.aggregate = per_neighbor_aggregate
-        self.records: dict[tuple, ConnectivityRecord] = {}
+        self.records: dict[tuple[NodeId, NodeId], ConnectivityRecord] = {}
         # the open attempts: per request, the records it is still waiting on,
         # in the order it opened them
-        self._open: dict[RreqId, dict[tuple, ConnectivityRecord]] = {}
-
-    def _key(self, dest: NodeId, neighbor: NodeId) -> tuple:
-        return (neighbor,) if self.aggregate else (dest, neighbor)
+        self._open: dict[RreqId, dict[tuple[NodeId, NodeId], ConnectivityRecord]] = {}
 
     def record_for(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord:
-        key = self._key(dest, neighbor)
-        rec = self.records.get(key)
+        rec = self.records.get((dest, neighbor))
         if rec is None:
-            rec = self.records[key] = ConnectivityRecord()
+            rec = self.records[dest, neighbor] = ConnectivityRecord()
         return rec
 
     def peek(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord | None:
-        return self.records.get(self._key(dest, neighbor))
+        return self.records.get((dest, neighbor))
 
     def open_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId) -> None:
         """Attempts count when the request leaves; the index moves at resolution."""
-        key = self._key(dest, neighbor)
         opened = self._open.setdefault(rreq_id, {})
-        if key in opened:
+        if (dest, neighbor) in opened:
             raise InvariantViolation(f"attempt {rreq_id} already open toward {neighbor}")
-        rec = opened[key] = self.record_for(dest, neighbor)
+        rec = opened[dest, neighbor] = self.record_for(dest, neighbor)
         rec.attempts += 1
 
     def resolve_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, success: bool) -> bool:
         """Close one attempt; returns False (no-op) when nothing was pending."""
         opened = self._open.get(rreq_id, {})
-        rec = opened.pop(self._key(dest, neighbor), None)
+        rec = opened.pop((dest, neighbor), None)
         if rec is None:
             return False   # late or unknown reply; ignore
         if not opened:
@@ -332,10 +322,10 @@ class ConnectivityState:
         return rec.index > self.strategy.threshold
 
     def snapshot(self, dest: NodeId | None = None) -> dict[tuple, tuple[int, int, float]]:
-        """(attempts, successes, index) per key, optionally for one destination."""
+        """(attempts, successes, index) per (dest, neighbor), optionally for one destination."""
         out = {}
         for key, rec in sorted(self.records.items()):
-            if dest is not None and not self.aggregate and key[0] != dest:
+            if dest is not None and key[0] != dest:
                 continue
             out[key] = (rec.attempts, rec.successes, rec.index)
         return out

@@ -411,7 +411,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"strategy": {"kind": "connectivity", "attempt_timeout": "x"}},
      "strategy: unknown field(s) attempt_timeout"),
     ({"strategy": {"kind": "probabilistic", "p": [1]}}, "strategy.p"),
-    ({"flags": {"intermediate_reply": "no"}}, "flags.intermediate_reply"),
+    ({"flags": {"intermediate_reply": "no"}}, "top level: unknown field(s) flags"),
     ({"seed": "x"}, "seed"),
     ({"events": 7}, "events"),
     ({"params": {"hello_interval": 0}}, "params.hello_interval"),
@@ -422,7 +422,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"params": {"discovery_deadline": "x"},
       "traffic": [{"origin": "a", "dest": "b", "rounds": 2}]}, "params.discovery_deadline"),
     ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
-     "flags.intermediate_reply: must match params.intermediate_reply"),
+     "top level: unknown field(s) flags"),
     ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
                  {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
     ({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold"),
@@ -442,7 +442,7 @@ MOBILE = {"model": "random_waypoint", "area": [50, 50]}
     ({"mobility": {**MOBILE, "range": -1}}, "mobility.range: must be > 0"),
     ({"mobility": {**MOBILE, "area": [0, 0]}}, "mobility.area: both sides must be > 0"),
     ({"mobility": {**MOBILE, "area": [-10, 50]}}, "mobility.area: both sides must be > 0"),
-    ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 0"),
+    ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 1"),
     ({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable"),
     ({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable"),
     ({"name": "two\nlines"}, "name: not printable, got 'two\\nlines'"),
@@ -491,14 +491,15 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
      "traffic[0].spacing: must be >= 16 so that discovery rounds do not overlap, got 10"),
     ({"t_max": 0}, "t_max: must be >= 1, got 0"),
     ({"mobility": {"model": "teleport"}},
-     "mobility.model: must be static or random_waypoint, got 'teleport'"),
-    ({"mobility": {"model": "static", "area": [50, 50]}}, "mobility: unknown field(s) area"),
+     "mobility.model: must be random_waypoint, got 'teleport'"),
+    ({"mobility": {"model": "static", "area": [50, 50]}},
+     "mobility.model: must be random_waypoint, got 'static'"),
     ({"events": [{"kind": "teleport", "at": 1}]},
      "events[0].kind: must be link_up, link_down or drop, got 'teleport'"),
     ({"schema": 2}, "schema: must be 1, got 2"),
     ({"schema": True}, "schema: expected an integer, got True"),
     ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
-     "flags.intermediate_reply: must match params.intermediate_reply, got True"),
+     "top level: unknown field(s) flags"),
     ({"strategy": {"kind": "connectivity", "initial_index": 1.0, "new_link_bonus": 0.1,
                    "attempt_timeout": 5}},
      "strategy: unknown field(s) attempt_timeout, initial_index, new_link_bonus"),

@@ -443,11 +443,10 @@ def test_each_node_holds_the_state_its_strategy_needs(name):
     for cls in STRATEGIES:
         if cls is DistanceBased and base.nodes[0].pos is None:
             continue            # rejected when built: the builtin has no positions
-        sc = replace(base, strategy=cls(), per_neighbor_aggregate=name == "ring-demo")
+        sc = replace(base, strategy=cls())
         states = [node.conn for node in Engine(sc).nodes]
         if cls is Connectivity:
-            assert all(type(s) is ConnectivityState and s.strategy is sc.strategy
-                       and s.aggregate == sc.per_neighbor_aggregate for s in states)
+            assert all(type(s) is ConnectivityState and s.strategy is sc.strategy for s in states)
             assert len(set(map(id, states))) == len(states)     # one table per node
         else:
             assert states == [None] * len(states)
@@ -551,7 +550,7 @@ def _links_track_positions(sc: Scenario) -> int:
 _STILL = Scenario(name="still", nodes=[NodeSpec("a", (0.0, 0.0)), NodeSpec("b", (15.0, 20.0)),
                                        NodeSpec("c", (30.0, 40.000001))],
                   links=[], traffic=[TrafficSpec("a", "c")], t_max=30,
-                  mobility=RandomWaypoint(area=(60.0, 60.0), speed=(0.0, 0.0), pause=0,
+                  mobility=RandomWaypoint(area=(60.0, 60.0), speed=(0.0, 0.0), pause=1,
                                           radio_range=25.0),
                   events=[LinkEvent(5, "link_down", "a", "b"), LinkEvent(5, "link_up", "b", "c")])
 

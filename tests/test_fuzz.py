@@ -75,12 +75,11 @@ def valid_scenarios(draw) -> dict:
     if draw(st.booleans()):
         doc["mobility"] = {"model": "random_waypoint", "area": [60, 60],
                            "speed": draw(st.sampled_from([[1, 4], [0, 0]])),
-                           "pause": draw(st.sampled_from([3, 0])), "range": 30}
+                           "pause": draw(st.sampled_from([3, 1])), "range": 30}
     if draw(st.booleans()):
         doc["params"] = {"hello_interval": draw(st.integers(1, 20)),
-                         "max_retries": draw(st.integers(1, 3))}
-    if draw(st.booleans()):
-        doc["flags"] = {"intermediate_reply": draw(st.booleans())}
+                         "max_retries": draw(st.integers(1, 3)),
+                         "intermediate_reply": draw(st.booleans())}
     return doc
 
 

@@ -46,7 +46,7 @@ def corpus() -> list[tuple[str, str]]:
     entries += [("mixed.json", st) for st in STRATEGIES]
     entries += [("overrun.json", st) for st in STRATEGIES]
     entries += [("fig1-tables", f"{TUNED} --mode {mode}") for mode in ("ema", "blend")]
-    entries += [("aggregate.json", OWN), ("own-connectivity.json", OWN)]
+    entries += [("own-connectivity.json", OWN)]
     # the distance strategy on a builtin with positions, and a file under a given seed
     entries += [("random-20", "distance:20"), ("mixed.json", "flood --seed 3")]
     # a file that sets params and turns intermediate replies off

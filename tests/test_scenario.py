@@ -118,14 +118,12 @@ def test_parse_minimal_scenario_fills_defaults():
     assert sc.params.hello_interval == 10
 
 
-def test_parse_reads_params_and_flags():
+def test_parse_reads_params():
     sc = parse_scenario(minimal_json(
-        params={"route_lifetime": 80, "max_retries": 3},
-        flags={"intermediate_reply": False, "per_neighbor_aggregate": True},
-    ))
+        params={"route_lifetime": 80, "max_retries": 3, "intermediate_reply": False}))
     assert sc.params.route_lifetime == 80
+    assert sc.params.max_retries == 3
     assert not sc.params.intermediate_reply
-    assert sc.per_neighbor_aggregate
 
 
 # chain a-b-c-d: b finds d first, so a's later request meets b's fresh route
@@ -137,23 +135,11 @@ CHAIN = dict(nodes=[{"name": n} for n in "abcd"],
 
 @pytest.mark.parametrize("spelling,rrep_tx", [
     ({}, 3),
-    ({"flags": {"intermediate_reply": False}}, 5),
     ({"params": {"intermediate_reply": False}}, 5),
-    ({"flags": {"intermediate_reply": False},
-      "params": {"intermediate_reply": False}}, 5),
 ])
 def test_both_intermediate_reply_spellings_take_effect(spelling, rrep_tx):
     sc = parse_scenario(minimal_json(**CHAIN, **spelling))
     assert run(sc).rrep_tx == rrep_tx
-
-
-def test_disagreeing_intermediate_reply_spellings_are_rejected():
-    doc = minimal_json(flags={"intermediate_reply": True},
-                       params={"intermediate_reply": False})
-    with pytest.raises(ValidationError) as exc:
-        parse_scenario(doc)
-    assert str(exc.value) == ("flags.intermediate_reply: must match "
-                              "params.intermediate_reply, got True")
 
 
 def test_parse_rejects_malformed_json():
@@ -172,6 +158,8 @@ def test_parse_rejects_unknown_fields_with_a_path():
         parse_scenario(minimal_json(extra=1))
     with pytest.raises(ValidationError, match=r"nodes\[1\]"):
         parse_scenario(minimal_json(nodes=[{"name": "a"}, {"name": "b", "x": 0}]))
+    with pytest.raises(ValidationError, match=r"^top level: unknown field\(s\) flags$"):
+        parse_scenario(minimal_json(flags={"intermediate_reply": False}))
 
 
 def test_parse_rejects_unknown_strategy_kind():

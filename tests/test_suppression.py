@@ -110,9 +110,8 @@ def test_fail_pending_closes_every_record_for_that_request():
     assert s._open == {}
 
 
-@pytest.mark.parametrize("aggregate", [False, True])
-def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregate):
-    s = ConnectivityState(Connectivity(), per_neighbor_aggregate=aggregate)
+def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone():
+    s = ConnectivityState(Connectivity())
     r, other = RreqId(0, 1), RreqId(3, 1)
     s.open_attempt(9, 1, r)
     s.open_attempt(9, 2, r)
@@ -122,8 +121,8 @@ def test_fail_pending_leaves_other_requests_and_resolved_attempts_alone(aggregat
     s.resolve_attempt(9, 2, r, success=True)
     before = s.snapshot()
     s.fail_pending(r)
-    assert s._open == {other: {s._key(7, 1): s.peek(7, 1), s._key(7, 4): s.peek(7, 4)}}
-    assert s.peek(9, 2).index == before[s._key(9, 2)][2]    # already resolved: untouched
+    assert s._open == {other: {(7, 1): s.peek(7, 1), (7, 4): s.peek(7, 4)}}
+    assert s.peek(9, 2).index == before[9, 2][2]            # already resolved: untouched
     assert s.peek(8, 3).index == 0.0
     after = s.snapshot()
     s.fail_pending(r)                                       # nothing left to close
@@ -150,14 +149,6 @@ def test_boost_can_lift_a_link_back_over_the_threshold():
     s.boost_new_link(9, 1)
     assert s.peek(9, 1).index == pytest.approx(0.6)
     assert s.eligible(9, 1)
-
-
-def test_aggregate_mode_pools_destinations():
-    s = ConnectivityState(Connectivity(), per_neighbor_aggregate=True)
-    s.open_attempt(9, 1, RreqId(0, 1))
-    s.open_attempt(5, 1, RreqId(0, 2))
-    assert s.peek(9, 1) is s.peek(5, 1)
-    assert s.peek(9, 1).attempts == 2
 
 
 def test_snapshot_filters_by_destination():
