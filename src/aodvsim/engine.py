@@ -24,7 +24,7 @@ from typing import Callable, Sequence, TextIO
 from .metrics import MetricsReport
 from .node import DiscoveryDeadline, Node, RouteSweep, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
-from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, TrafficSpec, pairs_in_range
+from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, TrafficSpec
 
 
 @dataclass
@@ -65,7 +65,7 @@ class Engine:
 
         self.positions: dict[NodeId, tuple[float, float]] = {
             i: n.pos for i, n in enumerate(scenario.nodes) if n.pos is not None}
-        self._motion: dict[NodeId, _Motion] | None = None
+        self._motion: list[_Motion] | None = None     # by node id
         if scenario.mobility is not None:
             self._init_mobility(scenario.mobility)
 
@@ -136,15 +136,15 @@ class Engine:
         self._mobility_rng = random.Random(self.scenario.seed ^ 0x5F5E1)
         rng = self._mobility_rng
         w, h = spec.area
-        self._motion = {}
+        self._motion = []
         for i in range(self.scenario.node_count):
             if i not in self.positions:
                 self.positions[i] = (rng.uniform(0, w), rng.uniform(0, h))
-            self._motion[i] = _Motion(
+            self._motion.append(_Motion(
                 waypoint=(rng.uniform(0, w), rng.uniform(0, h)),
                 speed=rng.uniform(*spec.speed),
                 pause_left=0,
-            )
+            ))
         self._recompute_links()
 
     # -- link handling
@@ -227,23 +227,39 @@ class Engine:
     # -- mobility
 
     def _recompute_links(self) -> None:
-        pos = [self.positions[i] for i in range(self.scenario.node_count)]
-        wanted = set(pairs_in_range(pos, self._mobility_spec.radio_range))
-        for a, b in sorted(self._live_pairs - wanted):
-            self.apply_link_event("link_down", a, b)
-            if self.trace is not None:
-                self._trace(a, "link-down", f"range {self._labels[b]}")
-        for a, b in sorted(wanted - self._live_pairs):
-            self.apply_link_event("link_up", a, b)
-            if self.trace is not None:
-                self._trace(a, "link-up", f"range {self._labels[b]}")
+        """Bring the links in line with the positions, exactly as
+        `pairs_in_range` would build them. Each live pair is retested and goes
+        down when more than the radio range apart. New links are looked for in
+        a sweep over the nodes in x order that skips linked pairs and stops at
+        an x gap above the range, which means a distance above it: a live pair
+        the sweep never reaches has been handled by the retest."""
+        r = self._mobility_spec.radio_range
+        pos, adj, hypot = self.positions, self._adj, math.hypot
+        down = []
+        for a, b in self._live_pairs:
+            (xa, ya), (xb, yb) = pos[a], pos[b]
+            if hypot(xa - xb, ya - yb) > r:
+                down.append((a, b))
+        up = []
+        by_x = sorted([(x, y, i) for i, (x, y) in pos.items()])
+        for k, (xi, yi, i) in enumerate(by_x):
+            linked = adj[i]
+            for xj, yj, j in by_x[k + 1:]:
+                if xj - xi > r:
+                    break
+                if j not in linked and hypot(xj - xi, yi - yj) <= r:
+                    up.append((i, j) if i < j else (j, i))
+        for kind, pairs in (("link_down", sorted(down)), ("link_up", sorted(up))):
+            for a, b in pairs:
+                self.apply_link_event(kind, a, b)
+                if self.trace is not None:
+                    self._trace(a, kind.replace("_", "-"), f"range {self._labels[b]}")
 
     def _advance_motion(self) -> None:
         rng = self._mobility_rng
         spec = self._mobility_spec
         w, h = spec.area
-        for i in sorted(self._motion):
-            m = self._motion[i]
+        for i, m in enumerate(self._motion):
             if m.pause_left > 0:
                 m.pause_left -= 1
                 if m.pause_left == 0:

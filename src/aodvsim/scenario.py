@@ -250,7 +250,9 @@ def parse_scenario(text: str) -> Scenario:
 def pairs_in_range(positions: list[tuple[float, float]],
                    radio_range: float) -> list[tuple[int, int]]:
     """Every pair (i, j), i < j, of positions at most `radio_range` apart,
-    in ascending order: the radio links of a geometric graph."""
+    in ascending order: the radio links of a geometric graph. The reference
+    rule: it builds `random-N`'s links, and a test checks the engine's links
+    under mobility against it on every tick."""
     pairs = []
     for i, (xi, yi) in enumerate(positions):
         for j, (xj, yj) in enumerate(positions[i + 1:], i + 1):

@@ -398,65 +398,119 @@ def _scenario_doc(**overrides):
 MOBILE = {"model": "random_waypoint", "area": [50, 50]}
 
 
+# every row keeps the id it was first collected under, so re-pinning or deleting
+# a row renames no other test; a new row takes the next unused number
 @pytest.mark.parametrize("overrides,path", [
-    ({"links": [{"a": "a", "b": "b", "delay": "x"}]}, "links[0].delay"),
-    ({"events": [{"kind": "link_down", "at": "soon", "a": "a", "b": "b"}]}, "events[0].at"),
-    ({"events": [{"kind": "drop", "at": 1.5, "from": "a", "to": "b"}]}, "events[0].at"),
-    ({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]}, "events[0]"),
-    ({"traffic": [{"origin": "a", "dest": "b", "start": "x"}]}, "traffic[0].start"),
-    ({"traffic": [{"origin": "a", "dest": "b", "rounds": "two"}]}, "traffic[0].rounds"),
-    ({"traffic": [{"origin": "a", "dest": "b", "spacing": None}]}, "traffic[0].spacing"),
-    ({"mobility": {**MOBILE, "pause": "x"}}, "mobility.pause"),
-    ({"mobility": {**MOBILE, "range": "far"}}, "mobility.range"),
-    ({"strategy": {"kind": "connectivity", "attempt_timeout": "x"}},
-     "strategy: unknown field(s) attempt_timeout"),
-    ({"strategy": {"kind": "probabilistic", "p": [1]}}, "strategy.p"),
-    ({"flags": {"intermediate_reply": "no"}}, "top level: unknown field(s) flags"),
-    ({"seed": "x"}, "seed"),
-    ({"events": 7}, "events"),
-    ({"params": {"hello_interval": 0}}, "params.hello_interval"),
-    ({"params": {"max_retries": "two"}}, "params.max_retries"),
-    ({"params": {"route_lifetime": True}}, "params.route_lifetime"),
-    ({"params": {"discovery_deadline": -5}}, "params.discovery_deadline"),
-    ({"params": {"intermediate_reply": 1}}, "params.intermediate_reply"),
-    ({"params": {"discovery_deadline": "x"},
-      "traffic": [{"origin": "a", "dest": "b", "rounds": 2}]}, "params.discovery_deadline"),
-    ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
-     "top level: unknown field(s) flags"),
-    ({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
-                 {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at"),
-    ({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold"),
-    ({"strategy": {"kind": "connectivity", "new_link_bonus": 0.1}}, "new_link_bonus"),
-    ({"strategy": {"kind": "connectivity", "attempt_timeout": 5}}, "attempt_timeout"),
-    ({"strategy": {"kind": "connectivity", "initial_index": 1.0, "attempt_timeout": None}},
-     "attempt_timeout"),
-    ({"nodes": [{"name": "a", "pos": [float("nan"), 0]}, {"name": "b"}]}, "nodes[0].pos[0]"),
-    ({"nodes": [{"name": "a"}, {"name": "b", "pos": [0, float("inf")]}]}, "nodes[1].pos[1]"),
-    ({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]"),
-    ({"strategy": {"kind": "connectivity", "threshold": 7}},
-     "strategy.threshold: must be finite and at most 1, got 7"),
-    ({"params": {"default_ttl": 3}}, "params: unknown field(s) default_ttl"),
-    ({"params": {"attempt_timeout": 5}}, "params: unknown field(s) attempt_timeout"),
-    ({"mobility": {**MOBILE, "speed": [-5, -1]}}, "mobility.speed: need 0 <= min <= max"),
-    ({"mobility": {**MOBILE, "speed": [3, 1]}}, "mobility.speed: need 0 <= min <= max"),
-    ({"mobility": {**MOBILE, "range": -1}}, "mobility.range: must be > 0"),
-    ({"mobility": {**MOBILE, "area": [0, 0]}}, "mobility.area: both sides must be > 0"),
-    ({"mobility": {**MOBILE, "area": [-10, 50]}}, "mobility.area: both sides must be > 0"),
-    ({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 1"),
-    ({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable"),
-    ({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable"),
-    ({"name": "two\nlines"}, "name: not printable, got 'two\\nlines'"),
-    ({"name": None}, "name: expected a string, got None"),
-    ({"comment": ["x"]}, "comment: expected a string, got ['x']"),
-    ({"nodes": [{"name": {"id": 1}}, {"name": "b"}]},
-     "nodes[0].name: expected a string, got {'id': 1}"),
-    ({"links": [{"a": 1, "b": "b"}]}, "links[0].a: expected a string, got 1"),
-    ({"traffic": [{"origin": "a", "dest": None}]}, "traffic[0].dest: expected a string, got None"),
-    ({"events": [{"kind": "drop", "at": 1, "from": "a", "to": 2}]},
-     "events[0].to: expected a string, got 2"),
-    ({"events": [{"kind": "link_up", "at": 1, "a": "a", "b": False}]},
-     "events[0].b: expected a string, got False"),
-    ({"strategy": {"kind": "connectivity", "mode": 5}}, "strategy.mode: expected a string, got 5"),
+    pytest.param({"links": [{"a": "a", "b": "b", "delay": "x"}]}, "links[0].delay",
+                 id="overrides0-links[0].delay"),
+    pytest.param({"events": [{"kind": "link_down", "at": "soon", "a": "a", "b": "b"}]},
+                 "events[0].at", id="overrides1-events[0].at"),
+    pytest.param({"events": [{"kind": "drop", "at": 1.5, "from": "a", "to": "b"}]}, "events[0].at",
+                 id="overrides2-events[0].at"),
+    pytest.param({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]}, "events[0]",
+                 id="overrides3-events[0]"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "start": "x"}]}, "traffic[0].start",
+                 id="overrides4-traffic[0].start"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "rounds": "two"}]}, "traffic[0].rounds",
+                 id="overrides5-traffic[0].rounds"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "spacing": None}]},
+                 "traffic[0].spacing", id="overrides6-traffic[0].spacing"),
+    pytest.param({"mobility": {**MOBILE, "pause": "x"}}, "mobility.pause",
+                 id="overrides7-mobility.pause"),
+    pytest.param({"mobility": {**MOBILE, "range": "far"}}, "mobility.range",
+                 id="overrides8-mobility.range"),
+    pytest.param({"strategy": {"kind": "connectivity", "attempt_timeout": "x"}},
+                 "strategy: unknown field(s) attempt_timeout",
+                 id="overrides9-strategy: unknown field(s) attempt_timeout"),
+    pytest.param({"strategy": {"kind": "probabilistic", "p": [1]}}, "strategy.p",
+                 id="overrides10-strategy.p"),
+    pytest.param({"flags": {"intermediate_reply": "no"}}, "top level: unknown field(s) flags",
+                 id="overrides11-top level: unknown field(s) flags"),
+    pytest.param({"seed": "x"}, "seed", id="overrides12-seed"),
+    pytest.param({"events": 7}, "events", id="overrides13-events"),
+    pytest.param({"params": {"hello_interval": 0}}, "params.hello_interval",
+                 id="overrides14-params.hello_interval"),
+    pytest.param({"params": {"max_retries": "two"}}, "params.max_retries",
+                 id="overrides15-params.max_retries"),
+    pytest.param({"params": {"route_lifetime": True}}, "params.route_lifetime",
+                 id="overrides16-params.route_lifetime"),
+    pytest.param({"params": {"discovery_deadline": -5}}, "params.discovery_deadline",
+                 id="overrides17-params.discovery_deadline"),
+    pytest.param({"params": {"intermediate_reply": 1}}, "params.intermediate_reply",
+                 id="overrides18-params.intermediate_reply"),
+    pytest.param({"params": {"discovery_deadline": "x"},
+                  "traffic": [{"origin": "a", "dest": "b", "rounds": 2}]},
+                 "params.discovery_deadline", id="overrides19-params.discovery_deadline"),
+    pytest.param({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
+                 "top level: unknown field(s) flags",
+                 id="overrides20-top level: unknown field(s) flags"),
+    pytest.param({"events": [{"kind": "link_down", "at": 3, "a": "a", "b": "b"},
+                             {"kind": "drop", "at": -1, "from": "a", "to": "b"}]}, "events[1].at",
+                 id="overrides21-events[1].at"),
+    pytest.param({"strategy": {"kind": "connectivity", "threshold": 7}}, "threshold",
+                 id="overrides22-threshold"),
+    pytest.param({"strategy": {"kind": "connectivity", "new_link_bonus": 0.1}}, "new_link_bonus",
+                 id="overrides23-new_link_bonus"),
+    pytest.param({"strategy": {"kind": "connectivity", "attempt_timeout": 5}}, "attempt_timeout",
+                 id="overrides24-attempt_timeout"),
+    pytest.param(
+        {"strategy": {"kind": "connectivity", "initial_index": 1.0, "attempt_timeout": None}},
+        "attempt_timeout",
+        id="overrides25-attempt_timeout"),
+    pytest.param({"nodes": [{"name": "a", "pos": [float("nan"), 0]}, {"name": "b"}]},
+                 "nodes[0].pos[0]", id="overrides26-nodes[0].pos[0]"),
+    pytest.param({"nodes": [{"name": "a"}, {"name": "b", "pos": [0, float("inf")]}]},
+                 "nodes[1].pos[1]", id="overrides27-nodes[1].pos[1]"),
+    pytest.param({"mobility": {**MOBILE, "speed": [1, float("nan")]}}, "mobility.speed[1]",
+                 id="overrides28-mobility.speed[1]"),
+    pytest.param({"strategy": {"kind": "connectivity", "threshold": 7}},
+                 "strategy.threshold: must be finite and at most 1, got 7",
+                 id="overrides29-strategy.threshold: must be finite and at most 1, got 7"),
+    pytest.param({"params": {"default_ttl": 3}}, "params: unknown field(s) default_ttl",
+                 id="overrides30-params: unknown field(s) default_ttl"),
+    pytest.param({"params": {"attempt_timeout": 5}}, "params: unknown field(s) attempt_timeout",
+                 id="overrides31-params: unknown field(s) attempt_timeout"),
+    pytest.param({"mobility": {**MOBILE, "speed": [-5, -1]}},
+                 "mobility.speed: need 0 <= min <= max",
+                 id="overrides32-mobility.speed: need 0 <= min <= max"),
+    pytest.param({"mobility": {**MOBILE, "speed": [3, 1]}}, "mobility.speed: need 0 <= min <= max",
+                 id="overrides33-mobility.speed: need 0 <= min <= max"),
+    pytest.param({"mobility": {**MOBILE, "range": -1}}, "mobility.range: must be > 0",
+                 id="overrides34-mobility.range: must be > 0"),
+    pytest.param({"mobility": {**MOBILE, "area": [0, 0]}}, "mobility.area: both sides must be > 0",
+                 id="overrides35-mobility.area: both sides must be > 0"),
+    pytest.param({"mobility": {**MOBILE, "area": [-10, 50]}},
+                 "mobility.area: both sides must be > 0",
+                 id="overrides36-mobility.area: both sides must be > 0"),
+    pytest.param({"mobility": {**MOBILE, "pause": -3}}, "mobility.pause: must be >= 1",
+                 id="overrides37-mobility.pause: must be >= 1"),
+    pytest.param({"nodes": [{"name": "a\tb"}, {"name": "b"}]}, "nodes[0].name: not printable",
+                 id="overrides38-nodes[0].name: not printable"),
+    pytest.param({"nodes": [{"name": "a"}, {"name": "b\nc"}]}, "nodes[1].name: not printable",
+                 id="overrides39-nodes[1].name: not printable"),
+    pytest.param({"name": "two\nlines"}, "name: not printable, got 'two\\nlines'",
+                 id="overrides40-name: not printable, got 'two\\nlines'"),
+    pytest.param({"name": None}, "name: expected a string, got None",
+                 id="overrides41-name: expected a string, got None"),
+    pytest.param({"comment": ["x"]}, "comment: expected a string, got ['x']",
+                 id="overrides42-comment: expected a string, got ['x']"),
+    pytest.param({"nodes": [{"name": {"id": 1}}, {"name": "b"}]},
+                 "nodes[0].name: expected a string, got {'id': 1}",
+                 id="overrides43-nodes[0].name: expected a string, got {'id': 1}"),
+    pytest.param({"links": [{"a": 1, "b": "b"}]}, "links[0].a: expected a string, got 1",
+                 id="overrides44-links[0].a: expected a string, got 1"),
+    pytest.param({"traffic": [{"origin": "a", "dest": None}]},
+                 "traffic[0].dest: expected a string, got None",
+                 id="overrides45-traffic[0].dest: expected a string, got None"),
+    pytest.param({"events": [{"kind": "drop", "at": 1, "from": "a", "to": 2}]},
+                 "events[0].to: expected a string, got 2",
+                 id="overrides46-events[0].to: expected a string, got 2"),
+    pytest.param({"events": [{"kind": "link_up", "at": 1, "a": "a", "b": False}]},
+                 "events[0].b: expected a string, got False",
+                 id="overrides47-events[0].b: expected a string, got False"),
+    pytest.param({"strategy": {"kind": "connectivity", "mode": 5}},
+                 "strategy.mode: expected a string, got 5",
+                 id="overrides48-strategy.mode: expected a string, got 5"),
 ])
 def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, overrides, path):
     scenario = tmp_path / "bad.json"
@@ -466,43 +520,76 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
     assert path in err and "internal error" not in err
 
 
+# every row keeps the id it was first collected under, so re-pinning or deleting
+# a row renames no other test; a new row takes the next unused number
 @pytest.mark.parametrize("overrides,stderr", [
-    ({"nodes": [{"name": ""}, {"name": "b"}]}, "nodes[0].name: must not be empty, got ''"),
-    ({"nodes": [{"name": "a"}, {"name": "a"}]}, "nodes[1].name: duplicate, got 'a'"),
-    ({"links": [{"a": "a", "b": "zz"}]}, "links[0]: unknown node, got 'zz'"),
-    ({"links": [{"a": "a", "b": "a"}]}, "links[0]: self-link, got 'a'"),
-    ({"links": [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]},
-     "links[1]: duplicate link, got 'b-a'"),
-    ({"links": [{"a": "a", "b": "b", "delay": 0}]}, "links[0].delay: must be >= 1, got 0"),
-    ({"events": [{"kind": "drop", "at": 1, "from": "zz", "to": "b"}]},
-     "events[0]: unknown node, got 'zz'"),
-    ({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]},
-     "events[0]: self-link, got 'a'"),
-    ({"events": [{"kind": "link_down", "at": -1, "a": "a", "b": "b"}]},
-     "events[0].at: must be >= 0, got -1"),
-    ({"traffic": []}, "traffic: at least one flow is required, got []"),
-    ({"traffic": [{"origin": "a", "dest": "zz"}]}, "traffic[0]: unknown node, got 'zz'"),
-    ({"traffic": [{"origin": "a", "dest": "a"}]}, "traffic[0]: origin equals dest, got 'a'"),
-    ({"traffic": [{"origin": "a", "dest": "b", "rounds": 0}]},
-     "traffic[0].rounds: must be >= 1, got 0"),
-    ({"traffic": [{"origin": "a", "dest": "b", "start": -5}]},
-     "traffic[0].start: must be >= 0, got -5"),
-    ({"traffic": [{"origin": "a", "dest": "b", "rounds": 3, "spacing": 10}]},
-     "traffic[0].spacing: must be >= 16 so that discovery rounds do not overlap, got 10"),
-    ({"t_max": 0}, "t_max: must be >= 1, got 0"),
-    ({"mobility": {"model": "teleport"}},
-     "mobility.model: must be random_waypoint, got 'teleport'"),
-    ({"mobility": {"model": "static", "area": [50, 50]}},
-     "mobility.model: must be random_waypoint, got 'static'"),
-    ({"events": [{"kind": "teleport", "at": 1}]},
-     "events[0].kind: must be link_up, link_down or drop, got 'teleport'"),
-    ({"schema": 2}, "schema: must be 1, got 2"),
-    ({"schema": True}, "schema: expected an integer, got True"),
-    ({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
-     "top level: unknown field(s) flags"),
-    ({"strategy": {"kind": "connectivity", "initial_index": 1.0, "new_link_bonus": 0.1,
-                   "attempt_timeout": 5}},
-     "strategy: unknown field(s) attempt_timeout, initial_index, new_link_bonus"),
+    pytest.param({"nodes": [{"name": ""}, {"name": "b"}]},
+                 "nodes[0].name: must not be empty, got ''",
+                 id="overrides0-nodes[0].name: must not be empty, got ''"),
+    pytest.param({"nodes": [{"name": "a"}, {"name": "a"}]}, "nodes[1].name: duplicate, got 'a'",
+                 id="overrides1-nodes[1].name: duplicate, got 'a'"),
+    pytest.param({"links": [{"a": "a", "b": "zz"}]}, "links[0]: unknown node, got 'zz'",
+                 id="overrides2-links[0]: unknown node, got 'zz'"),
+    pytest.param({"links": [{"a": "a", "b": "a"}]}, "links[0]: self-link, got 'a'",
+                 id="overrides3-links[0]: self-link, got 'a'"),
+    pytest.param({"links": [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]},
+                 "links[1]: duplicate link, got 'b-a'",
+                 id="overrides4-links[1]: duplicate link, got 'b-a'"),
+    pytest.param({"links": [{"a": "a", "b": "b", "delay": 0}]},
+                 "links[0].delay: must be >= 1, got 0",
+                 id="overrides5-links[0].delay: must be >= 1, got 0"),
+    pytest.param({"events": [{"kind": "drop", "at": 1, "from": "zz", "to": "b"}]},
+                 "events[0]: unknown node, got 'zz'",
+                 id="overrides6-events[0]: unknown node, got 'zz'"),
+    pytest.param({"events": [{"kind": "link_up", "at": 3, "a": "a", "b": "a"}]},
+                 "events[0]: self-link, got 'a'", id="overrides7-events[0]: self-link, got 'a'"),
+    pytest.param({"events": [{"kind": "link_down", "at": -1, "a": "a", "b": "b"}]},
+                 "events[0].at: must be >= 0, got -1",
+                 id="overrides8-events[0].at: must be >= 0, got -1"),
+    pytest.param({"traffic": []}, "traffic: at least one flow is required, got []",
+                 id="overrides9-traffic: at least one flow is required, got []"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "zz"}]},
+                 "traffic[0]: unknown node, got 'zz'",
+                 id="overrides10-traffic[0]: unknown node, got 'zz'"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "a"}]},
+                 "traffic[0]: origin equals dest, got 'a'",
+                 id="overrides11-traffic[0]: origin equals dest, got 'a'"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "rounds": 0}]},
+                 "traffic[0].rounds: must be >= 1, got 0",
+                 id="overrides12-traffic[0].rounds: must be >= 1, got 0"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "start": -5}]},
+                 "traffic[0].start: must be >= 0, got -5",
+                 id="overrides13-traffic[0].start: must be >= 0, got -5"),
+    pytest.param(
+        {"traffic": [{"origin": "a", "dest": "b", "rounds": 3, "spacing": 10}]},
+        "traffic[0].spacing: must be >= 16 so that discovery rounds do not overlap, got 10",
+        id="overrides14-traffic[0].spacing: must be >= 16 so that discovery rounds do not "
+           "overlap, got 10"),
+    pytest.param({"t_max": 0}, "t_max: must be >= 1, got 0",
+                 id="overrides15-t_max: must be >= 1, got 0"),
+    pytest.param({"mobility": {"model": "teleport"}},
+                 "mobility.model: must be random_waypoint, got 'teleport'",
+                 id="overrides16-mobility.model: must be random_waypoint, got 'teleport'"),
+    pytest.param({"mobility": {"model": "static", "area": [50, 50]}},
+                 "mobility.model: must be random_waypoint, got 'static'",
+                 id="overrides17-mobility.model: must be random_waypoint, got 'static'"),
+    pytest.param(
+        {"events": [{"kind": "teleport", "at": 1}]},
+        "events[0].kind: must be link_up, link_down or drop, got 'teleport'",
+        id="overrides18-events[0].kind: must be link_up, link_down or drop, got 'teleport'"),
+    pytest.param({"schema": 2}, "schema: must be 1, got 2",
+                 id="overrides19-schema: must be 1, got 2"),
+    pytest.param({"schema": True}, "schema: expected an integer, got True",
+                 id="overrides20-schema: expected an integer, got True"),
+    pytest.param({"flags": {"intermediate_reply": True}, "params": {"intermediate_reply": False}},
+                 "top level: unknown field(s) flags",
+                 id="overrides21-top level: unknown field(s) flags"),
+    pytest.param(
+        {"strategy": {"kind": "connectivity", "initial_index": 1.0, "new_link_bonus": 0.1,
+                      "attempt_timeout": 5}},
+        "strategy: unknown field(s) attempt_timeout, initial_index, new_link_bonus",
+        id="overrides22-strategy: unknown field(s) attempt_timeout, initial_index, "
+           "new_link_bonus"),
 ])
 def test_scenario_rejections_are_pinned(tmp_path, capsys, overrides, stderr):
     scenario = tmp_path / "bad.json"

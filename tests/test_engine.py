@@ -571,6 +571,35 @@ def test_links_track_positions_on_every_tick(sc):
     assert _links_track_positions(sc) == sc.t_max
 
 
+@pytest.mark.parametrize("positions, live", [
+    pytest.param([(0.0, 0.0), (40.0, 0.0)], [], id="dx-is-range-dy-zero"),
+    pytest.param([(0.0, 0.0), (40.0, 1.0)], [], id="dx-is-range-dy-nonzero"),
+    pytest.param([(10.0, 50.0), (34.0, 18.0), (58.0, 50.0)], [], id="diagonal-24-32-40"),
+    pytest.param([(5.0, 0.0), (5.0, 40.0), (5.0, 40.5), (5.0, 40.5)], [],
+                 id="equal-x-and-coincident"),
+    pytest.param([(0.0, 0.0), (90.0, 0.0), (20.0, 0.0)], [(0, 1)],
+                 id="live-link-dx-past-range"),
+    pytest.param([(0.0, 0.0), (10.0, 70.0)], [(0, 1)], id="scripted-up-out-of-range"),
+    pytest.param([(100.0, 0.0), (0.0, 0.0), (70.0, 10.0)], [], id="last-in-x-order"),
+])
+def test_recompute_finds_exactly_the_pairs_in_range(positions, live):
+    # radio range 40; each case puts a pair where the live retest or the
+    # x-sweep could go wrong, with the live links set by hand
+    nodes = [NodeSpec(f"n{i}", pos) for i, pos in enumerate(positions)]
+    eng = Engine(Scenario(name="sweep", nodes=nodes, links=[], t_max=10,
+                          traffic=[TrafficSpec("n0", "n1")],
+                          mobility=RandomWaypoint(area=(100.0, 100.0), speed=(0.0, 0.0),
+                                                  pause=1, radio_range=40.0)))
+    for a, b in sorted(eng._live_pairs):
+        eng.apply_link_event("link_down", a, b)
+    for a, b in live:
+        eng.apply_link_event("link_up", a, b)
+    eng._recompute_links()
+    wanted = pairs_in_range(positions, 40.0)
+    assert sorted(eng._live_pairs) == wanted
+    assert [(a, b) for a, peers in enumerate(eng._adj) for b in sorted(peers) if a < b] == wanted
+
+
 def test_hello_only_queue_tail_is_not_a_truncation():
     # hellos sent at tick 40 are still in flight at t_max; nothing else is.
     # The trace sink keeps the run on the per-packet HELLO path.
