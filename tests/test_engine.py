@@ -108,6 +108,53 @@ def test_one_flood_counts_and_orders_each_kind_of_recipient():
     assert delivered == [("3", "a"), ("4", "b")]
 
 
+def test_a_scripted_link_up_gives_delay_one_among_slower_listed_links():
+    # every listed link has delay 2; the scripted link_up of the unlisted
+    # pair s-c gives it delay 1. s's HELLO at tick 10 and its flood at 15
+    # therefore land in two ticks, the slower group first in send order, and
+    # the flood also loses b (taken down at 12) and d (scripted drop)
+    sc = Scenario(
+        name="late-link",
+        nodes=[NodeSpec(l) for l in "sabcd"],
+        links=[LinkSpec("s", "a", 2), LinkSpec("s", "b", 2), LinkSpec("s", "d", 2),
+               LinkSpec("a", "c", 2)],
+        traffic=[TrafficSpec("s", "c", start=15)],
+        events=[LinkEvent(at=1, kind="link_up", a="c", b="s"),
+                LinkEvent(at=12, kind="link_down", a="s", b="b"),
+                DropEvent(at=15, frm="s", to="d")],
+        t_max=20,
+    )
+    buf = io.StringIO()
+    rep = run(sc, trace=buf)
+    assert [l for l in buf.getvalue().splitlines() if 11 <= int(l.split("\t")[0]) <= 19] == [
+        "11\tc\tdeliver\tfrom=s HELLO from=0",
+        "11\ts\tdeliver\tfrom=c HELLO from=3",
+        "12\ts\tlink-down\tb",
+        "12\ta\tdeliver\tfrom=s HELLO from=0",
+        "12\tb\tdeliver-cancelled\tfrom=s HELLO from=0",
+        "12\td\tdeliver\tfrom=s HELLO from=0",
+        "12\ts\tdeliver\tfrom=a HELLO from=1",
+        "12\tc\tdeliver\tfrom=a HELLO from=1",
+        "12\ts\tdeliver-cancelled\tfrom=b HELLO from=2",
+        "12\ta\tdeliver\tfrom=c HELLO from=3",
+        "12\ts\tdeliver\tfrom=d HELLO from=4",
+        "15\ts\tinject\tdest=c round=0",
+        "15\ts\tloss\tlink-absent to=b",
+        "15\ts\tloss\tscripted to=d RREQ[0:0] dest=3 hop=0 ttl=5",
+        "16\tc\tdeliver\tfrom=s RREQ[0:0] dest=3 hop=0 ttl=5",
+        "17\ta\tdeliver\tfrom=s RREQ[0:0] dest=3 hop=0 ttl=5",
+        "17\ts\tdeliver\tfrom=c RREP[0:0] dest=3 hop=0 seq=1",
+        "18\tc\tdeliver\tfrom=s DATA 0->3 id=0",
+        "18\tc\tdeliver-up\tpayload=0 src=s",
+        "19\tc\tdeliver\tfrom=a RREQ[0:0] dest=3 hop=1 ttl=4",
+        "19\tc\tdrop\tduplicate-rreq RREQ[0:0] dest=3 hop=1 ttl=4",
+    ]
+    assert (rep.losses, rep.rreq_tx, rep.rrep_tx, rep.hello_tx, rep.data_tx) == (2, 3, 1, 26, 1)
+    assert rep.per_node_rreq_tx == {0: 2, 1: 1}
+    assert rep.per_link_rreq_tx == {(0, 1): 1, (0, 3): 1, (1, 3): 1}
+    assert rep.per_node_redundant_rx == {3: 1}
+
+
 def _protocol_lines(trace: io.StringIO) -> list[str]:
     """The trace without its HELLO ticks and HELLO deliveries."""
     return [l for l in trace.getvalue().splitlines()
@@ -294,7 +341,8 @@ def test_same_scenario_same_results_bytewise():
     assert reports[0].per_link_rreq_tx == reports[1].per_link_rreq_tx
 
 
-@pytest.mark.parametrize("scenario", ["fig1", "mixed.json", "waypoint.json", "connectivity"])
+@pytest.mark.parametrize("scenario", ["fig1", "mixed.json", "waypoint.json", "waypoint-events.json",
+                                      "connectivity"])
 def test_per_node_and_per_link_breakdowns_sum_to_the_total(scenario):
     if scenario.endswith(".json"):
         sc = parse_scenario((Path(__file__).parent / "golden" / scenario).read_text())
