@@ -39,8 +39,9 @@ class Engine:
     def __init__(self, scenario: Scenario, trace: TextIO | None = None):
         self.scenario = scenario
         self.trace = trace
-        # trace-only: node labels by id
+        # trace-only: node labels by id, and each with the tab that follows it in a line
         self._labels = [n.name for n in scenario.nodes] if trace is not None else None
+        self._heads = [f"{name}\t" for name in self._labels] if trace is not None else None
         self.now = 0
         self.metrics = MetricsReport()
         self.rng = random.Random(scenario.seed)
@@ -60,6 +61,9 @@ class Engine:
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
         self._live_pairs: set[tuple[NodeId, NodeId]] = set(self.base_delay)
+        # every link has delay 1 when every listed one has (none are under
+        # mobility): a scripted link_up of an unlisted pair gets 1 as well
+        self._unit_delay = all(d == 1 for d in self.base_delay.values())
         self.new_links: set[tuple[NodeId, NodeId]] = set()
         self.loss_filter: set[tuple[int, NodeId, NodeId]] = set()
 
@@ -177,34 +181,41 @@ class Engine:
         order. Pushed as a step sends its packets, the entries for one tick
         run in send order, with only the step's own timers between them."""
         peers = self._adj[frm]
+        now = self.now
+        drops = self.loss_filter
+        live = [t for t in to if t in peers]
+        if drops:
+            live = [t for t in live if (now, frm, t) not in drops]
         metrics = self.metrics
+        if len(live) < len(to):
+            metrics.losses += len(to) - len(live)
+            if self.trace is not None:
+                for t in to:
+                    if t not in peers:
+                        self._trace(frm, "loss", f"link-absent to={self._labels[t]}")
+                    elif (now, frm, t) in drops:
+                        self._trace(frm, "loss",
+                                    f"scripted to={self._labels[t]} {summarize(packet)}")
+            if not live:
+                return
+        if self._unit_delay:
+            self._push(now + 1, Engine._deliver, frm, packet, live)
+        else:
+            groups: dict[int, list[NodeId]] = {}
+            for t in live:
+                groups.setdefault(peers[t], []).append(t)
+            for delay, recipients in groups.items():
+                self._push(now + delay, Engine._deliver, frm, packet, recipients)
+        sent = len(live)
         kind = type(packet)
-        groups: dict[int, list[NodeId]] = {}
-        sent = 0
-        for t in to:
-            delay = peers.get(t)
-            if delay is None or self.loss_filter and (self.now, frm, t) in self.loss_filter:
-                metrics.losses += 1
-                if self.trace is not None:
-                    self._trace(frm, "loss", f"link-absent to={self._labels[t]}" if delay is None
-                                else f"scripted to={self._labels[t]} {summarize(packet)}")
-                continue
-            sent += 1
-            if kind is Rreq:
-                metrics.per_link_rreq_tx[frm, t] = metrics.per_link_rreq_tx.get((frm, t), 0) + 1
-            group = groups.get(delay)
-            if group is None:
-                group = groups[delay] = []
-            group.append(t)
-        if not sent:
-            return
-        for delay, recipients in groups.items():
-            self._push(self.now + delay, Engine._deliver, frm, packet, recipients)
         if kind is Hello:
             metrics.hello_tx += sent
         elif kind is Rreq:
             metrics.rreq_tx += sent
             metrics.per_node_rreq_tx[frm] = metrics.per_node_rreq_tx.get(frm, 0) + sent
+            per_link = metrics.per_link_rreq_tx
+            for t in live:
+                per_link[frm, t] = per_link.get((frm, t), 0) + 1
         elif kind is Rrep:
             metrics.rrep_tx += sent
         elif kind is Rerr:
@@ -283,34 +294,36 @@ class Engine:
         order. Its handler and trace text are worked out once for all of
         them; a repeat RREQ copy is counted and goes no further."""
         write = self.trace.write if self.trace is not None else None
-        labels = self._labels
         now = self.now
         peers = self._adj[frm]
+        nodes, new_links = self.nodes, self.new_links
         kind = type(pkt)
         handle = (None if kind is Hello else Node.on_rreq if kind is Rreq else Node.on_rrep
                   if kind is Rrep else Node.on_rerr if kind is Rerr else Node.on_data)
         if write is not None:
             text = summarize(pkt)
-            tail = f"\tfrom={labels[frm]} {text}\n"
+            stamp, heads = f"{now}\t", self._heads
+            tail = f"\tfrom={self._labels[frm]} {text}\n"
+            delivered, cancelled = f"deliver{tail}", f"deliver-cancelled{tail}"
+            duplicate = f"drop\tduplicate-rreq {text}\n"
         for to in recipients:
             live = to in peers
+            if live:
+                node = nodes[to]
+                node.neighbors[frm] = now       # any reception proves the link
+            repeat = live and kind is Rreq and node.heard_before(pkt, frm)
             if write is not None:
-                write(f"{now}\t{labels[to]}\t{'deliver' if live else 'deliver-cancelled'}{tail}")
-            if not live:
-                continue
-            node = self.nodes[to]
-            node.neighbors[frm] = now       # any reception proves the link
-            if handle is None:
-                continue                    # a HELLO does nothing more
-            if kind is Rreq and node.heard_before(pkt, frm):
-                if write is not None:
-                    write(f"{now}\t{labels[to]}\tdrop\tduplicate-rreq {text}\n")
-                continue
+                head = heads[to]
+                # a repeat copy's two lines in one write
+                write(f"{stamp}{head}{delivered}{stamp}{head}{duplicate}" if repeat
+                      else f"{stamp}{head}{delivered if live else cancelled}")
+            if not live or repeat or handle is None:
+                continue                    # a HELLO does nothing more either
             if kind is Rrep:
-                key = (min(frm, to), max(frm, to))
-                fresh = key in self.new_links
-                self.new_links.discard(key)
-                handle(node, pkt, frm, now, link_is_new=fresh)
+                key = (frm, to) if frm < to else (to, frm)
+                fresh = key in new_links
+                new_links.discard(key)
+                handle(node, pkt, frm, now, fresh)
             else:
                 handle(node, pkt, frm, now)
 

@@ -69,6 +69,9 @@ class RouteSweep:
         node.on_route_sweep(now)
 
 
+_ROUTE_SWEEP = RouteSweep()     # it has no fields, so every route expiry shares one
+
+
 @dataclass(frozen=True)
 class ForwardDecision:
     rreq_id: RreqId
@@ -294,7 +297,7 @@ class Node:
                 next_hop=frm, hop_count=candidate_hops, dest_seq=rrep.dest_seq,
                 expires_at=now + self.config.route_lifetime,
                 active=current is not None and current.active)
-            net.set_timer(self.me, entry.expires_at, RouteSweep())
+            net.set_timer(self.me, entry.expires_at, _ROUTE_SWEEP)
         self._note_dest_seq(rrep.dest, rrep.dest_seq)
 
         if self.conn is not None:
@@ -366,7 +369,8 @@ class Node:
 
     def on_link_break(self, lost: NodeId, now: int) -> None:
         self.neighbors.pop(lost, None)
-        self._lose_routes(sorted(self.routes), now, lost)
+        through = sorted(dest for dest, e in self.routes.items() if e.next_hop == lost)
+        self._lose_routes(through, now, lost)
 
     def on_rerr(self, rerr: Rerr, frm: NodeId, now: int) -> None:
         for dest, seq in rerr.unreachable:
