@@ -24,7 +24,7 @@ from typing import Callable, Sequence, TextIO
 from .metrics import MetricsReport
 from .node import DiscoveryDeadline, Node, RouteSweep, TimerKind
 from .protocol import Hello, NodeId, Packet, Rerr, Rrep, Rreq, summarize
-from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, TrafficSpec
+from .scenario import DropEvent, LinkEvent, RandomWaypoint, Scenario, TrafficSpec, link_changes
 
 
 @dataclass
@@ -52,15 +52,14 @@ class Engine:
         self._seq = itertools.count()
         self._ids = ids = scenario.node_ids()
 
-        # link state: each node's live peers with their delay, the live pairs, and
-        # the configured delay for every listed pair (none under mobility); pairs
-        # are keyed (low, high). Only apply_link_event changes a live link.
+        # link state: each node's live peers with their delay, the only store of
+        # the live links, and the configured delay of every listed pair, keyed
+        # (low, high) and none under mobility. Only apply_link_event changes a live link.
         self._adj: list[dict[NodeId, int]] = [{} for _ in range(scenario.node_count)]
         self.base_delay: dict[tuple[NodeId, NodeId], int] = {}
         for a, b, delay in scenario.links_by_id() if scenario.mobility is None else ():
             self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
-        self._live_pairs: set[tuple[NodeId, NodeId]] = set(self.base_delay)
         # every link has delay 1 when every listed one has (none are under
         # mobility): a scripted link_up of an unlisted pair gets 1 as well
         self._unit_delay = all(d == 1 for d in self.base_delay.values())
@@ -156,7 +155,8 @@ class Engine:
     @property
     def live_links(self) -> dict[frozenset, int]:
         """The current links as {frozenset((a, b)): delay}; a copy."""
-        return {frozenset((a, b)): self._adj[a][b] for a, b in self._live_pairs}
+        return {frozenset((a, b)): delay for a, peers in enumerate(self._adj)
+                for b, delay in peers.items() if a < b}
 
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""
@@ -165,11 +165,9 @@ class Engine:
             self._adj[a].pop(b, None)
             self._adj[b].pop(a, None)
             self.new_links.discard(key)
-            self._live_pairs.discard(key)
         elif b not in self._adj[a]:
             self._adj[a][b] = self._adj[b][a] = self.base_delay.get(key, 1)
             self.new_links.add(key)
-            self._live_pairs.add(key)
 
     def link_peers(self, node: NodeId) -> list[NodeId]:
         return sorted(self._adj[node])
@@ -238,29 +236,10 @@ class Engine:
     # -- mobility
 
     def _recompute_links(self) -> None:
-        """Bring the links in line with the positions, exactly as
-        `pairs_in_range` would build them. Each live pair is retested and goes
-        down when more than the radio range apart. New links are looked for in
-        a sweep over the nodes in x order that skips linked pairs and stops at
-        an x gap above the range, which means a distance above it: a live pair
-        the sweep never reaches has been handled by the retest."""
-        r = self._mobility_spec.radio_range
-        pos, adj, hypot = self.positions, self._adj, math.hypot
-        down = []
-        for a, b in self._live_pairs:
-            (xa, ya), (xb, yb) = pos[a], pos[b]
-            if hypot(xa - xb, ya - yb) > r:
-                down.append((a, b))
-        up = []
-        by_x = sorted([(x, y, i) for i, (x, y) in pos.items()])
-        for k, (xi, yi, i) in enumerate(by_x):
-            linked = adj[i]
-            for xj, yj, j in by_x[k + 1:]:
-                if xj - xi > r:
-                    break
-                if j not in linked and hypot(xj - xi, yi - yj) <= r:
-                    up.append((i, j) if i < j else (j, i))
-        for kind, pairs in (("link_down", sorted(down)), ("link_up", sorted(up))):
+        """Bring the links in line with the positions under the radio-range
+        rule of `link_changes`: the downs first, then the ups."""
+        down, up = link_changes(self.positions, self._mobility_spec.radio_range, self._adj)
+        for kind, pairs in (("link_down", down), ("link_up", up)):
             for a, b in pairs:
                 self.apply_link_event(kind, a, b)
                 if self.trace is not None:

@@ -250,22 +250,38 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def pairs_in_range(positions: list[tuple[float, float]],
-                   radio_range: float) -> list[tuple[int, int]]:
-    """Every pair (i, j), i < j, of positions at most `radio_range` apart,
-    in ascending order: the radio links of a geometric graph. The reference
-    rule: it builds `random-N`'s links, and a test checks the engine's links
-    under mobility against it on every tick."""
-    pairs = []
-    for i, (xi, yi) in enumerate(positions):
-        for j, (xj, yj) in enumerate(positions[i + 1:], i + 1):
-            dx = xi - xj
-            # hypot is never below |dx|, so this skip cannot change the result
-            if dx > radio_range or -dx > radio_range:
-                continue
-            if math.hypot(dx, yi - yj) <= radio_range:
-                pairs.append((i, j))
-    return pairs
+def link_changes(positions: dict[int, tuple[float, float]], radio_range: float,
+                 peers: list) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The radio-range rule: two nodes are linked when at most `radio_range`
+    apart. Given positions and linked peers by node id, return (down, up):
+    the linked pairs now out of range and the unlinked pairs now in range,
+    each ascending as (low, high). Linked pairs are retested; the rest are
+    found by a sweep in x order that stops at an x gap above the range."""
+    hypot = math.hypot
+    down = []
+    for a, linked in enumerate(peers):
+        xa, ya = positions[a]
+        for b in linked:
+            if a < b:
+                xb, yb = positions[b]
+                if hypot(xa - xb, ya - yb) > radio_range:
+                    down.append((a, b))
+    down.sort()
+    # each up goes under its lower id, so only short lists are sorted
+    found: list[list[int]] = [[] for _ in peers]
+    by_x = sorted([(x, y, i) for i, (x, y) in positions.items()])
+    for k, (xi, yi, i) in enumerate(by_x):
+        linked = peers[i]
+        for xj, yj, j in by_x[k + 1:]:
+            if xj - xi > radio_range:
+                break
+            if j not in linked and hypot(xj - xi, yi - yj) <= radio_range:
+                if i < j:
+                    found[i].append(j)
+                else:
+                    found[j].append(i)
+    up = [(i, j) for i, js in enumerate(found) if js for j in sorted(js)]
+    return down, up
 
 
 # --- builtins -------------------------------------------------------------
@@ -345,12 +361,12 @@ def _random_geometric(n: int, seed: int) -> Scenario:
     nodes = [NodeSpec(f"n{i}", pos=(round(rng.uniform(0, side), 3),
                                     round(rng.uniform(0, side), 3)))
              for i in range(n)]
+    _, pairs = link_changes({i: node.pos for i, node in enumerate(nodes)}, radio, [()] * n)
     return Scenario(
         name=f"random-{n}",
         comment="seeded random geometric graph",
         nodes=nodes,
-        links=[LinkSpec(nodes[i].name, nodes[j].name)
-               for i, j in pairs_in_range([node.pos for node in nodes], radio)],
+        links=[LinkSpec(nodes[i].name, nodes[j].name) for i, j in pairs],
         traffic=[TrafficSpec(origin="n0", dest=f"n{n - 1}", start=0, rounds=1)],
         seed=seed,
         t_max=300,

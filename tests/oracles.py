@@ -4,6 +4,7 @@ Nothing here imports the package under test; these are deliberately naive
 reimplementations so the two sides can disagree.
 """
 
+import math
 from collections import deque
 
 
@@ -62,3 +63,12 @@ def flood_replay(n: int, edges, src: int, dst: int, ttl: int):
             tx += 1
             pending.append((nbr, me, t - 1))
     return tx, redundant, reached
+
+
+def pairs_in_range(positions, radio_range: float) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, of positions at most `radio_range` apart,
+    in ascending order: the radio links of a geometric graph, by testing
+    every pair."""
+    return [(i, j) for i, (xi, yi) in enumerate(positions)
+            for j, (xj, yj) in enumerate(positions[i + 1:], i + 1)
+            if math.hypot(xi - xj, yi - yj) <= radio_range]

@@ -20,7 +20,6 @@ from aodvsim.scenario import (
     Scenario,
     TrafficSpec,
     builtin,
-    pairs_in_range,
     parse_scenario,
 )
 from aodvsim.suppression import (
@@ -32,7 +31,7 @@ from aodvsim.suppression import (
     Flood,
 )
 
-from oracles import bfs_distances
+from oracles import bfs_distances, pairs_in_range
 from test_fuzz import valid_scenarios
 
 
@@ -638,13 +637,13 @@ def test_recompute_finds_exactly_the_pairs_in_range(positions, live):
                           traffic=[TrafficSpec("n0", "n1")],
                           mobility=RandomWaypoint(area=(100.0, 100.0), speed=(0.0, 0.0),
                                                   pause=1, radio_range=40.0)))
-    for a, b in sorted(eng._live_pairs):
-        eng.apply_link_event("link_down", a, b)
+    for key in eng.live_links:
+        eng.apply_link_event("link_down", *key)
     for a, b in live:
         eng.apply_link_event("link_up", a, b)
     eng._recompute_links()
     wanted = pairs_in_range(positions, 40.0)
-    assert sorted(eng._live_pairs) == wanted
+    assert sorted(tuple(sorted(key)) for key in eng.live_links) == wanted
     assert [(a, b) for a, peers in enumerate(eng._adj) for b in sorted(peers) if a < b] == wanted
 
 

@@ -2,6 +2,8 @@ import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aodvsim.scenario import (
     BUILTIN_NAMES,
@@ -13,12 +15,15 @@ from aodvsim.scenario import (
     TrafficSpec,
     UnknownScenario,
     builtin,
+    link_changes,
     parse_scenario,
     with_rounds,
 )
 from aodvsim.engine import run
 from aodvsim.suppression import Connectivity, DistanceBased, ExpandingRing, Flood
 from aodvsim.wire import ValidationError
+
+from oracles import pairs_in_range
 
 
 def minimal_json(**overrides):
@@ -82,6 +87,57 @@ def test_random_n_is_seed_deterministic():
     assert [(l.a, l.b) for l in a.links] == [(l.a, l.b) for l in b.links]
     c = builtin("random-8", seed=6)
     assert [n.pos for n in a.nodes] != [n.pos for n in c.nodes]
+
+
+@pytest.mark.parametrize("n", [2, 20, 50, 300])
+def test_random_n_links_are_the_pairs_in_range(n):
+    sc = builtin(f"random-{n}")
+    ids = sc.node_ids()
+    # random-N places its nodes in a 100 x 100 square with radio range 45
+    wanted = pairs_in_range([node.pos for node in sc.nodes], 45.0)
+    assert [(ids[l.a], ids[l.b]) for l in sc.links] == wanted
+
+
+# --- the radio-range rule -------------------------------------------------
+
+_GRID = st.integers(0, 12).map(lambda k: 8.0 * k)
+
+
+@st.composite
+def _layouts(draw):
+    """Positions on a grid of side 8, so that equal x, coincident nodes and
+    pairs exactly 40 apart (24 by 32, or 40 by 0) occur; a subset of the
+    pairs as the current links; and the order of the ids in the positions
+    dict."""
+    positions = draw(st.lists(st.tuples(_GRID, _GRID), min_size=2, max_size=10))
+    n = len(positions)
+    linked = draw(st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])))
+    return positions, linked, draw(st.permutations(range(n)))
+
+
+def _layout(positions, linked):
+    return positions, set(linked), list(reversed(range(len(positions))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(case=_layout([(0.0, 0.0), (40.0, 0.0)], []))
+@example(case=_layout([(0.0, 0.0), (40.0, 1.0)], []))
+@example(case=_layout([(10.0, 50.0), (34.0, 18.0), (58.0, 50.0)], []))
+@example(case=_layout([(5.0, 0.0), (5.0, 40.0), (5.0, 40.5), (5.0, 40.5)], []))
+@example(case=_layout([(0.0, 0.0), (90.0, 0.0), (20.0, 0.0)], [(0, 1)]))
+@example(case=_layout([(0.0, 0.0), (10.0, 70.0)], [(0, 1)]))
+@example(case=_layout([(100.0, 0.0), (0.0, 0.0), (70.0, 10.0)], []))
+@given(case=_layouts())
+def test_link_changes_are_the_difference_from_the_pairs_in_range(case):
+    positions, linked, order = case
+    peers = [set() for _ in positions]
+    for a, b in linked:
+        peers[a].add(b)
+        peers[b].add(a)
+    down, up = link_changes({i: positions[i] for i in order}, 40.0, peers)
+    in_range = set(pairs_in_range(positions, 40.0))
+    assert down == sorted(linked - in_range)
+    assert up == sorted(in_range - linked)
 
 
 def test_unknown_builtin_names_the_catalog():
