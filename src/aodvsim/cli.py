@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .engine import Engine
@@ -67,8 +68,8 @@ def build_parser() -> _Parser:
                        help="connectivity index needed to keep using a link")
         p.add_argument("--warmup", type=int, default=None,
                        help="attempts before the connectivity filter engages")
-        p.add_argument("--mode", choices=("raw", "ema", "blend"), default=None,
-                       help="connectivity index estimator")
+        p.add_argument("--mode", default=None,
+                       help="connectivity index estimator: raw, ema or blend")
 
     p_run = sub.add_parser("run", help="run one scenario, write metrics CSV")
     common(p_run, strategies=False)
@@ -198,17 +199,19 @@ def render_svg(bars: list[tuple[str, int]]) -> str:
 
 # --- subcommands ----------------------------------------------------------
 
-def cmd_run(args: argparse.Namespace) -> int:
+def simulate(args: argparse.Namespace, trace_path: str | None,
+             sink=None) -> tuple[Scenario, MetricsReport]:
+    """Run the one scenario `run` and `trace` name, tracing to the file at
+    `trace_path` if one is given, else to `sink` (None: no trace)."""
     reject_unused_knobs(args, [args.strategy])
     sc = load_scenario(args, args.strategy)
-    trace_fh = None
-    try:
-        if args.trace:
-            trace_fh = open(args.trace, "w", encoding="utf-8", newline="")
-        report = Engine(sc, trace=trace_fh).run()
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    with (open(trace_path, "w", encoding="utf-8", newline="") if trace_path
+          else nullcontext(sink)) as fh:
+        return sc, Engine(sc, trace=fh).run()
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    sc, report = simulate(args, args.trace)
     if args.out:
         row = report.csv_row(sc.name, sc.strategy.label, sc.seed)
         _write(args.out, rows_to_csv([row], CSV_COLUMNS))
@@ -253,13 +256,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    reject_unused_knobs(args, [args.strategy])
-    sc = load_scenario(args, args.strategy)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            Engine(sc, trace=fh).run()
-    else:
-        Engine(sc, trace=sys.stdout).run()
+    simulate(args, args.out, sys.stdout)
     return 0
 
 

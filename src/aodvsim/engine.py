@@ -241,9 +241,7 @@ class Engine:
         down, up = link_changes(self.positions, self._mobility_spec.radio_range, self._adj)
         for kind, pairs in (("link_down", down), ("link_up", up)):
             for a, b in pairs:
-                self.apply_link_event(kind, a, b)
-                if self.trace is not None:
-                    self._trace(a, kind.replace("_", "-"), f"range {self._labels[b]}")
+                self._link_change(kind, a, b, "range ")
 
     def _advance_motion(self) -> None:
         rng = self._mobility_rng
@@ -328,9 +326,10 @@ class Engine:
                                          Engine._inject, (flow, payload_id + 1, round_index + 1)))
         self.nodes[node].send_data(dest, payload_id, self.now, round_index)
 
-    def _link_change(self, kind: str, a: NodeId, b: NodeId) -> None:
+    def _link_change(self, kind: str, a: NodeId, b: NodeId, cause: str = "") -> None:
+        """Apply and trace one link change; `cause` is "range " for one that motion made."""
         if self.trace is not None:
-            self._trace(a, kind.replace("_", "-"), self._labels[b])
+            self._trace(a, kind.replace("_", "-"), f"{cause}{self._labels[b]}")
         self.apply_link_event(kind, a, b)
 
     def _mobility_tick(self) -> None:

@@ -34,7 +34,6 @@ from .protocol import (
     Rrep,
     Rreq,
     RreqId,
-    relay_transform,
 )
 from .suppression import ConnectivityState, SelectionView, Strategy
 
@@ -107,9 +106,9 @@ class ProtocolConfig:
 class _Request:
     """What a node knows of one route request, kept per (originator, RREQ ID)
     as in RFC 3561. `senders` are the neighbors its copies came from, in
-    arrival order without repeats; a reply goes back to each of them once."""
+    arrival order; a node relays each RREQ ID once, so no sender repeats,
+    and a reply goes back to each of them once."""
     senders: list[NodeId]
-    copies: int = 1                 # copies heard; the originator counts its own
     replied: bool = False           # a reply was relayed back
     held: Rreq | None = None        # a forward from senders[0] awaiting its decision
 
@@ -207,7 +206,7 @@ class Node:
             dest=rreq.dest,
             previous_hop=previous_hop,
             connectivity=self.conn,
-            copies_heard=self.requests[rreq.rreq_id].copies,
+            copies_heard=len(self.requests[rreq.rreq_id].senders),
             me=self.me,
             position_of=self.position_of,
         )
@@ -235,9 +234,7 @@ class Node:
         request = self.requests.get(rreq.rreq_id)
         if request is None or rreq.ttl == 0:
             return False
-        request.copies += 1
-        if frm not in request.senders:
-            request.senders.append(frm)
+        request.senders.append(frm)
         metrics = self.metrics
         metrics.redundant_rreq_rx += 1
         metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
@@ -267,7 +264,8 @@ class Node:
                                   Rrep(rreq.dest, entry.dest_seq, entry.hop_count, rreq.rreq_id))
                 return
 
-        forwarded = relay_transform(rreq)
+        forwarded = Rreq(rreq.rreq_id, rreq.dest, rreq.dest_seq_known, rreq.hop_count + 1,
+                         rreq.ttl - 1)
         if self.strategy.holds_forward:
             request.held = forwarded
             self.net.set_timer(self.me, now + 1, ForwardDecision(rreq.rreq_id))
@@ -326,7 +324,8 @@ class Node:
         request.replied = True
         targets = [p for p in request.senders if p != frm and p in self.neighbors]
         if targets:
-            net.transmit(self.me, targets, relay_transform(rrep))
+            net.transmit(self.me, targets,
+                         Rrep(rrep.dest, rrep.dest_seq, candidate_hops, rrep.rreq_id))
 
     # -- timers
 

@@ -66,15 +66,6 @@ class RoutingEntry:
     active: bool = False    # set when the owning node originates data over it
 
 
-def relay_transform(packet: Rreq | Rrep) -> Rreq | Rrep:
-    """One-hop forwarding transform: requests burn TTL, replies grow hop count.
-    `Node.on_rreq` drops a copy whose TTL is spent before it relays one."""
-    if isinstance(packet, Rreq):
-        return Rreq(packet.rreq_id, packet.dest, packet.dest_seq_known,
-                    packet.hop_count + 1, packet.ttl - 1)
-    return Rrep(packet.dest, packet.dest_seq, packet.hop_count + 1, packet.rreq_id)
-
-
 def summarize(packet: Packet) -> str:
     """Compact single-token description used in trace output."""
     if isinstance(packet, Rreq):

@@ -235,9 +235,9 @@ def raw_ratio(successes: int, attempts: int) -> float:
     return successes / attempts
 
 
-def ema_step(previous: float, outcome: float, alpha: float) -> float:
-    """Exponentially weighted update toward the latest outcome (1.0 or 0.0)."""
-    return alpha * outcome + (1.0 - alpha) * previous
+def ema_step(previous: float, target: float, alpha: float) -> float:
+    """Exponentially weighted update of `previous` toward `target`."""
+    return alpha * target + (1.0 - alpha) * previous
 
 
 @dataclass
@@ -292,10 +292,9 @@ class ConnectivityState:
         ratio = raw_ratio(rec.successes, rec.attempts)
         if cfg.mode == "raw":
             rec.index = ratio
-        elif cfg.mode == "ema":
-            rec.index = ema_step(rec.index, 1.0 if success else 0.0, cfg.alpha)
-        else:  # blend: cumulative ratio pulled toward the previous value
-            rec.index = cfg.alpha * ratio + (1.0 - cfg.alpha) * rec.index
+        else:   # ema moves toward the latest outcome, blend toward the cumulative ratio
+            rec.index = ema_step(rec.index, ratio if cfg.mode == "blend" else float(success),
+                                 cfg.alpha)
         if not (0.0 <= rec.index <= 1.0 + 1e-12):
             raise InvariantViolation(f"index out of range: {rec.index}")
 

@@ -637,6 +637,8 @@ def test_params_messages_are_pinned(tmp_path, capsys, params, code, stderr):
      "strategy.ttl_threshold: must be >= ttl_start, got 3"),
     (["--strategy", "distance:1"], {"kind": "distance", "min_distance": 1},
      "nodes[0].pos: the distance strategy needs positions on every node, got None"),
+    (["--strategy", "connectivity", "--mode", "mean"], {"kind": "connectivity", "mode": "mean"},
+     "strategy.mode: must be raw, ema or blend, got 'mean'"),
 ])
 def test_one_fault_one_message_from_option_or_file(tmp_path, capsys, argv, strategy, stderr):
     assert run_cli("run", "--scenario", "fig1", *argv) == 1

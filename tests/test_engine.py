@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
+from aodvsim.cli import main
 from aodvsim.engine import Engine, run
-from aodvsim.node import ProtocolConfig
+from aodvsim.node import Node, ProtocolConfig
 from aodvsim.protocol import Hello
 from aodvsim.scenario import (
     DropEvent,
@@ -30,9 +32,11 @@ from aodvsim.suppression import (
     ExpandingRing,
     Flood,
 )
+from aodvsim.wire import ValidationError
 
 from oracles import bfs_distances, pairs_in_range
 from test_fuzz import valid_scenarios
+from test_golden import GOLDEN, corpus
 
 
 def chain(n_labels, traffic=None, delay=1, **kw):
@@ -160,10 +164,10 @@ def _protocol_lines(trace: io.StringIO) -> list[str]:
             if "\thello-tick\t" not in l and " HELLO from=" not in l]
 
 
-def _requests(eng: Engine) -> dict[str, dict[int, tuple[int, list[str]]]]:
-    """Per node label, each request heard by its number: (copies, senders)."""
+def _requests(eng: Engine) -> dict[str, dict[int, list[str]]]:
+    """Per node label, each request heard by its number: its senders."""
     labels = [n.name for n in eng.scenario.nodes]
-    return {labels[n.me]: {rid.num: (r.copies, [labels[s] for s in r.senders])
+    return {labels[n.me]: {rid.num: [labels[s] for s in r.senders]
                            for rid, r in n.requests.items()} for n in eng.nodes}
 
 
@@ -204,9 +208,9 @@ def test_repeat_and_ttl_zero_copies_in_a_ring_triangle():
     assert rep.redundant_rreq_rx == 1
     assert rep.per_node_redundant_rx == {1: 1}
     assert _requests(eng) == {
-        "a": {0: (1, []), 1: (1, [])},
-        "b": {0: (1, ["a"]), 1: (2, ["a", "c"])},
-        "c": {0: (1, ["a"]), 1: (1, ["a"])},
+        "a": {0: [], 1: []},
+        "b": {0: ["a"], 1: ["a", "c"]},
+        "c": {0: ["a"], 1: ["a"]},
     }
 
 
@@ -239,9 +243,48 @@ def test_repeat_copy_from_a_second_relay_in_a_diamond():
     assert rep.redundant_rreq_rx == 1
     assert rep.per_node_redundant_rx == {3: 1}
     assert _requests(eng) == {
-        "s": {0: (1, [])}, "x": {0: (1, ["s"])}, "y": {0: (1, ["s"])},
-        "t": {0: (2, ["x", "y"])},
+        "s": {0: []}, "x": {0: ["s"]}, "y": {0: ["s"]}, "t": {0: ["x", "y"]},
     }
+
+
+@contextlib.contextmanager
+def _repeated_senders():
+    """Yield a list that gets (node, RREQ ID, sender) for every copy whose
+    sender the node had already recorded for that RREQ ID."""
+    found = []
+    real = Node.heard_before
+
+    def heard_before(node, rreq, frm):
+        repeat = real(node, rreq, frm)
+        if repeat and node.requests[rreq.rreq_id].senders.count(frm) > 1:
+            found.append((node.me, rreq.rreq_id, frm))
+        return repeat
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Node, "heard_before", heard_before)
+        yield found
+
+
+def test_no_golden_run_hears_one_request_twice_from_one_sender():
+    # a node relays each RREQ ID at most once, so no request record holds a sender twice
+    with _repeated_senders() as found:
+        for scenario, options in corpus():
+            source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
+            strategy = ["--strategy", *options.split()] if options else []
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--scenario", source, *strategy]) == 0
+    assert found == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=valid_scenarios())
+def test_no_drawn_run_hears_one_request_twice_from_one_sender(doc):
+    try:
+        sc = parse_scenario(json.dumps(doc))
+    except ValidationError:
+        return
+    with _repeated_senders() as found:
+        Engine(sc).run()
+    assert found == []
 
 
 def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():

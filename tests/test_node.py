@@ -195,15 +195,16 @@ def test_duplicate_copy_records_extra_reverse_sender():
     node.on_rreq(make_rreq(), frm=1, now=0)
     assert node.heard_before(make_rreq(), frm=3)
     assert node.requests[RreqId(3, 0)].senders == [1, 3]
-    assert node.requests[RreqId(3, 0)].copies == 2
+    assert node.metrics.redundant_rreq_rx == 1
 
 
-def test_request_record_keeps_senders_in_arrival_order_without_repeats():
+def test_request_record_keeps_senders_in_arrival_order():
+    # each neighbor relays the request once, so each sender is heard once
     node = make_node(me=2, neighbors=[1, 3, 4, 5])
-    for frm in (4, 5, 4, 3):
+    for frm in (4, 5, 1, 3):
         hear(node, make_rreq(), frm=frm, now=0)
-    assert node.requests[RreqId(3, 0)].senders == [4, 5, 3]
-    assert node.requests[RreqId(3, 0)].copies == 4
+    assert node.requests[RreqId(3, 0)].senders == [4, 5, 1, 3]
+    assert node.metrics.redundant_rreq_rx == 3
 
 
 def test_duplicate_detection_is_per_request_id():
@@ -234,6 +235,16 @@ def test_relay_decrements_ttl_and_skips_the_sender():
     assert recipients(out) == [[3, 4]]
     fwd = sends(out)[0].packet
     assert (fwd.ttl, fwd.hop_count) == (3, 2)
+    # the rest of the request is untouched
+    assert (fwd.rreq_id, fwd.dest) == (RreqId(3, 0), 5)
+
+
+def test_relay_sends_a_ttl_one_copy_on_with_ttl_zero():
+    # the receivers discard it: a TTL-0 copy dies in the air
+    node = make_node(me=2, neighbors=[1, 3])
+    out = step(node.on_rreq, make_rreq(ttl=1, hop=1), frm=1, now=0)
+    assert recipients(out) == [[3]]
+    assert (sends(out)[0].packet.ttl, sends(out)[0].packet.hop_count) == (0, 2)
 
 
 def test_intermediate_with_fresh_route_quenches_the_flood():
@@ -311,6 +322,7 @@ def test_relay_fans_reply_to_every_reverse_sender_once():
     fanned = sends(out)
     assert recipients(fanned) == [[1, 4]]
     assert all(e.packet.hop_count == 1 for e in fanned)
+    assert all(e.packet.dest_seq == 2 for e in fanned)
     # a second copy of the same reply is not relayed again
     again = step(node.on_rrep, Rrep(dest=5, dest_seq=2, hop_count=0,
                               rreq_id=RreqId(3, 0)), frm=3, now=2)

@@ -5,7 +5,6 @@ from aodvsim.protocol import (
     Rrep,
     RreqId,
     Rreq,
-    relay_transform,
     summarize,
 )
 
@@ -18,27 +17,6 @@ def test_rreq_id_equality_and_hashing():
     assert RreqId(3, 7) == RreqId(3, 7)
     assert RreqId(3, 7) != RreqId(3, 8)
     assert len({RreqId(1, 1), RreqId(1, 1), RreqId(2, 1)}) == 2
-
-
-def test_relay_transform_decrements_ttl_and_bumps_hop():
-    out = relay_transform(make_rreq(hop=2, ttl=3))
-    assert (out.hop_count, out.ttl) == (3, 2)
-    # rest of the request is untouched
-    assert out.rreq_id == RreqId(0, 1)
-    assert out.dest == 9
-
-
-def test_relay_transform_allows_ttl_one():
-    # a ttl-1 request may still be sent; the receiver discards it
-    out = relay_transform(make_rreq(ttl=1))
-    assert out.ttl == 0
-
-
-def test_relay_transform_reply_only_grows_hop():
-    rep = Rrep(dest=9, dest_seq=4, hop_count=1, rreq_id=RreqId(0, 1))
-    out = relay_transform(rep)
-    assert out.hop_count == 2
-    assert out.dest_seq == 4
 
 
 def test_routing_entry_defaults_inactive():

@@ -10,9 +10,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aodvsim.engine import Engine
+from aodvsim.metrics import MetricsReport
 from aodvsim.scenario import Scenario, parse_scenario
+from aodvsim.suppression import (
+    Connectivity,
+    DistanceBased,
+    ExpandingRing,
+    Flood,
+    Probabilistic,
+    Strategy,
+)
 from aodvsim.wire import ValidationError
 
 from test_fuzz import valid_scenarios
@@ -30,13 +40,17 @@ def _trace_lines(sc: Scenario) -> list[str]:
     return out.getvalue().splitlines(keepends=True)
 
 
+def golden_examples(**extra):
+    """Every golden scenario file as an example, with `extra` for the other arguments."""
+    def add(test):
+        for name in sorted(p.name for p in GOLDEN.glob("*.json") if p.name != "digests.json"):
+            test = example(doc=_golden(name), **extra)(test)
+        return test
+    return add
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@example(doc=_golden("mixed.json"))
-@example(doc=_golden("overrun.json"))
-@example(doc=_golden("own-connectivity.json"))
-@example(doc=_golden("params.json"))
-@example(doc=_golden("waypoint-events.json"))
-@example(doc=_golden("waypoint.json"))
+@golden_examples()
 @given(doc=valid_scenarios())
 def test_a_run_to_t_max_is_the_start_of_a_longer_run(doc):
     # nothing that happens at or before t_max may depend on t_max: the trace
@@ -48,3 +62,84 @@ def test_a_run_to_t_max_is_the_start_of_a_longer_run(doc):
     longer = _trace_lines(replace(sc, t_max=sc.t_max + 37))
     assert _trace_lines(sc) == [line for line in longer
                                 if int(line.split("\t", 1)[0]) <= sc.t_max]
+
+
+# --- vacuous strategies: settings under which a strategy is flood ----------
+
+def _parsed(doc: dict) -> Scenario | None:
+    try:
+        return parse_scenario(json.dumps(doc))
+    except ValidationError:
+        return None     # a drawn doc may break a rule across fields, such as round spacing
+
+
+def _traced_run(sc: Scenario, strategy: Strategy) -> tuple[MetricsReport, str]:
+    out = io.StringIO()
+    report = Engine(replace(sc, strategy=strategy), trace=out).run()
+    return report, out.getvalue()
+
+
+def _run(sc: Scenario, strategy: Strategy) -> MetricsReport:
+    return Engine(replace(sc, strategy=strategy)).run()
+
+
+def _counters(report: MetricsReport) -> tuple:
+    return report.counter_tuple(), report.losses, report.mean_latency()
+
+
+# b relays from where a stands: distance 0 must still forward
+COINCIDENT = {"schema": 1, "name": "coincident", "t_max": 40,
+              "nodes": [{"name": "a", "pos": [5, 5]}, {"name": "b", "pos": [5, 5]},
+                        {"name": "c", "pos": [9, 5]}],
+              "links": [{"a": "a", "b": "b"}, {"a": "b", "b": "c"}],
+              "traffic": [{"origin": "a", "dest": "c"}]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(doc=COINCIDENT)
+@golden_examples()
+@given(doc=valid_scenarios())
+def test_a_relay_filter_that_always_forwards_is_flood(doc):
+    # probabilistic:1 forwards whatever it draws, and distance:0 from any
+    # distance, coincident nodes included: each run is flood's, byte for byte
+    sc = _parsed(doc)
+    if sc is None:
+        return
+    flood = _traced_run(sc, Flood())[1]
+    assert _traced_run(sc, Probabilistic(1.0))[1] == flood
+    if all(n.pos is not None for n in sc.nodes):
+        assert _traced_run(sc, DistanceBased(0.0))[1] == flood
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@golden_examples()
+@given(doc=valid_scenarios())
+def test_a_ring_that_starts_at_the_node_count_is_flood(doc):
+    # no path is longer than node_count - 1 hops, so a first ring of node_count
+    # hops reaches every node a flood does, and so does every retry
+    sc = _parsed(doc)
+    if sc is None:
+        return
+    n = sc.node_count
+    ring = _run(sc, ExpandingRing(ttl_start=n, ttl_increment=1, ttl_threshold=n))
+    assert _counters(ring) == _counters(_run(sc, Flood()))
+
+
+def _without_attempt_sweeps(trace: str) -> list[str]:
+    return [line for line in trace.splitlines() if not line.endswith("\ttimer\tAttemptSweep")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@golden_examples(mode="raw")
+@given(doc=valid_scenarios(), mode=st.sampled_from(["raw", "ema", "blend"]))
+def test_connectivity_that_never_suppresses_is_flood(doc, mode):
+    # with threshold -1 every index clears it, from the first attempt on: the
+    # run is flood's plus its AttemptSweep timers. `timed_out` is left out:
+    # an AttemptSweep still queued at t_max counts as pending activity
+    sc = _parsed(doc)
+    if sc is None:
+        return
+    report, trace = _traced_run(sc, Connectivity(mode=mode, threshold=-1.0, warmup_attempts=0))
+    flood, flood_trace = _traced_run(sc, Flood())
+    assert _counters(report) == _counters(flood)
+    assert _without_attempt_sweeps(trace) == _without_attempt_sweeps(flood_trace)
