@@ -40,6 +40,13 @@ def _trace_lines(sc: Scenario) -> list[str]:
     return out.getvalue().splitlines(keepends=True)
 
 
+def _parsed(doc: dict) -> Scenario | None:
+    try:
+        return parse_scenario(json.dumps(doc))
+    except ValidationError:
+        return None     # a drawn doc may break a rule across fields, such as round spacing
+
+
 def golden_examples(**extra):
     """Every golden scenario file as an example, with `extra` for the other arguments."""
     def add(test):
@@ -55,23 +62,15 @@ def golden_examples(**extra):
 def test_a_run_to_t_max_is_the_start_of_a_longer_run(doc):
     # nothing that happens at or before t_max may depend on t_max: the trace
     # of a run to T is the lines at ticks <= T of the same run to T + 37
-    try:
-        sc = parse_scenario(json.dumps(doc))
-    except ValidationError:
-        return          # a drawn doc may break a rule across fields, such as round spacing
+    sc = _parsed(doc)
+    if sc is None:
+        return
     longer = _trace_lines(replace(sc, t_max=sc.t_max + 37))
     assert _trace_lines(sc) == [line for line in longer
                                 if int(line.split("\t", 1)[0]) <= sc.t_max]
 
 
 # --- vacuous strategies: settings under which a strategy is flood ----------
-
-def _parsed(doc: dict) -> Scenario | None:
-    try:
-        return parse_scenario(json.dumps(doc))
-    except ValidationError:
-        return None     # a drawn doc may break a rule across fields, such as round spacing
-
 
 def _traced_run(sc: Scenario, strategy: Strategy) -> tuple[MetricsReport, str]:
     out = io.StringIO()
