@@ -135,7 +135,6 @@ class Engine:
         self.trace.write(f"{self.now}\t{self._labels[node]}\t{kind}\t{detail}\n")
 
     def _init_mobility(self, spec: RandomWaypoint) -> None:
-        self._mobility_spec = spec
         self._mobility_rng = random.Random(self.scenario.seed ^ 0x5F5E1)
         rng = self._mobility_rng
         w, h = spec.area
@@ -238,14 +237,14 @@ class Engine:
     def _recompute_links(self) -> None:
         """Bring the links in line with the positions under the radio-range
         rule of `link_changes`: the downs first, then the ups."""
-        down, up = link_changes(self.positions, self._mobility_spec.radio_range, self._adj)
+        down, up = link_changes(self.positions, self.scenario.mobility.radio_range, self._adj)
         for kind, pairs in (("link_down", down), ("link_up", up)):
             for a, b in pairs:
                 self._link_change(kind, a, b, "range ")
 
     def _advance_motion(self) -> None:
         rng = self._mobility_rng
-        spec = self._mobility_spec
+        spec = self.scenario.mobility
         w, h = spec.area
         for i, m in enumerate(self._motion):
             if m.pause_left > 0:
@@ -313,9 +312,7 @@ class Engine:
         if self.trace is not None:
             self._trace(node, "hello-tick")
         self.nodes[node].on_hello_tick(self.now, self.link_peers(node))
-        nxt = self.now + self.scenario.params.hello_interval
-        if nxt <= self.scenario.t_max:
-            self._push(nxt, Engine._hello_tick, node)
+        self._push(self.now + self.scenario.params.hello_interval, Engine._hello_tick, node)
 
     def _inject(self, flow: TrafficSpec, payload_id: int, round_index: int) -> None:
         node, dest = self._ids[flow.origin], self._ids[flow.dest]
@@ -335,8 +332,7 @@ class Engine:
     def _mobility_tick(self) -> None:
         self._advance_motion()
         self._recompute_links()
-        if self.now + 1 <= self.scenario.t_max:
-            self._push(self.now + 1, Engine._mobility_tick)
+        self._push(self.now + 1, Engine._mobility_tick)
 
     # -- main loop
 

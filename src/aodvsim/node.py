@@ -73,10 +73,10 @@ _ROUTE_SWEEP = RouteSweep()     # it has no fields, so every route expiry shares
 
 @dataclass(frozen=True)
 class ForwardDecision:
-    rreq_id: RreqId
+    forwarded: Rreq
 
     def fire(self, node: Node, now: int) -> None:
-        node.on_forward_decision(self.rreq_id, now)
+        node.on_forward_decision(self.forwarded, now)
 
 
 TimerKind = DiscoveryDeadline | AttemptSweep | RouteSweep | ForwardDecision
@@ -106,17 +106,16 @@ class ProtocolConfig:
 class _Request:
     """What a node knows of one route request, kept per (originator, RREQ ID)
     as in RFC 3561. `senders` are the neighbors its copies came from, in
-    arrival order; a node relays each RREQ ID once, so no sender repeats,
-    and a reply goes back to each of them once."""
+    arrival order, the first of them the previous hop of a relay's forward
+    (an originator's list starts empty); a node relays each RREQ ID once, so
+    no sender repeats, and a reply goes back to each of them once."""
     senders: list[NodeId]
     replied: bool = False           # a reply was relayed back
-    held: Rreq | None = None        # a forward from senders[0] awaiting its decision
 
 
 @dataclass
 class _Discovery:
     metrics_rec: DiscoveryRecord        # holds the destination and the attempt count
-    rreq_id: RreqId | None = None
     deadline_at: int = 0
     queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
 
@@ -184,7 +183,6 @@ class Node:
     def _launch_attempt(self, disc: _Discovery, now: int) -> None:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
-        disc.rreq_id = rid
         disc.deadline_at = now + self.config.deadline_for(self.node_count)
         self.requests[rid] = _Request([])
 
@@ -196,17 +194,19 @@ class Node:
             hop_count=0,
             ttl=self.strategy.attempt_ttl(rec.attempts - 1, self.node_count),
         )
-        self._targeted_sends(rreq, previous_hop=None, now=now)
+        self._targeted_sends(rreq, now)
         self.net.set_timer(self.me, disc.deadline_at, DiscoveryDeadline(rec.dest))
 
-    def _targeted_sends(self, rreq: Rreq, previous_hop: NodeId | None, now: int) -> None:
+    def _targeted_sends(self, rreq: Rreq, now: int) -> None:
         """Run the suppression decision and open one attempt per chosen link."""
+        senders = self.requests[rreq.rreq_id].senders
+        previous_hop = senders[0] if senders else None
         candidates = sorted(n for n in self.neighbors if n != previous_hop)
         view = SelectionView(
             dest=rreq.dest,
             previous_hop=previous_hop,
             connectivity=self.conn,
-            copies_heard=len(self.requests[rreq.rreq_id].senders),
+            copies_heard=len(senders),
             me=self.me,
             position_of=self.position_of,
         )
@@ -247,7 +247,7 @@ class Node:
             self.net.drop(self.me, rreq, "ttl-expired")
             return
         assert rreq.rreq_id not in self.requests, "a repeat copy goes to heard_before"
-        request = self.requests[rreq.rreq_id] = _Request([frm])
+        self.requests[rreq.rreq_id] = _Request([frm])
 
         if rreq.dest == self.me:
             self.seq += 1
@@ -267,17 +267,14 @@ class Node:
         forwarded = Rreq(rreq.rreq_id, rreq.dest, rreq.dest_seq_known, rreq.hop_count + 1,
                          rreq.ttl - 1)
         if self.strategy.holds_forward:
-            request.held = forwarded
-            self.net.set_timer(self.me, now + 1, ForwardDecision(rreq.rreq_id))
+            self.net.set_timer(self.me, now + 1, ForwardDecision(forwarded))
             return
-        self._targeted_sends(forwarded, previous_hop=frm, now=now)
+        self._targeted_sends(forwarded, now)
 
-    def on_forward_decision(self, rreq_id: RreqId, now: int) -> None:
-        request = self.requests.get(rreq_id)
-        if request is None or request.held is None:
+    def on_forward_decision(self, forwarded: Rreq, now: int) -> None:
+        if forwarded.rreq_id not in self.requests:
             return
-        forwarded, request.held = request.held, None
-        self._targeted_sends(forwarded, previous_hop=request.senders[0], now=now)
+        self._targeted_sends(forwarded, now)
 
     # -- reply handling
 
@@ -394,7 +391,7 @@ class Node:
         if others:
             self.net.transmit(self.me, others, rerr)
         for dest, entry in dead:
-            if entry.active and dest not in self.pending_discoveries and dest != self.me:
+            if entry.active and dest not in self.pending_discoveries:
                 self.initiate_discovery(dest, now)
 
     def _note_dest_seq(self, dest: NodeId, seq: int) -> None:

@@ -194,7 +194,7 @@ class ExpandingRing(Strategy):
         if raw < self.ttl_threshold:
             return raw
         previous = raw - self.ttl_increment
-        if attempt_index == 0 or previous < self.ttl_threshold:
+        if previous < self.ttl_threshold:
             return self.ttl_threshold
         return node_count
 

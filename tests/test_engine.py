@@ -264,26 +264,69 @@ def _repeated_senders():
         yield found
 
 
+def _run_golden_corpus() -> None:
+    """Run every golden corpus entry through the CLI, untraced."""
+    for scenario, options in corpus():
+        source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
+        strategy = ["--strategy", *options.split()] if options else []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", source, *strategy]) == 0
+
+
+def _run_drawn(doc: dict) -> None:
+    try:
+        sc = parse_scenario(json.dumps(doc))
+    except ValidationError:
+        return
+    Engine(sc).run()
+
+
 def test_no_golden_run_hears_one_request_twice_from_one_sender():
     # a node relays each RREQ ID at most once, so no request record holds a sender twice
     with _repeated_senders() as found:
-        for scenario, options in corpus():
-            source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
-            strategy = ["--strategy", *options.split()] if options else []
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["run", "--scenario", source, *strategy]) == 0
+        _run_golden_corpus()
     assert found == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(doc=valid_scenarios())
 def test_no_drawn_run_hears_one_request_twice_from_one_sender(doc):
-    try:
-        sc = parse_scenario(json.dumps(doc))
-    except ValidationError:
-        return
     with _repeated_senders() as found:
-        Engine(sc).run()
+        _run_drawn(doc)
+    assert found == []
+
+
+@contextlib.contextmanager
+def _replies_for_self():
+    """Yield a list that gets (node, RREP) for every RREP a node receives
+    whose destination is that node."""
+    found = []
+    real = Node.on_rrep
+
+    def on_rrep(node, rrep, frm, now, link_is_new=False):
+        if rrep.dest == node.me:
+            found.append((node.me, rrep))
+        real(node, rrep, frm, now, link_is_new)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Node, "on_rrep", on_rrep)
+        yield found
+
+
+# A route is installed only for an RREP's destination, and a destination
+# replies rather than relays, so it is never a reverse sender of a request
+# for itself: no node holds a route to itself, and _lose_routes never
+# rediscovers the node it runs at
+def test_no_golden_run_sends_a_node_a_reply_for_itself():
+    with _replies_for_self() as found:
+        _run_golden_corpus()
+    assert found == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=valid_scenarios())
+def test_no_drawn_run_sends_a_node_a_reply_for_itself(doc):
+    with _replies_for_self() as found:
+        _run_drawn(doc)
     assert found == []
 
 

@@ -357,11 +357,10 @@ def test_early_deadline_timer_from_superseded_attempt_is_ignored():
 
 def test_deadline_retries_with_a_fresh_request_id():
     node = make_node(neighbors=[1])
-    node.send_data(5, 7, now=0)
-    first_rid = node.pending_discoveries[5].rreq_id
+    first_rid = sends(step(node.send_data, 5, 7, now=0))[0].packet.rreq_id
     out = step(node.on_discovery_timeout, 5, now=12)
     assert sends(out)
-    second_rid = node.pending_discoveries[5].rreq_id
+    second_rid = sends(out)[0].packet.rreq_id
     assert second_rid != first_rid
     assert node.pending_discoveries[5].metrics_rec.attempts == 2
     assert node.metrics.discoveries[0].attempts == 2
@@ -507,22 +506,23 @@ def test_counter_strategy_defers_forwarding_one_tick():
     assert not sends(out)
     held = timers(out, ForwardDecision)
     assert held and held[0].at == 6
-    later = step(node.on_forward_decision, RreqId(3, 0), now=6)
+    assert held[0].kind.forwarded == make_rreq(ttl=5, hop=2)     # the copy it will send
+    later = step(node.on_forward_decision, held[0].kind.forwarded, now=6)
     assert recipients(later) == [[3, 4]]
 
 
 def test_counter_strategy_suppresses_past_copy_budget():
     node = make_node(me=2, neighbors=[1, 3, 4], strategy=CounterBased(max_copies=1))
-    node.on_rreq(make_rreq(), frm=1, now=5)
+    held = timers(step(node.on_rreq, make_rreq(), frm=1, now=5), ForwardDecision)
     assert node.heard_before(make_rreq(), frm=3)   # second copy within the window
-    out = step(node.on_forward_decision, RreqId(3, 0), now=6)
+    out = step(node.on_forward_decision, held[0].kind.forwarded, now=6)
     assert not sends(out)
     assert node.metrics.suppressed_forwards == 2
 
 
 def test_stale_forward_decision_is_a_no_op():
     node = make_node(me=2, strategy=CounterBased())
-    assert step(node.on_forward_decision, RreqId(3, 9), now=6) == []
+    assert step(node.on_forward_decision, make_rreq(num=9), now=6) == []
 
 
 def test_connectivity_origin_opens_attempts_and_arms_sweep():
@@ -531,7 +531,7 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
                      connectivity=state)
     out = step(node.send_data, 5, 7, now=0)
     assert recipients(out) == [[1, 2]]
-    rid = node.pending_discoveries[5].rreq_id
+    rid = sends(out)[0].packet.rreq_id
     assert state._open == {rid: {(5, 1): state.peek(5, 1), (5, 2): state.peek(5, 2)}}
     sweep = timers(out, AttemptSweep)
     assert sweep and sweep[0].at == 12      # discovery deadline by default
@@ -547,8 +547,7 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
         state.open_attempt(5, 1, rid)
         state.resolve_attempt(5, 1, rid, success=i < 5)
     assert state.eligible(5, 1)
-    node.send_data(5, 7, now=20)
-    rid = node.pending_discoveries[5].rreq_id
+    rid = sends(step(node.send_data, 5, 7, now=20))[0].packet.rreq_id
     node.on_rrep(Rrep(dest=5, dest_seq=3, hop_count=2, rreq_id=rid),
                  frm=1, now=24, link_is_new=True)
     assert state._open == {}                            # credited at once, not at the sweep

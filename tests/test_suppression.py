@@ -351,7 +351,7 @@ def test_ring_schedule_grows_then_jumps_to_network_diameter_bound():
 
 
 def test_ring_first_attempt_at_or_past_threshold_uses_threshold():
-    ring = ExpandingRing(ttl_start=9, ttl_increment=2, ttl_threshold=7)
+    ring = ExpandingRing(ttl_start=7, ttl_increment=2, ttl_threshold=7)
     assert ring.attempt_ttl(0, node_count=20) == 7
     assert ring.attempt_ttl(1, node_count=20) == 20
 
