@@ -159,7 +159,7 @@ class Engine:
 
     def apply_link_event(self, kind: str, a: NodeId, b: NodeId) -> None:
         """Engine-level topology change; nodes only notice via HELLO silence."""
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         if kind == "link_down":
             self._adj[a].pop(b, None)
             self._adj[b].pop(a, None)
@@ -243,7 +243,7 @@ class Engine:
                 self._link_change(kind, a, b, "range ")
 
     def _advance_motion(self) -> None:
-        rng = self._mobility_rng
+        rng, positions, hypot = self._mobility_rng, self.positions, math.hypot
         spec = self.scenario.mobility
         w, h = spec.area
         for i, m in enumerate(self._motion):
@@ -253,15 +253,15 @@ class Engine:
                     m.waypoint = (rng.uniform(0, w), rng.uniform(0, h))
                     m.speed = rng.uniform(*spec.speed)
                 continue
-            x, y = self.positions[i]
-            dx = m.waypoint[0] - x
-            dy = m.waypoint[1] - y
-            dist = math.hypot(dx, dy)
-            if dist <= m.speed:
-                self.positions[i] = m.waypoint
+            x, y = positions[i]
+            (wx, wy), speed = m.waypoint, m.speed
+            dx, dy = wx - x, wy - y
+            dist = hypot(dx, dy)
+            if dist <= speed:
+                positions[i] = m.waypoint
                 m.pause_left = spec.pause
             else:
-                self.positions[i] = (x + dx / dist * m.speed, y + dy / dist * m.speed)
+                positions[i] = (x + dx / dist * speed, y + dy / dist * speed)
 
     # -- queue entry handlers
 

@@ -201,7 +201,8 @@ class Node:
         """Run the suppression decision and open one attempt per chosen link."""
         senders = self.requests[rreq.rreq_id].senders
         previous_hop = senders[0] if senders else None
-        candidates = sorted(n for n in self.neighbors if n != previous_hop)
+        candidates = [n for n in self.neighbors if n != previous_hop]
+        candidates.sort()
         view = SelectionView(
             dest=rreq.dest,
             previous_hop=previous_hop,
@@ -354,7 +355,8 @@ class Node:
         if link_peers:
             self.net.transmit(self.me, link_peers, Hello(self.me))
         cutoff = now - self.config.hello_timeout
-        stale = sorted(n for n, last in self.neighbors.items() if last < cutoff)
+        stale = [n for n, last in self.neighbors.items() if last < cutoff]
+        stale.sort()
         for neighbor in stale:
             self.on_link_break(neighbor, now)
 
@@ -365,7 +367,8 @@ class Node:
 
     def on_link_break(self, lost: NodeId, now: int) -> None:
         self.neighbors.pop(lost, None)
-        through = sorted(dest for dest, e in self.routes.items() if e.next_hop == lost)
+        through = [dest for dest, e in self.routes.items() if e.next_hop == lost]
+        through.sort()
         self._lose_routes(through, now, lost)
 
     def on_rerr(self, rerr: Rerr, frm: NodeId, now: int) -> None:
@@ -395,8 +398,10 @@ class Node:
                 self.initiate_discovery(dest, now)
 
     def _note_dest_seq(self, dest: NodeId, seq: int) -> None:
-        """Keep the highest sequence number heard for `dest`."""
-        self.dest_seq_memory[dest] = max(seq, self.dest_seq_memory.get(dest, seq))
+        """Keep the highest sequence number heard for `dest`; written only on a rise."""
+        known = self.dest_seq_memory.get(dest)
+        if known is None or seq > known:
+            self.dest_seq_memory[dest] = seq
 
     # -- payload forwarding
 

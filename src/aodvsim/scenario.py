@@ -256,7 +256,10 @@ def link_changes(positions: dict[int, tuple[float, float]], radio_range: float,
     apart. Given positions and linked peers by node id, return (down, up):
     the linked pairs now out of range and the unlinked pairs now in range,
     each ascending as (low, high). Linked pairs are retested; the rest are
-    found by a sweep in x order that stops at an x gap above the range."""
+    found by a sweep in x order that tests only the pairs inside a box of
+    half-side `reach` around each node. A pair whose difference rounds to the
+    range can lie just past `xi + radio_range`, so `reach` pads the range by
+    2**-40 of the coordinates' size, far above any rounding error."""
     hypot = math.hypot
     down = []
     for a, linked in enumerate(peers):
@@ -272,10 +275,12 @@ def link_changes(positions: dict[int, tuple[float, float]], radio_range: float,
     by_x = sorted([(x, y, i) for i, (x, y) in positions.items()])
     for k, (xi, yi, i) in enumerate(by_x):
         linked = peers[i]
+        reach = radio_range + (abs(xi) + abs(yi) + radio_range) * 2.0 ** -40
+        x_end, y_low, y_high = xi + reach, yi - reach, yi + reach
         for xj, yj, j in by_x[k + 1:]:
-            if xj - xi > radio_range:
+            if xj > x_end:
                 break
-            if j not in linked and hypot(xj - xi, yi - yj) <= radio_range:
+            if y_low <= yj <= y_high and j not in linked and hypot(xj - xi, yi - yj) <= radio_range:
                 if i < j:
                     found[i].append(j)
                 else:

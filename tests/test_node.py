@@ -481,6 +481,17 @@ def test_rerr_with_older_sequence_keeps_the_higher_one():
     assert [e.packet.unreachable for e in sends(out)] == [((5, 7),)]
 
 
+@pytest.mark.parametrize("seq, highest", [(3, 7), (7, 7), (9, 9)], ids=["lower", "equal", "higher"])
+def test_reply_leaves_the_highest_sequence_for_the_next_request(seq, highest):
+    node = make_node(me=0, neighbors=[1])
+    node.dest_seq_memory[5] = 7
+    node.on_rrep(make_rrep(seq=seq), frm=1, now=0)
+    assert node.dest_seq_memory == {5: highest}
+    # the reply's route has expired by tick 100: the payload starts a discovery
+    out = step(node.send_data, 5, 7, now=100)
+    assert [e.packet.dest_seq_known for e in sends(out)] == [highest]
+
+
 # --- payload forwarding ---------------------------------------------------
 
 def test_data_forwarding_and_dead_end():

@@ -9,6 +9,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -148,11 +149,20 @@ def test_connectivity_that_never_suppresses_is_flood(doc, mode):
 # --- counter hold: a held forward is flood one tick later per hop ----------
 
 def _static_unit_delay(doc: dict) -> dict:
-    """`doc` with no mobility, no scripted event and every link at delay 1."""
+    """`doc` with no mobility, no scripted event, every link at delay 1, a
+    discovery deadline of 4 x the node count and its rounds at least four
+    such deadlines apart."""
     doc = {k: v for k, v in doc.items() if k != "mobility"}
+    n = len(doc["nodes"])
     doc["links"] = [{**link, "delay": 1} for link in doc["links"]]
     doc["events"] = []
+    doc["params"] = {**doc.get("params", {}), "discovery_deadline": 4 * n}
+    doc["traffic"] = [{**t, "spacing": max(t.get("spacing", 0), 16 * n)} for t in doc["traffic"]]
     return doc
+
+
+def _request_side(report: MetricsReport) -> tuple:
+    return report.rreq_tx, report.redundant_rreq_rx, report.per_node_rreq_tx
 
 
 # x gets the request at t_max = 1: flood relays it on that tick, and counter
@@ -163,23 +173,59 @@ HELD_PAST_T_MAX = {"schema": 1, "name": "held", "t_max": 1,
                    "traffic": [{"origin": "s", "dest": "t"}]}
 
 
+# under flood n5's late copy reaches n1 before n0's reply, so n1 relays the
+# reply to n3 and n5; under counter the reply lands first on the same tick,
+# and n1 relays it to n3 alone: 6 RREPs against 4
+REPLY_RACE = {"schema": 1, "name": "race", "t_max": 7,
+              "nodes": [{"name": f"n{i}"} for i in range(7)],
+              "links": [{"a": a, "b": b} for a, b in (
+                  ("n1", "n3"), ("n0", "n1"), ("n0", "n2"), ("n0", "n3"),
+                  ("n0", "n4"), ("n0", "n5"), ("n1", "n5"))],
+              "traffic": [{"origin": "n3", "dest": "n4"}]}
+
+# under counter the two held forwards land the reply on the default deadline
+# tick 2n = 26, where the earlier-queued DiscoveryDeadline fires first and
+# the origin retries: 3 RREQs against 4
+REPLY_AT_DEADLINE = {"schema": 1, "name": "line", "t_max": 73, "seed": 79,
+                     "nodes": [{"name": f"n{i}"} for i in range(4)],
+                     "links": [{"a": f"n{i}", "b": f"n{i + 1}"} for i in range(3)],
+                     "traffic": [{"origin": "n0", "dest": "n3", "start": 18}]}
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @example(doc=HELD_PAST_T_MAX)
+@example(doc=REPLY_RACE)
+@example(doc=REPLY_AT_DEADLINE)
 @golden_examples()
 @given(doc=valid_scenarios())
 def test_counter_that_never_suppresses_is_flood_on_static_unit_delay_links(doc):
     # holding every forward one tick delays each hop of the flood by one tick
-    # and reorders nothing, as long as no link changes, no scripted drop
-    # catches a different packet and no held forward is left at t_max. With
-    # link delays that differ, two copies' order can flip: mixed.json sends
-    # 52 RREQs under counter against flood's 63
+    # and reorders no request, as long as no link changes, no held forward
+    # is left at t_max and every reply lands well before its deadline: a
+    # path has fewer than n hops, so a held round trip takes under 3n ticks.
+    # The request side is flood's. The reply side is not: a held request
+    # moves a reply against a late copy (REPLY_RACE). With link delays that
+    # differ, two copies' order can flip: mixed.json sends 52 RREQs under
+    # counter against flood's 63
     sc = _parsed(_static_unit_delay(doc))
     if sc is None:
         return
     flood, counter = _run(sc, Flood()), _run(sc, CounterBased(max_copies=10 ** 9))
     if flood.timed_out or counter.timed_out:
         return
-    assert (counter.counter_tuple(), counter.losses) == (flood.counter_tuple(), flood.losses)
+    assert _request_side(counter) == _request_side(flood)
+
+
+@pytest.mark.parametrize("doc, count, flood_count, counter_count",
+                         [(REPLY_RACE, "rrep_tx", 6, 4), (REPLY_AT_DEADLINE, "rreq_tx", 3, 4)])
+def test_counter_that_never_suppresses_differs_from_flood_at_a_reply_race(
+        doc, count, flood_count, counter_count):
+    # static unit-delay links and neither run cut short: the relation above
+    # needs its deadline slack, and holds on the request side alone
+    sc = _parsed(doc)
+    flood, counter = _run(sc, Flood()), _run(sc, CounterBased(max_copies=10 ** 9))
+    assert not flood.timed_out and not counter.timed_out
+    assert (getattr(flood, count), getattr(counter, count)) == (flood_count, counter_count)
 
 
 def test_a_forward_held_past_t_max_is_never_sent():

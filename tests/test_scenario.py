@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -103,20 +104,56 @@ def test_random_n_links_are_the_pairs_in_range(n):
 _GRID = st.integers(0, 12).map(lambda k: 8.0 * k)
 
 
-@st.composite
-def _layouts(draw):
-    """Positions on a grid of side 8, so that equal x, coincident nodes and
-    pairs exactly 40 apart (24 by 32, or 40 by 0) occur; a subset of the
-    pairs as the current links; and the order of the ids in the positions
-    dict."""
-    positions = draw(st.lists(st.tuples(_GRID, _GRID), min_size=2, max_size=10))
+def _links_and_order(draw, positions, radio):
+    """A subset of the pairs as the current links, and the order of the ids
+    in the positions dict, for a layout at `radio`."""
     n = len(positions)
     linked = draw(st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])))
-    return positions, linked, draw(st.permutations(range(n)))
+    return positions, linked, draw(st.permutations(range(n))), radio
 
 
-def _layout(positions, linked):
-    return positions, set(linked), list(reversed(range(len(positions))))
+@st.composite
+def _layouts(draw):
+    """Positions on a grid of side 8 at range 40, so that equal x,
+    coincident nodes and pairs exactly 40 apart (24 by 32, or 40 by 0)
+    occur."""
+    positions = draw(st.lists(st.tuples(_GRID, _GRID), min_size=2, max_size=10))
+    return _links_and_order(draw, positions, 40.0)
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def _float_layouts(draw):
+    """Float positions around a drawn offset, up to 1e12 away from the
+    origin, at a drawn range. A node may sit one range along an axis from
+    an earlier one, give or take two ulps and with a sideways step of none
+    or 2**-30 of the range: there a difference that rounds to the
+    range, and not the sum `xi + radio`, decides the pair."""
+    radio = draw(st.floats(0.001, 1000.0))
+    # rounding decides a pair only where coordinates are near the range in size
+    offset = draw(st.just(0.0) | st.floats(-1e12, 1e12))
+    near = st.floats(-2.0, 2.0).map(lambda f: offset + f * radio)
+    positions = [(draw(near), draw(near))]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.integers(0, 3)) == 0:
+            positions.append((draw(near), draw(near)))
+            continue
+        x, y = draw(st.sampled_from(positions))
+        along = radio * draw(st.sampled_from([1, -1]))
+        side = draw(st.sampled_from([0.0, radio * 2.0 ** -30]))
+        steps = draw(st.integers(-2, 2))
+        positions.append(draw(st.sampled_from([(_ulps(x + along, steps), y + side),
+                                               (x + side, _ulps(y + along, steps))])))
+    return _links_and_order(draw, positions, radio)
+
+
+def _layout(positions, linked, radio=40.0):
+    return positions, set(linked), list(reversed(range(len(positions)))), radio
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -127,15 +164,24 @@ def _layout(positions, linked):
 @example(case=_layout([(0.0, 0.0), (90.0, 0.0), (20.0, 0.0)], [(0, 1)]))
 @example(case=_layout([(0.0, 0.0), (10.0, 70.0)], [(0, 1)]))
 @example(case=_layout([(100.0, 0.0), (0.0, 0.0), (70.0, 10.0)], []))
-@given(case=_layouts())
+# each difference rounds to exactly 40, but the far end lies just past the
+# sum `xi + 40` or `yi - 40`; in the first y pair the sweep starts at the
+# lower node, so only the second one, moved 1e-7 in x, reaches `yi - 40`
+@example(case=_layout([(8.43155721868769, 5.0), (48.43155721868769, 5.0)], []))
+@example(case=_layout([(3.0, 37.9654579277219), (3.0, -2.0345420722781005)], []))
+@example(case=_layout([(3.0, 37.9654579277219), (3.0000001, -2.0345420722781005)], []))
+# near 1e12 an ulp is 2**-13: pairs exactly 0.5 apart, and one ulp further
+@example(case=_layout([(1e12, 7.0), (1e12 + 0.5, 7.0), (1e12 - 0.5 - 2.0 ** -13, 7.0),
+                       (1e12, 7.5), (1e12, 6.5 - 2.0 ** -13)], [(0, 2)], radio=0.5))
+@given(case=_layouts() | _float_layouts())
 def test_link_changes_are_the_difference_from_the_pairs_in_range(case):
-    positions, linked, order = case
+    positions, linked, order, radio = case
     peers = [set() for _ in positions]
     for a, b in linked:
         peers[a].add(b)
         peers[b].add(a)
-    down, up = link_changes({i: positions[i] for i in order}, 40.0, peers)
-    in_range = set(pairs_in_range(positions, 40.0))
+    down, up = link_changes({i: positions[i] for i in order}, radio, peers)
+    in_range = set(pairs_in_range(positions, radio))
     assert down == sorted(linked - in_range)
     assert up == sorted(in_range - linked)
 
