@@ -53,16 +53,14 @@ class Engine:
         self._ids = ids = scenario.node_ids()
 
         # link state: each node's live peers with their delay, the only store of
-        # the live links, and the configured delay of every listed pair, keyed
-        # (low, high) and none under mobility. Only apply_link_event changes a live link.
+        # the live links, and each listed delay other than 1 by (low, high) pair,
+        # none under mobility. Only apply_link_event changes a live link.
         self._adj: list[dict[NodeId, int]] = [{} for _ in range(scenario.node_count)]
         self.base_delay: dict[tuple[NodeId, NodeId], int] = {}
         for a, b, delay in scenario.links_by_id() if scenario.mobility is None else ():
-            self.base_delay[(min(a, b), max(a, b))] = delay
             self._adj[a][b] = self._adj[b][a] = delay
-        # every link has delay 1 when every listed one has (none are under
-        # mobility): a scripted link_up of an unlisted pair gets 1 as well
-        self._unit_delay = all(d == 1 for d in self.base_delay.values())
+            if delay != 1:
+                self.base_delay[(a, b) if a < b else (b, a)] = delay
         self.new_links: set[tuple[NodeId, NodeId]] = set()
         self.loss_filter: set[tuple[int, NodeId, NodeId]] = set()
 
@@ -87,9 +85,8 @@ class Engine:
                 connectivity=scenario.strategy.node_state(),
                 position_of=self.positions.get if self.positions else None,
             ))
-        for a, peers in enumerate(self._adj):
-            for b in peers:
-                self.nodes[a].neighbors[b] = 0
+        for node, peers in zip(self.nodes, self._adj):
+            node.neighbors = dict.fromkeys(peers, 0)
 
         # scripted events first so same-tick ordering favors topology changes,
         # then traffic, then the recurring ticks
@@ -108,16 +105,17 @@ class Engine:
             payload += flow.rounds
         self._seq = itertools.count(base + payload)
         # HELLO elision. On static links with no drop on a hello tick, a node
-        # has heard every neighbor at most one interval before each of its
-        # hello ticks, or still holds the tick-0 stamp that delay + interval
-        # <= timeout keeps fresh. No neighbor goes stale, so only a trace
-        # could observe a HELLO, and run() counts them instead of queueing them.
+        # has heard every neighbor at most one interval before each of its hello
+        # ticks, or still holds the tick-0 stamp that the largest link delay (0 with
+        # no link) + interval <= timeout keeps fresh. No neighbor goes stale, so
+        # only a trace could observe a HELLO, and run() counts them instead.
         p = scenario.params
         self._hellos_elided = (
             trace is None and self._motion is None
             and not any(isinstance(ev, LinkEvent) for ev in scenario.events)
             and all(at % p.hello_interval for at, _, _ in self.loss_filter)
-            and max(self.base_delay.values(), default=0) + p.hello_interval <= p.hello_timeout)
+            and max(self.base_delay.values(), default=1 if scenario.links else 0)
+            + p.hello_interval <= p.hello_timeout)
         if not self._hellos_elided:
             for i in range(scenario.node_count):
                 self._push(0, Engine._hello_tick, i)
@@ -195,7 +193,7 @@ class Engine:
                                     f"scripted to={self._labels[t]} {summarize(packet)}")
             if not live:
                 return
-        if self._unit_delay:
+        if not self.base_delay:     # every link has delay 1, a scripted link_up's too
             self._push(now + 1, Engine._deliver, frm, packet, live)
         else:
             groups: dict[int, list[NodeId]] = {}

@@ -100,6 +100,8 @@ class Scenario:
     t_max: int = 1000
     params: ProtocolConfig = field(default_factory=ProtocolConfig)
     comment: str = ""
+    # the node, link and event tuples validate() checked; replace() carries them
+    _checked: tuple = field(default=(), compare=False, repr=False)
 
     # -- label/id plumbing: a node's id is its index in the node list, which
     #    also fixes every deterministic tie-break in the engine.
@@ -124,43 +126,49 @@ class Scenario:
     def validate(self) -> None:
         """Raise `<path>: <rule>, got <value>` for the first rule broken.
         `__post_init__` calls it, so every Scenario, a replaced copy too,
-        has passed it once."""
+        has passed it once; a copy that keeps all three of the node, link and
+        event tuples checks only the rest."""
         # a line break would split run's summary
         check(self.name.isprintable(), "name", "not printable", self.name)
         seen_names = set()
-        for i, n in enumerate(self.nodes):
-            path = f"nodes[{i}].name"
-            check(n.name != "", path, "must not be empty", n.name)
-            # a tab or line break would split a trace line
-            check(n.name.isprintable(), path, "not printable", n.name)
-            check(n.name not in seen_names, path, "duplicate", n.name)
-            seen_names.add(n.name)
 
         def known(path: str, *ends: str) -> None:
             for end in ends:
                 check(end in seen_names, path, "unknown node", end)
 
-        seen_links = set()
-        for i, l in enumerate(self.links):
-            key = frozenset((l.a, l.b))
-            # every rule in one test; a broken one is named by the checks below
-            if not (l.a in seen_names and l.b in seen_names and l.a != l.b
-                    and key not in seen_links and l.delay >= 1):
-                path = f"links[{i}]"
-                known(path, l.a, l.b)
-                check(l.a != l.b, path, "self-link", l.a)
-                check(key not in seen_links, path, "duplicate link", f"{l.a}-{l.b}")
-                check(l.delay >= 1, f"{path}.delay", "must be >= 1", l.delay)
-            seen_links.add(key)
-        for i, ev in enumerate(self.events):
-            path = f"events[{i}]"
-            if isinstance(ev, LinkEvent):
-                check_one_of(ev.kind, ("link_up", "link_down"), f"{path}.kind")
-                known(path, ev.a, ev.b)
-                check(ev.a != ev.b, path, "self-link", ev.a)
-            else:
-                known(path, ev.frm, ev.to)
-            check(ev.at >= 0, f"{path}.at", "must be >= 0", ev.at)
+        parts = (self.nodes, self.links, self.events)
+        if self._checked == parts:
+            seen_names.update(n.name for n in self.nodes)
+        else:
+            for i, n in enumerate(self.nodes):
+                path = f"nodes[{i}].name"
+                check(n.name != "", path, "must not be empty", n.name)
+                # a tab or line break would split a trace line
+                check(n.name.isprintable(), path, "not printable", n.name)
+                check(n.name not in seen_names, path, "duplicate", n.name)
+                seen_names.add(n.name)
+            seen_links = set()
+            for i, l in enumerate(self.links):
+                # every rule in one test; a broken one is named by the checks below
+                if not (l.a in seen_names and l.b in seen_names and l.a != l.b
+                        and (key := (l.a, l.b) if l.a < l.b else (l.b, l.a)) not in seen_links
+                        and l.delay >= 1):
+                    path = f"links[{i}]"
+                    known(path, l.a, l.b)
+                    check(l.a != l.b, path, "self-link", l.a)
+                    check(key not in seen_links, path, "duplicate link", f"{l.a}-{l.b}")
+                    check(l.delay >= 1, f"{path}.delay", "must be >= 1", l.delay)
+                seen_links.add(key)
+            for i, ev in enumerate(self.events):
+                path = f"events[{i}]"
+                if isinstance(ev, LinkEvent):
+                    check_one_of(ev.kind, ("link_up", "link_down"), f"{path}.kind")
+                    known(path, ev.a, ev.b)
+                    check(ev.a != ev.b, path, "self-link", ev.a)
+                else:
+                    known(path, ev.frm, ev.to)
+                check(ev.at >= 0, f"{path}.at", "must be >= 0", ev.at)
+            object.__setattr__(self, "_checked", parts)
         m = self.mobility
         if m is not None:
             for ok, key, rule, value in (

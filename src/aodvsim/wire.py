@@ -78,21 +78,21 @@ def check_one_of(value, choices: Sequence[str], path: str) -> None:
     check(value in choices, path, f"must be {', '.join(choices[:-1])} or {choices[-1]}", value)
 
 
-# the reader for each declared field type
-_READERS = {"int": read_int, "float": read_number, "str": read_str, "bool": read_bool,
-            "tuple[float, float]": read_pair}
+# the reader for each declared field type, and the JSON type it returns unchanged
+_READERS = {"int": (read_int, int), "float": (read_number, None), "str": (read_str, str),
+            "bool": (read_bool, bool), "tuple[float, float]": (read_pair, None)}
 
 
 @functools.cache
-def _field_specs(datacls, extra: tuple[str, ...]) -> tuple[set[str], dict[str, tuple]]:
-    """The keys allowed beside `extra`, and JSON key -> (field name, reader,
-    optional, required) for each field of `datacls`; worked out once."""
-    specs = {}
+def _field_specs(datacls, extra: tuple[str, ...]) -> tuple[set[str], tuple[tuple, ...]]:
+    """The keys allowed beside `extra`, and (JSON key, field name, reader,
+    exact type, optional, required) for each field of `datacls`; worked out once."""
+    specs = []
     for f in fields(datacls):
         kind, _, optional = f.type.partition(" | ")
-        specs[f.metadata.get("json", f.name)] = (f.name, _READERS[kind], bool(optional),
-                                                 f.default is MISSING)
-    return specs.keys() | set(extra), specs
+        specs.append((f.metadata.get("json", f.name), f.name, *_READERS[kind], bool(optional),
+                      f.default is MISSING))
+    return {key for key, *_ in specs} | set(extra), tuple(specs)
 
 
 def read_fields(datacls, obj, path: str, extra: tuple[str, ...] = ()) -> dict:
@@ -105,15 +105,16 @@ def read_fields(datacls, obj, path: str, extra: tuple[str, ...] = ()) -> dict:
     """
     obj = read_object(obj, path)
     allowed, specs = _field_specs(datacls, extra)
-    check_keys(obj, allowed, path)
+    if not obj.keys() <= allowed:
+        check_keys(obj, allowed, path)
     out = {}
-    for key, (name, reader, optional, required) in specs.items():
-        if key not in obj:
-            if required:
-                require(obj, key, path)
-            continue
-        value = obj[key]
-        if value is not None or not optional:
-            value = reader(value, f"{path}.{key}")
-        out[name] = value
+    for key, name, reader, exact, optional, required in specs:
+        if key in obj:
+            value = obj[key]
+            # exactly its field's type needs no reader: a bool is no int here
+            if type(value) is not exact and (value is not None or not optional):
+                value = reader(value, f"{path}.{key}")
+            out[name] = value
+        elif required:
+            require(obj, key, path)
     return out

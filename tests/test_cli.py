@@ -590,6 +590,23 @@ def test_bad_scenario_values_exit_one_naming_the_path(tmp_path, capsys, override
         "strategy: unknown field(s) attempt_timeout, initial_index, new_link_bonus",
         id="overrides22-strategy: unknown field(s) attempt_timeout, initial_index, "
            "new_link_bonus"),
+    pytest.param({"links": [{"a": "a", "b": "b", "delay": True}]},
+                 "links[0].delay: expected an integer, got True",
+                 id="overrides23-links[0].delay: expected an integer, got True"),
+    pytest.param({"links": [{"a": "a", "b": "b", "delay": 1.0}]},
+                 "links[0].delay: expected an integer, got 1.0",
+                 id="overrides24-links[0].delay: expected an integer, got 1.0"),
+    pytest.param({"links": [{"a": None, "b": "b"}]}, "links[0].a: expected a string, got None",
+                 id="overrides25-links[0].a: expected a string, got None"),
+    pytest.param({"links": [7]}, "links[0]: expected an object",
+                 id="overrides26-links[0]: expected an object"),
+    pytest.param({"links": [{"a": "a", "b": "b", "cost": 2}]}, "links[0]: unknown field(s) cost",
+                 id="overrides27-links[0]: unknown field(s) cost"),
+    pytest.param({"links": [{"a": "a"}]}, "links[0].b: missing",
+                 id="overrides28-links[0].b: missing"),
+    pytest.param({"traffic": [{"origin": "a", "dest": "b", "rounds": False}]},
+                 "traffic[0].rounds: expected an integer, got False",
+                 id="overrides29-traffic[0].rounds: expected an integer, got False"),
 ])
 def test_scenario_rejections_are_pinned(tmp_path, capsys, overrides, stderr):
     scenario = tmp_path / "bad.json"

@@ -788,6 +788,9 @@ _DECLINED = {
     "delay_plus_interval_over_timeout": (chain("abc", delay=40, t_max=400,
                                                params=ProtocolConfig(discovery_deadline=100)),
                                          None),
+    # a unit delay counts too: 1 + interval is past a timeout equal to the interval
+    "unit_delay_timeout_is_interval": (chain("abc", params=ProtocolConfig(hello_timeout=10)),
+                                       None),
 }
 
 
@@ -800,6 +803,22 @@ def test_each_failing_condition_keeps_hellos_per_packet(case):
     traced = run(sc, trace=io.StringIO())
     assert (rep.hello_tx, rep.losses) == (traced.hello_tx, traced.losses)
     assert rep == traced
+
+
+_ELIDED = {
+    "unit_delay_timeout_past_interval": chain("abc", params=ProtocolConfig(hello_timeout=11)),
+    # with no link there is no delay to wait for, so a timeout equal to the interval is enough
+    "no_links_timeout_is_interval": chain("abc", links=[],
+                                          params=ProtocolConfig(hello_timeout=10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ELIDED))
+def test_largest_link_delay_bounds_hello_elision(case):
+    sc = _ELIDED[case]
+    eng = Engine(sc)
+    assert not _queues_hello_ticks(eng)
+    assert eng.run() == run(sc, trace=io.StringIO())
 
 
 def test_set_up_queues_one_round_per_flow():

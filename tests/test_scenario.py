@@ -372,3 +372,21 @@ def test_scenario_is_frozen_and_replace_validates_the_copy():
     with pytest.raises(ValidationError) as exc:
         replace(sc, t_max=0)
     assert str(exc.value) == "t_max: must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(dict(links=(LinkSpec("S", "N1"), LinkSpec("N1", "D"), LinkSpec("D", "zz"))),
+                 "links[2]: unknown node, got 'zz'", id="links"),
+    # fig1's sixth link is N3-D: the kept links are checked against the new nodes
+    pytest.param(dict(nodes=tuple(n for n in builtin("fig1").nodes if n.name != "D")),
+                 "links[5]: unknown node, got 'D'", id="nodes"),
+    pytest.param(dict(events=(DropEvent(at=3, frm="S", to="zz"),)),
+                 "events[0]: unknown node, got 'zz'", id="events"),
+    # a copy that keeps the nodes, links and events still checks the rest
+    pytest.param(dict(strategy=Connectivity(mode="bogus")),
+                 "strategy.mode: must be raw, ema or blend, got 'bogus'", id="strategy"),
+])
+def test_a_copy_checks_what_it_changes(changes, message):
+    with pytest.raises(ValidationError) as exc:
+        replace(builtin("fig1"), **changes)
+    assert str(exc.value) == message
