@@ -49,6 +49,8 @@ def corpus() -> list[tuple[str, str]]:
     entries += [("own-connectivity.json", OWN)]
     # the distance strategy on a builtin with positions, and a file under a given seed
     entries += [("random-20", "distance:20"), ("mixed.json", "flood --seed 3")]
+    # the distance strategy while the nodes move, under its own strategy block
+    entries += [("waypoint-distance.json", OWN)]
     # a file that sets params and turns intermediate replies off
     entries += [("params.json", OWN), ("params.json", "connectivity")]
     return entries
