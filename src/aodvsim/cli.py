@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
 
 def _read(path: str, what: str) -> str:
     """The text of a UTF-8 file; `what` names it in the missing-file message."""
-    if not os.path.exists(path):
+    if not os.path.exists(path) or os.path.isdir(path):
         raise ValidationError(f"{what} not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:

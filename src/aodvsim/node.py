@@ -35,13 +35,13 @@ from .protocol import (
     Rreq,
     RreqId,
 )
-from .suppression import ConnectivityState, SelectionView, Strategy
+from .suppression import ConnectivityState, Strategy
 
 
-def select_targets(strategy: Strategy, view: SelectionView, candidates: list[NodeId],
-                   rng: random.Random) -> list[NodeId]:
+def select_targets(strategy: Strategy, node: Node, candidates: list[NodeId],
+                   rreq: Rreq) -> list[NodeId]:
     """The forwarding decision, one module-level name so it can be wrapped."""
-    return strategy.select(view, candidates, rng)
+    return strategy.select(node, rreq, candidates)
 
 
 # --- timer kinds: each one fires its node's handler -----------------------
@@ -203,15 +203,7 @@ class Node:
         previous_hop = senders[0] if senders else None
         candidates = [n for n in self.neighbors if n != previous_hop]
         candidates.sort()
-        view = SelectionView(
-            dest=rreq.dest,
-            previous_hop=previous_hop,
-            connectivity=self.conn,
-            copies_heard=len(senders),
-            me=self.me,
-            position_of=self.position_of,
-        )
-        targets = select_targets(self.strategy, view, candidates, self.rng)
+        targets = select_targets(self.strategy, self, candidates, rreq)
         if len(targets) < len(candidates):
             self.metrics.record("suppressed_forwards", len(candidates) - len(targets))
         if not targets:

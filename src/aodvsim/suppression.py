@@ -10,13 +10,11 @@ classic flood-limiting baselines used for comparison.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
-from .protocol import NodeId, RreqId
+from .protocol import NodeId, Rreq, RreqId
 from .wire import ValidationError, check, check_one_of, read_fields, read_object, require
-
 
 class InvariantViolation(Exception):
     """Internal accounting went out of bounds."""
@@ -31,6 +29,11 @@ class Strategy:
     (`counter:3`), and sit flat beside `kind` in JSON. The defaults here
     forward to every candidate with a network-wide TTL and keep no per-node
     state.
+
+    `select` decides at the `Node` that would send `rreq`, from what it has
+    heard itself: `node.requests[rreq.rreq_id].senders` (empty at the
+    originator, the previous hop first at a relay), `node.conn`, `node.rng`,
+    `node.me` and `node.position_of`.
     """
 
     token: ClassVar[str]
@@ -60,8 +63,7 @@ class Strategy:
     def validate(self, nodes: Sequence) -> None:
         """Reject parameters that do not fit the scenario's nodes."""
 
-    def select(self, view: SelectionView, candidates: list[NodeId],
-               rng: random.Random) -> list[NodeId]:
+    def select(self, node, rreq: Rreq, candidates: list[NodeId]) -> list[NodeId]:
         """Subset of candidates the request actually goes to, in candidate order."""
         return list(candidates)
 
@@ -110,21 +112,21 @@ class Connectivity(Strategy):
                 (-math.inf < self.threshold <= 1.0, "threshold", "must be finite and at most 1")):
             check(ok, f"strategy.{name}", rule, getattr(self, name))
 
-    def select(self, view, candidates, rng):
-        state = view.connectivity
-        return [n for n in candidates if state.eligible(view.dest, n)]
+    def select(self, node, rreq, candidates):
+        return [n for n in candidates if node.conn.eligible(rreq.dest, n)]
 
     def node_state(self):
         return ConnectivityState(self)
 
 
 class _RelayFilter(Strategy):
-    """Forwards to all candidates or none at a relay, as `forwards(view, rng)`
-    decides. An originator has nothing "received" to judge, so it passes
-    everything."""
+    """Forwards to all candidates or none at a relay, as `forwards(node,
+    senders)` decides. An originator has heard no copy of its own request,
+    so it has nothing "received" to judge and passes everything."""
 
-    def select(self, view, candidates, rng):
-        if view.previous_hop is None or self.forwards(view, rng):
+    def select(self, node, rreq, candidates):
+        senders = node.requests[rreq.rreq_id].senders
+        if not senders or self.forwards(node, senders):
             return list(candidates)
         return []
 
@@ -137,8 +139,8 @@ class Probabilistic(_RelayFilter):
     def validate(self, nodes):
         check(0.0 <= self.p <= 1.0, "strategy.p", "must lie in [0, 1]", self.p)
 
-    def forwards(self, view, rng):
-        return rng.random() < self.p
+    def forwards(self, node, senders):
+        return node.rng.random() < self.p
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,8 @@ class CounterBased(_RelayFilter):
     def validate(self, nodes):
         check(self.max_copies >= 0, "strategy.max_copies", "must be >= 0", self.max_copies)
 
-    def forwards(self, view, rng):
-        return view.copies_heard <= self.max_copies
+    def forwards(self, node, senders):
+        return len(senders) <= self.max_copies
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ class DistanceBased(_RelayFilter):
             check(n.pos is not None, f"nodes[{i}].pos",
                   "the distance strategy needs positions on every node", n.pos)
 
-    def forwards(self, view, rng):
-        (x, y), (px, py) = view.position_of(view.me), view.position_of(view.previous_hop)
+    def forwards(self, node, senders):
+        (x, y), (px, py) = node.position_of(node.me), node.position_of(senders[0])
         return math.hypot(x - px, y - py) >= self.min_distance
 
 
@@ -329,16 +331,3 @@ class ConnectivityState:
             out[key] = (rec.attempts, rec.successes, rec.index)
         return out
 
-
-# --- forwarding decisions -------------------------------------------------
-
-@dataclass
-class SelectionView:
-    """What a forwarding decision may look at, assembled by the node."""
-
-    dest: NodeId
-    previous_hop: NodeId | None          # None at the originator
-    connectivity: ConnectivityState | None = None
-    copies_heard: int = 1
-    me: NodeId | None = None
-    position_of: Callable[[NodeId], tuple[float, float] | None] | None = None

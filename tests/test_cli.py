@@ -71,6 +71,15 @@ def test_missing_scenario_file_names_the_path(capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["run", "--scenario"], "scenario file"),
+    (["compare", "--inputs"], "metrics file"),
+])
+def test_directory_input_exits_one_as_a_missing_file(argv, what, tmp_path, capsys):
+    assert run_cli(*argv, str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"aodvsim: {what} not found: {tmp_path}\n"
+
+
 def test_invalid_scenario_file_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": 1}')

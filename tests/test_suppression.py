@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aodvsim.protocol import RreqId
+from aodvsim.protocol import Rreq, RreqId
 from aodvsim.suppression import (
     Connectivity,
     ConnectivityState,
@@ -14,9 +15,9 @@ from aodvsim.suppression import (
     Flood,
     InvariantViolation,
     Probabilistic,
-    SelectionView,
     ema_step,
     raw_ratio,
+    strategy_from_token,
 )
 from aodvsim.node import select_targets
 from aodvsim.wire import ValidationError
@@ -266,39 +267,56 @@ def test_unknown_link_is_always_eligible():
 # --- forwarding decisions -------------------------------------------------
 
 CANDIDATES = [3, 1, 4, 1 + 4]
+RREQ = Rreq(RreqId(2, 0), dest=9, dest_seq_known=None, hop_count=1, ttl=5)
 
 
-def view(**kw) -> SelectionView:
-    return SelectionView(dest=9, previous_hop=kw.pop("previous_hop", 0), **kw)
+def node(senders=(0,), **facts) -> SimpleNamespace:
+    """A stand-in for the deciding node: it heard RREQ from `senders`, the
+    previous hop first (none at the originator), and holds `facts`."""
+    return SimpleNamespace(requests={RREQ.rreq_id: SimpleNamespace(senders=list(senders))},
+                           **facts)
+
+
+class Unreadable:
+    """A node or request whose every attribute read fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the decision read {name!r}")
+
+
+@pytest.mark.parametrize("token", ["flood", "ring:1:2:7"])
+def test_a_strategy_without_a_filter_reads_nothing(token):
+    got = select_targets(strategy_from_token(token), Unreadable(), CANDIDATES, Unreadable())
+    assert got == [3, 1, 4, 5]
 
 
 def test_flood_forwards_to_everyone_in_order():
-    got = select_targets(Flood(), view(), CANDIDATES, random.Random(0))
+    got = select_targets(Flood(), node(), CANDIDATES, RREQ)
     assert got == CANDIDATES
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_probability_one_never_suppresses(seed):
-    got = select_targets(Probabilistic(p=1.0), view(), CANDIDATES,
-                         random.Random(seed))
+    got = select_targets(Probabilistic(p=1.0), node(rng=random.Random(seed)), CANDIDATES,
+                         RREQ)
     assert got == CANDIDATES
 
 
 def test_probability_zero_always_suppresses_at_relays():
-    got = select_targets(Probabilistic(p=0.0), view(), CANDIDATES,
-                         random.Random(1))
+    got = select_targets(Probabilistic(p=0.0), node(rng=random.Random(1)), CANDIDATES,
+                         RREQ)
     assert got == []
 
 
 def test_probabilistic_originator_is_exempt():
-    got = select_targets(Probabilistic(p=0.0), view(previous_hop=None),
-                         CANDIDATES, random.Random(1))
+    got = select_targets(Probabilistic(p=0.0), node(senders=(), rng=random.Random(1)),
+                         CANDIDATES, RREQ)
     assert got == CANDIDATES
 
 
 def test_probabilistic_same_seed_same_choice():
     s = Probabilistic(p=0.5)
-    runs = [select_targets(s, view(), CANDIDATES, random.Random(42))
+    runs = [select_targets(s, node(rng=random.Random(42)), CANDIDATES, RREQ)
             for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -306,7 +324,7 @@ def test_probabilistic_same_seed_same_choice():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))
 def test_counter_forwards_iff_copies_within_budget(copies, budget):
     got = select_targets(CounterBased(max_copies=budget),
-                         view(copies_heard=copies), CANDIDATES, random.Random(0))
+                         node(senders=range(copies)), CANDIDATES, RREQ)
     assert got == (CANDIDATES if copies <= budget else [])
 
 
@@ -314,9 +332,9 @@ def test_distance_gate_uses_inclusive_minimum():
     s = DistanceBased(min_distance=10.0)
     # the relay (node 7) works out its distance to the previous hop (node 0)
     at = {7: (3.0, 4.0), 0: (9.0, 12.0)}.get
-    keep = select_targets(s, view(me=7, position_of=at), CANDIDATES, random.Random(0))
+    keep = select_targets(s, node(me=7, position_of=at), CANDIDATES, RREQ)
     at = {7: (3.0, 4.0), 0: (9.0, 11.99)}.get
-    drop = select_targets(s, view(me=7, position_of=at), CANDIDATES, random.Random(0))
+    drop = select_targets(s, node(me=7, position_of=at), CANDIDATES, RREQ)
     assert keep == CANDIDATES and drop == []
 
 
@@ -325,9 +343,7 @@ def test_connectivity_filters_per_link_even_at_origin():
     rid = RreqId(0, 1)
     s.open_attempt(9, 1, rid)
     s.fail_pending(rid)                      # link 1 now at 0.0
-    got = select_targets(s.strategy,
-                         view(previous_hop=None, connectivity=s),
-                         [1, 2, 3], random.Random(0))
+    got = select_targets(s.strategy, node(senders=(), conn=s), [1, 2, 3], RREQ)
     assert got == [2, 3]
 
 
@@ -337,8 +353,7 @@ def test_negative_threshold_degenerates_to_flood(threshold):
     rid = RreqId(0, 1)
     s.open_attempt(9, 1, rid)
     s.fail_pending(rid)
-    got = select_targets(s.strategy, view(connectivity=s),
-                         [1, 2], random.Random(0))
+    got = select_targets(s.strategy, node(conn=s), [1, 2], RREQ)
     assert got == [1, 2]
 
 
