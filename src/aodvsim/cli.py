@@ -277,10 +277,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # a closed pipe shows here, not in the flush at exit
+        return code
     except ValidationError as exc:
         print(f"aodvsim: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:     # stdout's reader closed early (`| head`): not a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)    # so the exit flush cannot raise
+        return 0
     except OSError as exc:
         print(f"aodvsim: {exc}", file=sys.stderr)
         return 2

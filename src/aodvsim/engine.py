@@ -82,8 +82,7 @@ class Engine:
                 node_count=scenario.node_count,
                 metrics=self.metrics,
                 rng=self.rng,
-                connectivity=scenario.strategy.node_state(),
-                position_of=self.positions.get if self.positions else None,
+                position_of=self.positions.get,
             ))
         for node, peers in zip(self.nodes, self._adj):
             node.neighbors = dict.fromkeys(peers, 0)
@@ -343,8 +342,7 @@ class Engine:
         truncated = any(map(_cuts_short, queue))
         for node in self.nodes:
             for dest in sorted(node.pending_discoveries):
-                disc = node.pending_discoveries.pop(dest)
-                self.metrics.fail_discovery(disc.metrics_rec)
+                self.metrics.fail_discovery(node.pending_discoveries.pop(dest))
                 truncated = True
         self.metrics.timed_out = truncated
         if self._hellos_elided:

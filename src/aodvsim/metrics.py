@@ -98,6 +98,7 @@ ComparisonRow = namedtuple("ComparisonRow", COMPARISON_COLUMNS)
 
 @dataclass
 class DiscoveryRecord:
+    """One route discovery; while open, also its originator's pending record."""
     origin: int
     dest: int
     round_index: int | None
@@ -106,6 +107,8 @@ class DiscoveryRecord:
     failed: bool = False
     hop_count: int | None = None
     attempts: int = 1
+    deadline_at: int = 0        # the tick the current attempt gives up
+    queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
 
     @property
     def ok(self) -> bool:

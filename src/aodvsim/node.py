@@ -21,7 +21,7 @@ first and TTL-0 copies only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .metrics import DiscoveryRecord, MetricsReport
@@ -35,7 +35,7 @@ from .protocol import (
     Rreq,
     RreqId,
 )
-from .suppression import ConnectivityState, Strategy
+from .suppression import Strategy
 
 
 def select_targets(strategy: Strategy, node: Node, candidates: list[NodeId],
@@ -113,13 +113,6 @@ class _Request:
     replied: bool = False           # a reply was relayed back
 
 
-@dataclass
-class _Discovery:
-    metrics_rec: DiscoveryRecord        # holds the destination and the attempt count
-    deadline_at: int = 0
-    queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
-
-
 class Node:
     def __init__(
         self,
@@ -130,7 +123,6 @@ class Node:
         node_count: int,
         metrics: MetricsReport,
         rng: random.Random,
-        connectivity: ConnectivityState | None = None,
         position_of: Callable[[NodeId], tuple[float, float] | None] | None = None,
     ):
         self.me = me
@@ -140,7 +132,7 @@ class Node:
         self.node_count = node_count
         self.metrics = metrics
         self.rng = rng
-        self.conn = connectivity
+        self.conn = strategy.node_state()      # link statistics, if the strategy keeps any
         self.position_of = position_of
 
         self.seq = 0
@@ -148,7 +140,9 @@ class Node:
         self.neighbors: dict[NodeId, int] = {}          # neighbor -> last tick heard
         self.routes: dict[NodeId, RoutingEntry] = {}
         self.requests: dict[RreqId, _Request] = {}
-        self.pending_discoveries: dict[NodeId, _Discovery] = {}
+        # dest -> the report's own record of the open discovery: `deadline_at` is
+        # when its current attempt gives up, `queued` the payloads awaiting the route
+        self.pending_discoveries: dict[NodeId, DiscoveryRecord] = {}
         self.dest_seq_memory: dict[NodeId, int] = {}
 
     # -- small helpers
@@ -175,27 +169,25 @@ class Node:
     def initiate_discovery(self, dest: NodeId, now: int, round_index: int | None = None) -> None:
         assert dest not in self.pending_discoveries, "discovery already live"
         self.seq += 1
-        rec = self.metrics.begin_discovery(self.me, dest, round_index, now)
-        disc = _Discovery(rec)
+        disc = self.metrics.begin_discovery(self.me, dest, round_index, now)
         self.pending_discoveries[dest] = disc
         self._launch_attempt(disc, now)
 
-    def _launch_attempt(self, disc: _Discovery, now: int) -> None:
+    def _launch_attempt(self, disc: DiscoveryRecord, now: int) -> None:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
         disc.deadline_at = now + self.config.deadline_for(self.node_count)
         self.requests[rid] = _Request([])
 
-        rec = disc.metrics_rec
         rreq = Rreq(
             rreq_id=rid,
-            dest=rec.dest,
-            dest_seq_known=self.dest_seq_memory.get(rec.dest),
+            dest=disc.dest,
+            dest_seq_known=self.dest_seq_memory.get(disc.dest),
             hop_count=0,
-            ttl=self.strategy.attempt_ttl(rec.attempts - 1, self.node_count),
+            ttl=self.strategy.attempt_ttl(disc.attempts - 1, self.node_count),
         )
         self._targeted_sends(rreq, now)
-        self.net.set_timer(self.me, disc.deadline_at, DiscoveryDeadline(rec.dest))
+        self.net.set_timer(self.me, disc.deadline_at, DiscoveryDeadline(disc.dest))
 
     def _targeted_sends(self, rreq: Rreq, now: int) -> None:
         """Run the suppression decision and open one attempt per chosen link."""
@@ -298,7 +290,7 @@ class Node:
             if disc is not None:
                 # fresher or not, the reply leaves a valid route to dest
                 route = self.routes[rrep.dest]
-                self.metrics.resolve_discovery(disc.metrics_rec, now, route.hop_count)
+                self.metrics.resolve_discovery(disc, now, route.hop_count)
                 if disc.queued:
                     route.active = True
                     for pid in disc.queued:
@@ -322,13 +314,13 @@ class Node:
     def on_discovery_timeout(self, dest: NodeId, now: int) -> None:
         disc = self.pending_discoveries.get(dest)
         if disc is None or now < disc.deadline_at:
-            return   # resolved earlier, or a newer attempt reset the deadline
-        if disc.metrics_rec.attempts < self.config.max_retries:
-            disc.metrics_rec.attempts += 1
+            return   # a resolved discovery's deadline, maybe after a later one for dest opened
+        if disc.attempts < self.config.max_retries:
+            disc.attempts += 1
             self._launch_attempt(disc, now)
             return
         del self.pending_discoveries[dest]
-        self.metrics.fail_discovery(disc.metrics_rec)
+        self.metrics.fail_discovery(disc)
         for pid in disc.queued:
             self.net.drop(self.me, Data(self.me, dest, pid), "discovery-failed")
 

@@ -1,13 +1,17 @@
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
+import aodvsim
 from aodvsim.cli import main
 from aodvsim.metrics import CSV_COLUMNS, parse_run_csv
 from aodvsim.scenario import Scenario, builtin, parse_scenario
@@ -237,6 +241,34 @@ def test_output_into_a_missing_directory_exits_two(tmp_path, capsys):
         open(out, "w")
     assert run_cli("run", "--scenario", "fig1", "--out", str(out)) == 2
     assert capsys.readouterr() == ("", f"aodvsim: {exc.value}\n")
+
+
+def test_trace_file_in_a_missing_directory_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.tsv"
+    assert run_cli("run", "--scenario", "fig1", "--trace", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("aodvsim: [Errno 2] ")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["trace", "--scenario", "random-50"], 1),      # the trace outgrows the pipe mid-run
+    (["run", "--scenario", "fig1"], 0),             # the summary waits in stdout's buffer
+], ids=["trace-head-1", "run-head-0"])
+def test_a_reader_that_closes_stdout_early_is_not_a_failure(argv, lines):
+    """`aodvsim trace ... | head -1`: the reader leaves, and the writer exits 0
+    without a word on stderr. Stdout is block-buffered, as it is in a shell."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aodvsim.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "aodvsim.cli", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline().startswith(b"0\t")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)   # reads stderr to its end, then waits
+        finally:
+            proc.kill()     # nothing once it has exited; a stuck writer must not hang the suite
+    assert (proc.returncode, err) == (0, b"")
 
 
 # --- strategy registry ----------------------------------------------------

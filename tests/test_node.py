@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import dataclass
 
@@ -89,8 +90,7 @@ def step(handler, *args, **kw):
     return list(calls)
 
 
-def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None,
-              connectivity=None, **kw):
+def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None, **kw):
     node = Node(
         me=me,
         net=Recorder(me),
@@ -99,7 +99,6 @@ def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None,
         node_count=node_count,
         metrics=MetricsReport(),
         rng=random.Random(0),
-        connectivity=connectivity,
         **kw,
     )
     for n in neighbors:
@@ -157,6 +156,14 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
     deadline = timers(out, DiscoveryDeadline)
     assert deadline and deadline[0].at == 4 + 2 * 6
     assert node.pending_discoveries[5].queued == [7]
+
+
+def test_open_discovery_is_the_reports_own_record():
+    node = make_node(neighbors=[1])
+    node.send_data(5, 7, now=0)
+    disc = node.pending_discoveries[5]
+    assert disc is node.metrics.discoveries[-1]
+    assert (disc.origin, disc.dest, disc.started_at, disc.deadline_at) == (0, 5, 0, 12)
 
 
 def test_second_payload_joins_live_discovery_without_new_flood():
@@ -355,6 +362,20 @@ def test_early_deadline_timer_from_superseded_attempt_is_ignored():
     assert 5 in node.pending_discoveries
 
 
+def test_deadline_of_a_resolved_discovery_leaves_the_next_one_for_its_dest_alone():
+    node = make_node(neighbors=[1, 2])
+    node.send_data(5, 7, now=0)                         # first attempt's deadline: tick 12
+    node.on_rrep(make_rrep(hop=1), frm=1, now=4)
+    node.on_link_break(1, now=6)                        # the route carried data: rediscover
+    first, second = node.metrics.discoveries
+    resolved = copy.deepcopy(first)
+    assert node.pending_discoveries[5] is second and second.deadline_at == 18
+    assert step(node.on_discovery_timeout, 5, now=12) == []
+    assert node.pending_discoveries[5] is second and second.attempts == 1
+    assert not second.ok and not second.failed
+    assert first == resolved and first.ok
+
+
 def test_deadline_retries_with_a_fresh_request_id():
     node = make_node(neighbors=[1])
     first_rid = sends(step(node.send_data, 5, 7, now=0))[0].packet.rreq_id
@@ -362,7 +383,7 @@ def test_deadline_retries_with_a_fresh_request_id():
     assert sends(out)
     second_rid = sends(out)[0].packet.rreq_id
     assert second_rid != first_rid
-    assert node.pending_discoveries[5].metrics_rec.attempts == 2
+    assert node.pending_discoveries[5].attempts == 2
     assert node.metrics.discoveries[0].attempts == 2
 
 
@@ -536,10 +557,20 @@ def test_stale_forward_decision_is_a_no_op():
     assert step(node.on_forward_decision, make_rreq(num=9), now=6) == []
 
 
+@pytest.mark.parametrize("strategy", [Connectivity(mode="ema"), Flood()],
+                         ids=["connectivity", "flood"])
+def test_node_builds_its_own_state_from_its_strategy(strategy):
+    node = make_node(strategy=strategy)
+    if isinstance(strategy, Connectivity):
+        assert type(node.conn) is ConnectivityState and node.conn.strategy is strategy
+        assert make_node(strategy=strategy).conn is not node.conn     # one table per node
+    else:
+        assert node.conn is None
+
+
 def test_connectivity_origin_opens_attempts_and_arms_sweep():
-    state = ConnectivityState(Connectivity())
-    node = make_node(neighbors=[1, 2], strategy=state.strategy,
-                     connectivity=state)
+    node = make_node(neighbors=[1, 2], strategy=Connectivity())
+    state = node.conn
     out = step(node.send_data, 5, 7, now=0)
     assert recipients(out) == [[1, 2]]
     rid = sends(out)[0].packet.rreq_id
@@ -549,9 +580,8 @@ def test_connectivity_origin_opens_attempts_and_arms_sweep():
 
 
 def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
-    strategy = Connectivity(warmup_attempts=0)
-    state = ConnectivityState(strategy)
-    node = make_node(neighbors=[1], strategy=strategy, connectivity=state)
+    node = make_node(neighbors=[1], strategy=Connectivity(warmup_attempts=0))
+    state = node.conn
     # history: 9 attempts, 5 successes -> 5/9, barely over the bar
     for i in range(9):
         rid = RreqId(0, 100 + i)
@@ -569,13 +599,10 @@ def test_connectivity_credits_reply_and_boosts_new_link_over_threshold():
 
 
 def test_connectivity_filter_suppresses_weak_links_at_relay():
-    strategy = Connectivity(warmup_attempts=0)
-    state = ConnectivityState(strategy)
+    node = make_node(me=2, neighbors=[1, 3, 4], strategy=Connectivity(warmup_attempts=0))
     rid = RreqId(9, 9)
-    state.open_attempt(5, 3, rid)
-    state.fail_pending(rid)                             # index 0.0 on link 3
-    node = make_node(me=2, neighbors=[1, 3, 4], strategy=strategy,
-                     connectivity=state)
+    node.conn.open_attempt(5, 3, rid)
+    node.conn.fail_pending(rid)                         # index 0.0 on link 3
     out = step(node.on_rreq, make_rreq(dest=5), frm=1, now=1)
     assert recipients(out) == [[4]]
     assert node.metrics.suppressed_forwards == 1
@@ -583,10 +610,10 @@ def test_connectivity_filter_suppresses_weak_links_at_relay():
 
 @pytest.mark.parametrize("name", ["flood", "connectivity"])
 def test_relay_flood_is_one_send_to_the_strategy_targets_in_order(name, monkeypatch):
-    state, strategy = None, Flood()
-    if name == "connectivity":
-        strategy = Connectivity(warmup_attempts=0)
-        state = ConnectivityState(strategy)
+    strategy = Connectivity(warmup_attempts=0) if name == "connectivity" else Flood()
+    node = make_node(me=2, neighbors=[6, 1, 4, 3], strategy=strategy)
+    state = node.conn
+    if state is not None:
         state.open_attempt(5, 4, RreqId(9, 9))
         state.fail_pending(RreqId(9, 9))                # index 0.0 on link 4
     real_select, chosen = node_module.select_targets, []
@@ -595,7 +622,6 @@ def test_relay_flood_is_one_send_to_the_strategy_targets_in_order(name, monkeypa
         chosen.append(real_select(*args))
         return chosen[-1]
     monkeypatch.setattr(node_module, "select_targets", select)
-    node = make_node(me=2, neighbors=[6, 1, 4, 3], strategy=strategy, connectivity=state)
     out = step(node.on_rreq, make_rreq(ttl=4, hop=1), frm=1, now=0)
     assert chosen == [[3, 6] if name == "connectivity" else [3, 4, 6]]
     assert sends(out) == [Send(chosen[0], make_rreq(ttl=3, hop=2))]
