@@ -53,6 +53,9 @@ def corpus() -> list[tuple[str, str]]:
     entries += [("waypoint-distance.json", OWN)]
     # a file that sets params and turns intermediate replies off
     entries += [("params.json", OWN), ("params.json", "connectivity")]
+    # a ring whose third attempt is past its threshold and goes network-wide,
+    # and a file whose round count is given on the command line
+    entries += [("ring-demo", "ring:1:2:3"), ("mixed.json", "flood --rounds 3")]
     return entries
 
 
