@@ -107,7 +107,6 @@ class DiscoveryRecord:
     failed: bool = False
     hop_count: int | None = None
     attempts: int = 1
-    deadline_at: int = 0        # the tick the current attempt gives up
     queued: list[int] = field(default_factory=list)     # payload ids awaiting the route
 
     @property

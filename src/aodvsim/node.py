@@ -48,10 +48,11 @@ def select_targets(strategy: Strategy, node: Node, candidates: list[NodeId],
 
 @dataclass(frozen=True)
 class DiscoveryDeadline:
-    dest: NodeId
+    """When the attempt `_launch_attempt` made for `disc` gives up."""
+    disc: DiscoveryRecord
 
     def fire(self, node: Node, now: int) -> None:
-        node.on_discovery_timeout(self.dest, now)
+        node.on_discovery_timeout(self.disc, now)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,7 @@ class Node:
         self.neighbors: dict[NodeId, int] = {}          # neighbor -> last tick heard
         self.routes: dict[NodeId, RoutingEntry] = {}
         self.requests: dict[RreqId, _Request] = {}
-        # dest -> the report's own record of the open discovery: `deadline_at` is
-        # when its current attempt gives up, `queued` the payloads awaiting the route
+        # dest -> the report's own record of the open discovery
         self.pending_discoveries: dict[NodeId, DiscoveryRecord] = {}
         self.dest_seq_memory: dict[NodeId, int] = {}
 
@@ -176,7 +176,6 @@ class Node:
     def _launch_attempt(self, disc: DiscoveryRecord, now: int) -> None:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
-        disc.deadline_at = now + self.config.deadline_for(self.node_count)
         self.requests[rid] = _Request([])
 
         rreq = Rreq(
@@ -187,7 +186,8 @@ class Node:
             ttl=self.strategy.attempt_ttl(disc.attempts - 1, self.node_count),
         )
         self._targeted_sends(rreq, now)
-        self.net.set_timer(self.me, disc.deadline_at, DiscoveryDeadline(disc.dest))
+        self.net.set_timer(self.me, now + self.config.deadline_for(self.node_count),
+                           DiscoveryDeadline(disc))
 
     def _targeted_sends(self, rreq: Rreq, now: int) -> None:
         """Run the suppression decision and open one attempt per chosen link."""
@@ -311,18 +311,20 @@ class Node:
 
     # -- timers
 
-    def on_discovery_timeout(self, dest: NodeId, now: int) -> None:
-        disc = self.pending_discoveries.get(dest)
-        if disc is None or now < disc.deadline_at:
-            return   # a resolved discovery's deadline, maybe after a later one for dest opened
+    def on_discovery_timeout(self, disc: DiscoveryRecord, now: int) -> None:
+        """Retry or fail `disc` if it is still its dest's open record. Only
+        `_launch_attempt` sets this timer, and a retry starts only from the one
+        firing, so an open record's deadline is always its latest attempt's."""
+        if self.pending_discoveries.get(disc.dest) is not disc:
+            return
         if disc.attempts < self.config.max_retries:
             disc.attempts += 1
             self._launch_attempt(disc, now)
             return
-        del self.pending_discoveries[dest]
+        del self.pending_discoveries[disc.dest]
         self.metrics.fail_discovery(disc)
         for pid in disc.queued:
-            self.net.drop(self.me, Data(self.me, dest, pid), "discovery-failed")
+            self.net.drop(self.me, Data(self.me, disc.dest, pid), "discovery-failed")
 
     def on_attempt_sweep(self, rreq_id: RreqId, now: int) -> None:
         """An AttemptSweep is set only when `conn` exists."""

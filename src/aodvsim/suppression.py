@@ -259,12 +259,6 @@ class ConnectivityState:
         # in the order it opened them
         self._open: dict[RreqId, dict[tuple[NodeId, NodeId], ConnectivityRecord]] = {}
 
-    def record_for(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord:
-        rec = self.records.get((dest, neighbor))
-        if rec is None:
-            rec = self.records[dest, neighbor] = ConnectivityRecord()
-        return rec
-
     def peek(self, dest: NodeId, neighbor: NodeId) -> ConnectivityRecord | None:
         return self.records.get((dest, neighbor))
 
@@ -273,7 +267,10 @@ class ConnectivityState:
         opened = self._open.setdefault(rreq_id, {})
         if (dest, neighbor) in opened:
             raise InvariantViolation(f"attempt {rreq_id} already open toward {neighbor}")
-        rec = opened[dest, neighbor] = self.record_for(dest, neighbor)
+        rec = self.records.get((dest, neighbor))
+        if rec is None:
+            rec = self.records[dest, neighbor] = ConnectivityRecord()
+        opened[dest, neighbor] = rec
         rec.attempts += 1
 
     def resolve_attempt(self, dest: NodeId, neighbor: NodeId, rreq_id: RreqId, success: bool) -> bool:
@@ -308,11 +305,11 @@ class ConnectivityState:
         for rec in self._open.pop(rreq_id, {}).values():
             self._recompute(rec, success=False)
 
-    def boost_new_link(self, dest: NodeId, neighbor: NodeId) -> float:
-        """Nudge a link that just (re)appeared and carried a successful discovery."""
-        rec = self.record_for(dest, neighbor)
+    def boost_new_link(self, dest: NodeId, neighbor: NodeId) -> None:
+        """Nudge a link that just (re)appeared and carried a successful discovery;
+        `resolve_attempt` credited the link first, so its record exists."""
+        rec = self.records[dest, neighbor]
         rec.index = min(1.0, rec.index + NEW_LINK_BONUS)
-        return rec.index
 
     def eligible(self, dest: NodeId, neighbor: NodeId) -> bool:
         """Below the warm-up attempt count every link qualifies; after it the
@@ -322,12 +319,8 @@ class ConnectivityState:
             return True
         return rec.index > self.strategy.threshold
 
-    def snapshot(self, dest: NodeId | None = None) -> dict[tuple, tuple[int, int, float]]:
-        """(attempts, successes, index) per (dest, neighbor), optionally for one destination."""
-        out = {}
-        for key, rec in sorted(self.records.items()):
-            if dest is not None and key[0] != dest:
-                continue
-            out[key] = (rec.attempts, rec.successes, rec.index)
-        return out
+    def snapshot(self) -> dict[tuple, tuple[int, int, float]]:
+        """(attempts, successes, index) per (dest, neighbor), in key order."""
+        return {key: (rec.attempts, rec.successes, rec.index)
+                for key, rec in sorted(self.records.items())}
 

@@ -330,6 +330,54 @@ def test_no_drawn_run_sends_a_node_a_reply_for_itself(doc):
     assert found == []
 
 
+@contextlib.contextmanager
+def _stray_deadlines():
+    """Yield a list that gets (node, dest, tick) for every discovery deadline
+    that fires for its node's open record on a tick other than the one that
+    record's latest attempt set, or that changes anything while the record
+    it carries is not its node's open one."""
+    found = []
+    due = {}        # id(record) -> (record, the tick its latest attempt gives up)
+    real_launch, real_timeout = Node._launch_attempt, Node.on_discovery_timeout
+
+    def _launch_attempt(node, disc, now):
+        due[id(disc)] = disc, now + node.config.deadline_for(node.node_count)
+        real_launch(node, disc, now)
+
+    def on_discovery_timeout(node, disc, now):
+        def state():
+            return (disc.attempts, disc.failed, node.next_rreq_num,
+                    [(d, id(r)) for d, r in node.pending_discoveries.items()])
+        is_open = node.pending_discoveries.get(disc.dest) is disc
+        if is_open and now != due[id(disc)][1]:
+            found.append((node.me, disc.dest, now))
+        before = state()
+        real_timeout(node, disc, now)
+        if not is_open and state() != before:
+            found.append((node.me, disc.dest, now))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Node, "_launch_attempt", _launch_attempt)
+        mp.setattr(Node, "on_discovery_timeout", on_discovery_timeout)
+        yield found
+
+
+# only _launch_attempt sets a deadline, and a retry starts only from the
+# deadline that is firing: an open record's deadline is its latest attempt's,
+# and a deadline whose record has closed leaves every discovery alone
+def test_no_golden_run_fires_a_stray_discovery_deadline():
+    with _stray_deadlines() as found:
+        _run_golden_corpus()
+    assert found == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=valid_scenarios())
+def test_no_drawn_run_fires_a_stray_discovery_deadline(doc):
+    with _stray_deadlines() as found:
+        _run_drawn(doc)
+    assert found == []
+
+
 def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():
     # b looks for c twice under connectivity with a one-tick discovery
     # deadline: each flood's AttemptSweep and DiscoveryDeadline land on the

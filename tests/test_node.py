@@ -160,10 +160,12 @@ def test_send_data_without_route_floods_request_and_arms_deadline():
 
 def test_open_discovery_is_the_reports_own_record():
     node = make_node(neighbors=[1])
-    node.send_data(5, 7, now=0)
+    deadline = timers(step(node.send_data, 5, 7, now=0), DiscoveryDeadline)
     disc = node.pending_discoveries[5]
     assert disc is node.metrics.discoveries[-1]
-    assert (disc.origin, disc.dest, disc.started_at, disc.deadline_at) == (0, 5, 0, 12)
+    assert (disc.origin, disc.dest, disc.started_at) == (0, 5, 0)
+    # the deadline timer carries the record itself, due one deadline (2 * 6) on
+    assert [t.at for t in deadline] == [12] and deadline[0].kind.disc is disc
 
 
 def test_second_payload_joins_live_discovery_without_new_flood():
@@ -177,7 +179,7 @@ def test_discovery_with_no_neighbors_still_times_out_cleanly():
     node = make_node(neighbors=[], config=ProtocolConfig(max_retries=1))
     out = step(node.send_data, 5, 7, now=0)
     assert not sends(out)
-    fail = step(node.on_discovery_timeout, 5, now=12)
+    fail = step(node.on_discovery_timeout, node.pending_discoveries[5], now=12)
     assert [e.packet.payload_id for e in fail if isinstance(e, Drop)] == [7]
     assert node.metrics.discoveries_failed == 1
     assert 5 not in node.pending_discoveries
@@ -355,13 +357,6 @@ def test_reply_without_reverse_path_is_dropped():
 
 # --- retries and timers ---------------------------------------------------
 
-def test_early_deadline_timer_from_superseded_attempt_is_ignored():
-    node = make_node(neighbors=[1])
-    node.send_data(5, 7, now=0)
-    assert step(node.on_discovery_timeout, 5, now=5) == []
-    assert 5 in node.pending_discoveries
-
-
 def test_deadline_of_a_resolved_discovery_leaves_the_next_one_for_its_dest_alone():
     node = make_node(neighbors=[1, 2])
     node.send_data(5, 7, now=0)                         # first attempt's deadline: tick 12
@@ -369,8 +364,8 @@ def test_deadline_of_a_resolved_discovery_leaves_the_next_one_for_its_dest_alone
     node.on_link_break(1, now=6)                        # the route carried data: rediscover
     first, second = node.metrics.discoveries
     resolved = copy.deepcopy(first)
-    assert node.pending_discoveries[5] is second and second.deadline_at == 18
-    assert step(node.on_discovery_timeout, 5, now=12) == []
+    assert node.pending_discoveries[5] is second
+    assert step(node.on_discovery_timeout, first, now=12) == []
     assert node.pending_discoveries[5] is second and second.attempts == 1
     assert not second.ok and not second.failed
     assert first == resolved and first.ok
@@ -379,7 +374,7 @@ def test_deadline_of_a_resolved_discovery_leaves_the_next_one_for_its_dest_alone
 def test_deadline_retries_with_a_fresh_request_id():
     node = make_node(neighbors=[1])
     first_rid = sends(step(node.send_data, 5, 7, now=0))[0].packet.rreq_id
-    out = step(node.on_discovery_timeout, 5, now=12)
+    out = step(node.on_discovery_timeout, node.pending_discoveries[5], now=12)
     assert sends(out)
     second_rid = sends(out)[0].packet.rreq_id
     assert second_rid != first_rid
@@ -390,8 +385,9 @@ def test_deadline_retries_with_a_fresh_request_id():
 def test_retries_exhaust_into_failure_and_payload_drops():
     node = make_node(neighbors=[1], config=ProtocolConfig(max_retries=2))
     node.send_data(5, 7, now=0)
-    node.on_discovery_timeout(5, now=12)
-    out = step(node.on_discovery_timeout, 5, now=24)
+    disc = node.pending_discoveries[5]
+    node.on_discovery_timeout(disc, now=12)
+    out = step(node.on_discovery_timeout, disc, now=24)
     drops = [d for d in out if isinstance(d, Drop)]
     assert [d.reason for d in drops] == ["discovery-failed"]
     assert node.metrics.discoveries_failed == 1
