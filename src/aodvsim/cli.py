@@ -8,6 +8,7 @@ message that names the JSON path, flag, file or CSV line at fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache     # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="aodvsim",
                      description="AODV route discovery simulator with "

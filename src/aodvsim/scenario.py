@@ -91,7 +91,7 @@ class TrafficSpec:
 class Scenario:
     name: str
     nodes: tuple[NodeSpec, ...]
-    links: tuple[LinkSpec, ...]
+    links: tuple[LinkSpec | tuple[int, int, int], ...]   # by names, or (a, b, delay) by ids
     traffic: tuple[TrafficSpec, ...]
     strategy: Strategy = field(default_factory=Flood)
     mobility: RandomWaypoint | None = None                     # None: links stay put
@@ -100,7 +100,7 @@ class Scenario:
     t_max: int = 1000
     params: ProtocolConfig = field(default_factory=ProtocolConfig)
     comment: str = ""
-    # the node, link and event tuples validate() checked; replace() carries them
+    # node, link and event tuples validate() checked, then link id triples; replace() carries them
     _checked: tuple = field(default=(), compare=False, repr=False)
 
     # -- label/id plumbing: a node's id is its index in the node list, which
@@ -113,9 +113,8 @@ class Scenario:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def links_by_id(self) -> list[tuple[int, int, int]]:
-        ids = self.node_ids()
-        return [(ids[l.a], ids[l.b], l.delay) for l in self.links]
+    def links_by_id(self) -> tuple[tuple[int, int, int], ...]:
+        return self._checked[3]
 
     def __post_init__(self) -> None:
         # lists are accepted; tuples keep them from changing after the check
@@ -124,40 +123,43 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        """Raise `<path>: <rule>, got <value>` for the first rule broken.
-        `__post_init__` calls it, so every Scenario, a replaced copy too,
-        has passed it once; a copy that keeps all three of the node, link and
-        event tuples checks only the rest."""
+        """Raise `<path>: <rule>, got <value>` for the first rule broken, and
+        resolve link names to ids once the nodes have passed. `__post_init__`
+        calls it, so every Scenario, a copy too, has passed it once; a copy
+        keeping the node, link and event tuples checks only the rest."""
         # a line break would split run's summary
         check(self.name.isprintable(), "name", "not printable", self.name)
-        seen_names = set()
+        ids: dict[str, int] = {}
 
-        def known(path: str, *ends: str) -> None:
+        def known(path: str, *ends, among=ids) -> None:
             for end in ends:
-                check(end in seen_names, path, "unknown node", end)
+                check(end in among, path, "unknown node", end)
 
         parts = (self.nodes, self.links, self.events)
-        if self._checked == parts:
-            seen_names.update(n.name for n in self.nodes)
+        if self._checked[:3] == parts:
+            ids.update(self.node_ids())
         else:
             for i, n in enumerate(self.nodes):
                 path = f"nodes[{i}].name"
                 check(n.name != "", path, "must not be empty", n.name)
                 # a tab or line break would split a trace line
                 check(n.name.isprintable(), path, "not printable", n.name)
-                check(n.name not in seen_names, path, "duplicate", n.name)
-                seen_names.add(n.name)
-            seen_links = set()
-            for i, l in enumerate(self.links):
+                check(n.name not in ids, path, "duplicate", n.name)
+                ids[n.name] = i
+            n, seen_links, get = len(ids), set(), ids.get
+            rows = tuple([(get(l.a, -1), get(l.b, -1), l.delay) if isinstance(l, LinkSpec) else l
+                          for l in self.links])
+            for i, (a, b, delay) in enumerate(rows):
                 # every rule in one test; a broken one is named by the checks below
-                if not (l.a in seen_names and l.b in seen_names and l.a != l.b
-                        and (key := (l.a, l.b) if l.a < l.b else (l.b, l.a)) not in seen_links
-                        and l.delay >= 1):
-                    path = f"links[{i}]"
-                    known(path, l.a, l.b)
-                    check(l.a != l.b, path, "self-link", l.a)
-                    check(key not in seen_links, path, "duplicate link", f"{l.a}-{l.b}")
-                    check(l.delay >= 1, f"{path}.delay", "must be >= 1", l.delay)
+                if not (0 <= a < n and 0 <= b < n and a != b
+                        and (key := a * n + b if a < b else b * n + a) not in seen_links
+                        and delay >= 1):
+                    path, l = f"links[{i}]", self.links[i]
+                    x, y, among = (l.a, l.b, ids) if isinstance(l, LinkSpec) else (a, b, range(n))
+                    known(path, x, y, among=among)
+                    check(a != b, path, "self-link", x)
+                    check(key not in seen_links, path, "duplicate link", f"{x}-{y}")
+                    check(delay >= 1, f"{path}.delay", "must be >= 1", delay)
                 seen_links.add(key)
             for i, ev in enumerate(self.events):
                 path = f"events[{i}]"
@@ -168,7 +170,7 @@ class Scenario:
                 else:
                     known(path, ev.frm, ev.to)
                 check(ev.at >= 0, f"{path}.at", "must be >= 0", ev.at)
-            object.__setattr__(self, "_checked", parts)
+            object.__setattr__(self, "_checked", (*parts, rows))
         m = self.mobility
         if m is not None:
             for ok, key, rule, value in (
@@ -379,7 +381,7 @@ def _random_geometric(n: int, seed: int) -> Scenario:
         name=f"random-{n}",
         comment="seeded random geometric graph",
         nodes=nodes,
-        links=[LinkSpec(nodes[i].name, nodes[j].name) for i, j in pairs],
+        links=[(i, j, 1) for i, j in pairs],
         traffic=[TrafficSpec(origin="n0", dest=f"n{n - 1}", start=0, rounds=1)],
         seed=seed,
         t_max=300,
@@ -398,7 +400,7 @@ def builtin(name: str, seed: int | None = None, rounds: int | None = None) -> Sc
     elif name == "ring-demo":
         sc = _ring_demo(seed_value)
     else:
-        m = re.fullmatch(r"random-0*(\d+)", name)
+        m = re.fullmatch(r"random-0*([0-9]+)", name)
         if not m:
             raise UnknownScenario(f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
         # the length first: int() refuses more than 4,300 digits

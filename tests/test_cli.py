@@ -6,15 +6,16 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
 import aodvsim
-from aodvsim.cli import main
+from aodvsim.cli import build_parser, main
 from aodvsim.metrics import CSV_COLUMNS, parse_run_csv
-from aodvsim.scenario import Scenario, builtin, parse_scenario
+from aodvsim.scenario import Scenario, builtin, parse_scenario, with_rounds
 from aodvsim.suppression import STRATEGIES, strategy_from_token
 
 CSV_OK_COL = CSV_COLUMNS.index("discoveries_ok")
@@ -719,6 +720,57 @@ def test_random_builtin_above_2000_nodes_exits_one(capsys, digits):
     # the 5,000-digit name is past Python's limit for int(), and meets the same rule
     assert run_cli("run", "--scenario", f"random-{digits}") == 1
     assert capsys.readouterr().err == f"aodvsim: random-{digits}: need at most 2000 nodes\n"
+
+
+@pytest.mark.parametrize("name,code,out,err", [
+    ("random-05", 0, "scenario=random-5 ", ""),
+    # an Arabic-Indic three is a digit to `\d`, but a node count is ASCII digits only
+    ("random-\u0663", 1, "", "aodvsim: scenario file not found: random-\u0663\n"),
+], ids=["leading-zero", "non-ascii-digit"])
+def test_random_builtin_takes_ascii_digits_only(capsys, name, code, out, err):
+    assert run_cli("run", "--scenario", name) == code
+    stdout, stderr = capsys.readouterr()
+    assert stdout.startswith(out) and stderr == err
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_random_builtin_id_triples_survive_a_json_round_trip(tmp_path, capsys, n):
+    """random-N hands over its links as (a, b, delay) ids; spelled out by
+    name in a scenario file, they resolve to the same ids and the same run."""
+    sc = builtin(f"random-{n}")
+    names = [node.name for node in sc.nodes]
+    doc = {"schema": 1, "name": sc.name, "comment": sc.comment, "seed": sc.seed,
+           "t_max": sc.t_max,
+           "nodes": [{"name": node.name, "pos": list(node.pos)} for node in sc.nodes],
+           "links": [{"a": names[a], "b": names[b], "delay": d} for a, b, d in sc.links],
+           "traffic": [{"origin": t.origin, "dest": t.dest} for t in sc.traffic]}
+    path = tmp_path / f"random-{n}.json"
+    path.write_text(json.dumps(doc))
+    from_file = parse_scenario(path.read_text())
+    assert from_file.links_by_id() == sc.links_by_id()
+    summaries = []
+    for scenario in (sc.name, str(path)):
+        assert run_cli("run", "--scenario", scenario) == 0
+        summaries.append(capsys.readouterr().out)
+    assert summaries[0] == summaries[1]
+    # a --seed or --rounds copy carries the triples validate() made, not a new set
+    for copy, source in ((replace(sc, seed=3), sc), (with_rounds(sc, 2), sc),
+                         (replace(from_file, seed=3), from_file)):
+        assert copy.links_by_id() is source.links_by_id()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    assert run_cli("run", "--scenario", "fig1", "--seed", "7", "--strategy", "connectivity",
+                   "--mode", "ema", "--alpha", "0.5") == 0
+    assert run_cli("run", "--rounds", "x") == 1
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", "fig1") == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(aodvsim.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "aodvsim.cli", "run", "--scenario", "fig1"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert capsys.readouterr().out == fresh.stdout
 
 
 def test_links_listed_under_mobility_are_ignored(tmp_path, capsys):

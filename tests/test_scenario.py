@@ -85,7 +85,7 @@ def test_ring_demo_shape():
 def test_random_n_is_seed_deterministic():
     a, b = builtin("random-8", seed=5), builtin("random-8", seed=5)
     assert [n.pos for n in a.nodes] == [n.pos for n in b.nodes]
-    assert [(l.a, l.b) for l in a.links] == [(l.a, l.b) for l in b.links]
+    assert [(x, y) for x, y, _ in a.links] == [(x, y) for x, y, _ in b.links]
     c = builtin("random-8", seed=6)
     assert [n.pos for n in a.nodes] != [n.pos for n in c.nodes]
 
@@ -93,10 +93,9 @@ def test_random_n_is_seed_deterministic():
 @pytest.mark.parametrize("n", [2, 20, 50, 300])
 def test_random_n_links_are_the_pairs_in_range(n):
     sc = builtin(f"random-{n}")
-    ids = sc.node_ids()
     # random-N places its nodes in a 100 x 100 square with radio range 45
     wanted = pairs_in_range([node.pos for node in sc.nodes], 45.0)
-    assert [(ids[l.a], ids[l.b]) for l in sc.links] == wanted
+    assert [(a, b) for a, b, _ in sc.links] == wanted
 
 
 # --- the radio-range rule -------------------------------------------------
@@ -319,6 +318,21 @@ def test_self_and_duplicate_links_are_rejected():
 def test_link_delay_must_be_at_least_one_tick():
     with pytest.raises(ValidationError, match="delay"):
         two_node_scenario(links=[LinkSpec("a", "b", delay=0)])
+
+
+@pytest.mark.parametrize("links, message", [
+    ([(0, 2, 1)], "links[0]: unknown node, got 2"),
+    ([(-1, 1, 1)], "links[0]: unknown node, got -1"),
+    ([(1, 1, 1)], "links[0]: self-link, got 1"),
+    ([(0, 1, 1), (1, 0, 1)], "links[1]: duplicate link, got '1-0'"),
+    ([(0, 1, 0)], "links[0].delay: must be >= 1, got 0"),
+    # an id triple and a named link for one pair are that link listed twice
+    ([(0, 1, 1), LinkSpec("b", "a")], "links[1]: duplicate link, got 'b-a'"),
+])
+def test_id_triple_links_meet_the_rules_of_named_ones(links, message):
+    with pytest.raises(ValidationError) as exc:
+        two_node_scenario(links=links)
+    assert str(exc.value) == message
 
 
 def test_traffic_is_required_and_must_go_somewhere_else():
