@@ -31,7 +31,7 @@ from .scenario import (
     with_rounds,
 )
 from .suppression import Connectivity, strategy_from_token
-from .wire import ValidationError
+from .wire import ValidationError, check
 
 # connectivity options: command-line name -> Connectivity field
 _KNOBS = {"mode": "mode", "alpha": "alpha", "threshold": "threshold", "warmup": "warmup_attempts"}
@@ -109,6 +109,7 @@ def _read(path: str, what: str) -> str:
 def load_scenario(args: argparse.Namespace, strategy_token: str | None) -> Scenario:
     if not args.scenario:
         raise ValidationError("--scenario is required")
+    check(args.rounds is None or args.rounds >= 1, "--rounds", "must be >= 1", args.rounds)
     try:
         sc = builtin(args.scenario, seed=args.seed, rounds=args.rounds)
     except UnknownScenario:

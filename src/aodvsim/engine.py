@@ -72,6 +72,7 @@ class Engine:
 
         # a proxy, so that the nodes refer back to the engine without a cycle
         net = weakref.proxy(self)
+        horizon = 2 * scenario.node_count * (max(self.base_delay.values(), default=1) + 1)
         self.nodes: list[Node] = []
         for i in range(scenario.node_count):
             self.nodes.append(Node(
@@ -82,6 +83,7 @@ class Engine:
                 node_count=scenario.node_count,
                 metrics=self.metrics,
                 rng=self.rng,
+                horizon=horizon,
                 position_of=self.positions.get,
             ))
         for node, peers in zip(self.nodes, self._adj):
@@ -207,9 +209,9 @@ class Engine:
         elif kind is Rreq:
             metrics.rreq_tx += sent
             metrics.per_node_rreq_tx[frm] = metrics.per_node_rreq_tx.get(frm, 0) + sent
-            per_link = metrics.per_link_rreq_tx
+            counts = metrics.per_sender_rreq_tx.setdefault(frm, {})
             for t in live:
-                per_link[frm, t] = per_link.get((frm, t), 0) + 1
+                counts[t] = counts.get(t, 0) + 1
         elif kind is Rrep:
             metrics.rrep_tx += sent
         elif kind is Rerr:

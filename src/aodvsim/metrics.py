@@ -96,7 +96,7 @@ Totals = namedtuple("Totals", [c.name for c in _TOTALS])
 ComparisonRow = namedtuple("ComparisonRow", COMPARISON_COLUMNS)
 
 
-@dataclass
+@dataclass(slots=True)
 class DiscoveryRecord:
     """One route discovery; while open, also its originator's pending record."""
     origin: int
@@ -132,9 +132,14 @@ class MetricsReport:
     losses: int = 0                      # scripted drops and absent-link sends
     per_node_rreq_tx: dict[int, int] = field(default_factory=dict)
     per_node_redundant_rx: dict[int, int] = field(default_factory=dict)
-    per_link_rreq_tx: dict[tuple[int, int], int] = field(default_factory=dict)
+    per_sender_rreq_tx: dict[int, dict[int, int]] = field(default_factory=dict)
     discoveries: list[DiscoveryRecord] = field(default_factory=list)
     timed_out: bool = False
+
+    @property
+    def per_link_rreq_tx(self) -> dict[tuple[int, int], int]:
+        """RREQ copies by (sender, receiver), built on read from `per_sender_rreq_tx`."""
+        return {(s, r): n for s, sent in self.per_sender_rreq_tx.items() for r, n in sent.items()}
 
     # -- recording
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable
 
 from .metrics import DiscoveryRecord, MetricsReport
@@ -103,13 +104,19 @@ class ProtocolConfig:
         return 4 * self.deadline_for(node_count)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
     """What a node knows of one route request, kept per (originator, RREQ ID)
     as in RFC 3561. `senders` are the neighbors its copies came from, in
     arrival order, the first of them the previous hop of a relay's forward
     (an originator's list starts empty); a node relays each RREQ ID once, so
-    no sender repeats, and a reply goes back to each of them once."""
+    no sender repeats, and a reply goes back to each of them once.
+
+    Making a record drops those made over H = 2 * node_count * (largest link
+    delay + 1) ticks before, RFC 3561's PATH_DISCOVERY_TIME: no step reads
+    them, as a copy and its reply each walk at most node_count - 1 hops (each
+    node forwards and relays once) of at most the largest delay plus one tick."""
+    made_at: int                    # the tick the node made it
     senders: list[NodeId]
     replied: bool = False           # a reply was relayed back
 
@@ -124,6 +131,7 @@ class Node:
         node_count: int,
         metrics: MetricsReport,
         rng: random.Random,
+        horizon: float,
         position_of: Callable[[NodeId], tuple[float, float] | None] | None = None,
     ):
         self.me = me
@@ -133,6 +141,7 @@ class Node:
         self.node_count = node_count
         self.metrics = metrics
         self.rng = rng
+        self.horizon = horizon      # H of _Request, worked out by the engine
         self.conn = strategy.node_state()      # link statistics, if the strategy keeps any
         self.position_of = position_of
 
@@ -176,7 +185,7 @@ class Node:
     def _launch_attempt(self, disc: DiscoveryRecord, now: int) -> None:
         rid = RreqId(self.me, self.next_rreq_num)
         self.next_rreq_num += 1
-        self.requests[rid] = _Request([])
+        self._make_request(rid, [], now)
 
         rreq = Rreq(
             rreq_id=rid,
@@ -188,6 +197,14 @@ class Node:
         self._targeted_sends(rreq, now)
         self.net.set_timer(self.me, now + self.config.deadline_for(self.node_count),
                            DiscoveryDeadline(disc))
+
+    def _make_request(self, rid: RreqId, senders: list[NodeId], now: int) -> None:
+        """Record `rid`; first drop, oldest first, those made over `horizon` ticks ago."""
+        requests, cutoff = self.requests, now - self.horizon
+        if requests and next(iter(requests.values())).made_at < cutoff:
+            for old, _ in list(takewhile(lambda e: e[1].made_at < cutoff, requests.items())):
+                del requests[old]
+        requests[rid] = _Request(now, senders)
 
     def _targeted_sends(self, rreq: Rreq, now: int) -> None:
         """Run the suppression decision and open one attempt per chosen link."""
@@ -232,7 +249,7 @@ class Node:
             self.net.drop(self.me, rreq, "ttl-expired")
             return
         assert rreq.rreq_id not in self.requests, "a repeat copy goes to heard_before"
-        self.requests[rreq.rreq_id] = _Request([frm])
+        self._make_request(rreq.rreq_id, [frm], now)
 
         if rreq.dest == self.me:
             self.seq += 1

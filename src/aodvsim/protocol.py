@@ -57,7 +57,7 @@ class Data:
 Packet = Union[Rreq, Rrep, Rerr, Hello, Data]
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingEntry:
     next_hop: NodeId
     hop_count: int

@@ -242,7 +242,7 @@ def ema_step(previous: float, target: float, alpha: float) -> float:
     return alpha * target + (1.0 - alpha) * previous
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnectivityRecord:
     attempts: int = 0
     successes: int = 0

@@ -120,6 +120,9 @@ def test_bad_strategy_tokens_exit_one(capsys):
      "--alpha applies only to --mode ema or blend"),
     (["compare", "--inputs", "a.csv", "--seed", "3"], "--seed"),
     (["compare", "--inputs", "a.csv", "--rounds", "9"], "--rounds"),
+    (["run", "--scenario", "fig1", "--rounds", "0"], "--rounds: must be >= 1, got 0"),
+    (["compare", "--scenario", "fig1", "--strategies", "flood", "--rounds", "-3"],
+     "--rounds: must be >= 1, got -3"),
 ])
 def test_bad_arguments_exit_one_naming_the_token_or_flag(capsys, argv, named):
     assert run_cli(*argv) == 1

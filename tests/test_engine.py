@@ -2,7 +2,9 @@ import contextlib
 import gc
 import io
 import json
+import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -493,6 +495,45 @@ def test_per_node_and_per_link_breakdowns_sum_to_the_total(scenario):
     assert traced.per_node_rreq_tx == rep.per_node_rreq_tx
     assert traced.per_link_rreq_tx == rep.per_link_rreq_tx
     assert traced.per_node_redundant_rx == rep.per_node_redundant_rx
+
+
+@pytest.mark.parametrize("scenario", ["fig1-tables", "mixed.json", "waypoint-events.json"])
+def test_per_link_counts_are_the_request_copies_each_link_carried(scenario):
+    # each copy sent over a live link lands as one deliver or deliver-cancelled
+    # line at its receiver, and none is left at t_max
+    sc = (parse_scenario((GOLDEN / scenario).read_text()) if scenario.endswith(".json")
+          else builtin(scenario))
+    buf = io.StringIO()
+    rep = run(sc, trace=buf)
+    assert not rep.timed_out
+    ids, carried = sc.node_ids(), Counter()
+    for line in buf.getvalue().splitlines():
+        _, to, kind, detail = line.split("\t")
+        if kind in ("deliver", "deliver-cancelled") and " RREQ[" in detail:
+            carried[ids[detail.split()[0].removeprefix("from=")], ids[to]] += 1
+    assert rep.per_link_rreq_tx == dict(carried)
+    assert rep.per_sender_rreq_tx[0] == {to: n for (frm, to), n in carried.items() if frm == 0}
+
+
+def test_a_run_ten_times_longer_keeps_as_many_request_records():
+    # records expire at their horizon, so random-20's request records and
+    # traced heap after the run are the same at 2,000 rounds as at 200, but
+    # for the report's one DiscoveryRecord per round
+    kept = []
+    for rounds in (200, 2000):
+        tracemalloc.start()
+        try:
+            eng = Engine(builtin("random-20", rounds=rounds))
+            rep = eng.run()
+            assert len(rep.discoveries) == rounds
+            rep.discoveries.clear()
+            heap = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept.append((sum(len(n.requests) for n in eng.nodes), heap))
+    (records, heap), (long_records, long_heap) = kept
+    assert long_records == records <= 20
+    assert long_heap < heap + 16_000
 
 
 def test_installed_hop_counts_match_shortest_paths():

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from dataclasses import dataclass
 
@@ -90,7 +91,8 @@ def step(handler, *args, **kw):
     return list(calls)
 
 
-def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None, **kw):
+def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None,
+              horizon=math.inf, **kw):
     node = Node(
         me=me,
         net=Recorder(me),
@@ -99,6 +101,7 @@ def make_node(me=0, neighbors=(), strategy=None, node_count=6, config=None, **kw
         node_count=node_count,
         metrics=MetricsReport(),
         rng=random.Random(0),
+        horizon=horizon,
         **kw,
     )
     for n in neighbors:
@@ -282,6 +285,28 @@ def test_query_quenching_can_be_disabled():
                                   expires_at=100)
     out = step(node.on_rreq, make_rreq(dest=5), frm=1, now=0)
     assert all(isinstance(e.packet, Rreq) for e in sends(out))
+
+
+def test_a_request_record_counts_repeats_until_a_record_is_made_past_its_horizon():
+    # H = 10. The node's own request, made at tick 3, still makes a returning
+    # copy a repeat after a record made at 3 + H; a record made at 14 drops it
+    node = make_node(me=2, neighbors=[1, 3], horizon=10)
+    node.send_data(5, 7, now=3)
+    own = Rreq(RreqId(2, 0), dest=5, dest_seq_known=None, hop_count=2, ttl=4)
+    hear(node, make_rreq(num=1), frm=1, now=13)
+    assert node.heard_before(own, frm=3)
+    hear(node, make_rreq(num=2), frm=1, now=14)
+    assert list(node.requests) == [RreqId(3, 1), RreqId(3, 2)]
+    assert not node.heard_before(own, frm=3)
+
+
+def test_a_request_record_outlives_its_horizon_while_no_record_is_made():
+    node = make_node(me=2, neighbors=[1, 3], horizon=10)
+    hear(node, make_rreq(), frm=1, now=3)
+    node.routes[4] = RoutingEntry(next_hop=1, hop_count=1, dest_seq=1, expires_at=2000)
+    step(node.send_data, 4, 7, now=1000)   # over a known route: no request made
+    assert hear(node, make_rreq(), frm=3, now=1000) is None
+    assert node.requests[RreqId(3, 0)].senders == [1, 3]
 
 
 # --- reply handling -------------------------------------------------------

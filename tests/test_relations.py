@@ -6,6 +6,7 @@ HKUST-CS98-01, 1998.
 
 import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aodvsim.cli import build_parser, load_scenario
 from aodvsim.engine import Engine
 from aodvsim.metrics import MetricsReport
 from aodvsim.scenario import Scenario, parse_scenario
@@ -28,6 +30,7 @@ from aodvsim.suppression import (
 from aodvsim.wire import ValidationError
 
 from test_fuzz import valid_scenarios
+from test_golden import corpus, entry_id
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -233,3 +236,65 @@ def test_a_forward_held_past_t_max_is_never_sent():
     flood, counter = _run(sc, Flood()), _run(sc, CounterBased(max_copies=10 ** 9))
     assert (flood.rreq_tx, counter.rreq_tx) == (2, 1)
     assert flood.timed_out and counter.timed_out
+
+
+# --- request records: none is read once its node may have dropped it ------
+
+class _AgesRead(dict):
+    """A node's request records, kept for the whole run, noting the age of
+    each one read by `get`, `[]` or `in` in `ages`."""
+
+    def __init__(self, engine: Engine, ages: list[int]):
+        super().__init__()
+        self.engine, self.ages = engine, ages
+
+    def _note(self, rid) -> None:
+        request = super().get(rid)
+        if request is not None:
+            self.ages.append(self.engine.now - request.made_at)
+
+    def get(self, rid, default=None):
+        self._note(rid)
+        return super().get(rid, default)
+
+    def __getitem__(self, rid):
+        self._note(rid)
+        return super().__getitem__(rid)
+
+    def __contains__(self, rid):
+        self._note(rid)
+        return super().__contains__(rid)
+
+
+def _oldest_read(sc: Scenario) -> tuple[int, int]:
+    """The age of the oldest request record read in a run of `sc` with
+    expiry switched off, and the horizon the engine gives its nodes."""
+    eng = Engine(sc)
+    horizon, ages = eng.nodes[0].horizon, [0]
+    for node in eng.nodes:
+        node.horizon = math.inf
+        node.requests = _AgesRead(eng, ages)
+    eng.run()
+    return max(ages), horizon
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@golden_examples()
+@given(doc=valid_scenarios())
+def test_no_request_record_is_read_past_its_horizon(doc):
+    # the records a node drops are those made more than H ticks before it
+    # makes a new one: if no record is read past H, expiry changes no read
+    sc = _parsed(doc)
+    if sc is None:
+        return
+    oldest, horizon = _oldest_read(sc)
+    assert oldest <= horizon
+
+
+@pytest.mark.parametrize("scenario,options", corpus(), ids=[entry_id(*e) for e in corpus()])
+def test_no_request_record_is_read_past_its_horizon_on_the_golden_corpus(scenario, options):
+    source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
+    args = build_parser().parse_args(["run", "--scenario", source,
+                                      *(["--strategy", *options.split()] if options else [])])
+    oldest, horizon = _oldest_read(load_scenario(args, args.strategy))
+    assert oldest <= horizon
