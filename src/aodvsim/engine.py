@@ -195,7 +195,8 @@ class Engine:
             if not live:
                 return
         if not self.base_delay:     # every link has delay 1, a scripted link_up's too
-            self._push(now + 1, Engine._deliver, frm, packet, live)
+            heapq.heappush(self._queue, (now + 1, next(self._seq), Engine._deliver,
+                                         (frm, packet, live)))
         else:
             groups: dict[int, list[NodeId]] = {}
             for t in live:
@@ -266,41 +267,53 @@ class Engine:
 
     def _deliver(self, frm: NodeId, pkt: Packet, recipients: list[NodeId]) -> None:
         """One packet landing on this tick at each of `recipients`, in send
-        order. Its handler and trace text are worked out once for all of
-        them; a repeat RREQ copy is counted and goes no further."""
+        order, its trace text worked out once. A HELLO only stamps its
+        sender; a repeat RREQ copy is counted and goes no further."""
         write = self.trace.write if self.trace is not None else None
         now = self.now
         peers = self._adj[frm]
-        nodes, new_links = self.nodes, self.new_links
+        nodes = self.nodes
         kind = type(pkt)
-        handle = (None if kind is Hello else Node.on_rreq if kind is Rreq else Node.on_rrep
-                  if kind is Rrep else Node.on_rerr if kind is Rerr else Node.on_data)
         if write is not None:
             text = summarize(pkt)
             stamp, heads = f"{now}\t", self._heads
             tail = f"\tfrom={self._labels[frm]} {text}\n"
             delivered, cancelled = f"deliver{tail}", f"deliver-cancelled{tail}"
             duplicate = f"drop\tduplicate-rreq {text}\n"
+        if kind is Hello:
+            for to in recipients:
+                live = to in peers
+                if live:
+                    nodes[to].neighbors[frm] = now     # any reception proves the link
+                if write is not None:
+                    write(f"{stamp}{heads[to]}{delivered if live else cancelled}")
+            return
+        handle = (Node.on_rreq if kind is Rreq else Node.on_rrep if kind is Rrep
+                  else Node.on_rerr if kind is Rerr else Node.on_data)
+        new_links = self.new_links
         for to in recipients:
-            live = to in peers
-            if live:
-                node = nodes[to]
-                node.neighbors[frm] = now       # any reception proves the link
-            repeat = live and kind is Rreq and node.heard_before(pkt, frm)
+            if to not in peers:
+                if write is not None:
+                    write(f"{stamp}{heads[to]}{cancelled}")
+                continue
+            node = nodes[to]
+            node.neighbors[frm] = now
+            repeat = kind is Rreq and node.heard_before(pkt, frm)
             if write is not None:
                 head = heads[to]
                 # a repeat copy's two lines in one write
                 write(f"{stamp}{head}{delivered}{stamp}{head}{duplicate}" if repeat
-                      else f"{stamp}{head}{delivered if live else cancelled}")
-            if not live or repeat or handle is None:
-                continue                    # a HELLO does nothing more either
-            if kind is Rrep:
-                key = (frm, to) if frm < to else (to, frm)
-                fresh = key in new_links
-                new_links.discard(key)
-                handle(node, pkt, frm, now, fresh)
-            else:
+                      else f"{stamp}{head}{delivered}")
+            if repeat:
+                continue
+            if kind is not Rrep:
                 handle(node, pkt, frm, now)
+            elif not new_links:         # empty unless a link came up during the run
+                handle(node, pkt, frm, now, False)
+            else:
+                key = (frm, to) if frm < to else (to, frm)
+                handle(node, pkt, frm, now, key in new_links)
+                new_links.discard(key)
 
     def _timer(self, node: NodeId, kind: TimerKind) -> None:
         if self.trace is not None:

@@ -13,9 +13,9 @@ A step makes one `transmit` per packet, naming all of its recipients in send
 order: a flood, a HELLO round or a RERR is one call, a unicast a call to one
 node, and no call names nobody. All iteration that picks recipients runs in
 ascending node id so a scenario replays identically every time. Packets are
-frozen and shared: every recipient of a flood gets the same object. The
-engine counts a repeat copy of a request with `heard_before`; `on_rreq` sees
-first and TTL-0 copies only.
+written once (a test checks it) and shared: every recipient of a flood gets
+the same object, and a relay builds its own. The engine counts a repeat copy
+of a request with `heard_before`; `on_rreq` sees first and TTL-0 copies only.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def select_targets(strategy: Strategy, node: Node, candidates: list[NodeId],
 
 # --- timer kinds: each one fires its node's handler -----------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiscoveryDeadline:
     """When the attempt `_launch_attempt` made for `disc` gives up."""
     disc: DiscoveryRecord
@@ -56,7 +56,7 @@ class DiscoveryDeadline:
         node.on_discovery_timeout(self.disc, now)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttemptSweep:
     rreq_id: RreqId
 
@@ -73,7 +73,7 @@ class RouteSweep:
 _ROUTE_SWEEP = RouteSweep()     # it has no fields, so every route expiry shares one
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForwardDecision:
     forwarded: Rreq
 
@@ -239,7 +239,8 @@ class Node:
         request.senders.append(frm)
         metrics = self.metrics
         metrics.redundant_rreq_rx += 1
-        metrics.per_node_redundant_rx[self.me] = metrics.per_node_redundant_rx.get(self.me, 0) + 1
+        counts = metrics.per_node_redundant_rx
+        counts[self.me] = counts.get(self.me, 0) + 1
         return True
 
     def on_rreq(self, rreq: Rreq, frm: NodeId, now: int) -> None:
@@ -281,21 +282,21 @@ class Node:
     # -- reply handling
 
     def on_rrep(self, rrep: Rrep, frm: NodeId, now: int, link_is_new: bool = False) -> None:
+        # only here is a route installed, its number noted with it: a valid
+        # route's dest_seq never exceeds dest_seq_memory, so a staler reply notes nothing
         net = self.net
         candidate_hops = rrep.hop_count + 1
-        current = self.valid_route(rrep.dest, now)
-        fresher = (
-            current is None
-            or rrep.dest_seq > current.dest_seq
-            or (rrep.dest_seq == current.dest_seq and candidate_hops < current.hop_count)
-        )
-        if fresher:
-            entry = self.routes[rrep.dest] = RoutingEntry(
+        route = self.routes.get(rrep.dest)
+        if route is not None and route.expires_at <= now:
+            route = None
+        if (route is None or rrep.dest_seq > route.dest_seq
+                or (rrep.dest_seq == route.dest_seq and candidate_hops < route.hop_count)):
+            route = self.routes[rrep.dest] = RoutingEntry(
                 next_hop=frm, hop_count=candidate_hops, dest_seq=rrep.dest_seq,
                 expires_at=now + self.config.route_lifetime,
-                active=current is not None and current.active)
-            net.set_timer(self.me, entry.expires_at, _ROUTE_SWEEP)
-        self._note_dest_seq(rrep.dest, rrep.dest_seq)
+                active=route is not None and route.active)
+            net.set_timer(self.me, route.expires_at, _ROUTE_SWEEP)
+            self._note_dest_seq(rrep.dest, rrep.dest_seq)
 
         if self.conn is not None:
             credited = self.conn.resolve_attempt(rrep.dest, frm, rrep.rreq_id, success=True)
@@ -305,8 +306,7 @@ class Node:
         if rrep.rreq_id.origin == self.me:
             disc = self.pending_discoveries.pop(rrep.dest, None)
             if disc is not None:
-                # fresher or not, the reply leaves a valid route to dest
-                route = self.routes[rrep.dest]
+                # fresher or not, the reply leaves `route` valid to dest
                 self.metrics.resolve_discovery(disc, now, route.hop_count)
                 if disc.queued:
                     route.active = True

@@ -1,8 +1,9 @@
 """Packet formats and the pure helpers that act on them.
 
 Nodes are integers (their index in the scenario's node list, which also fixes
-every deterministic tie-break). All packets are frozen dataclasses so they can
-sit in event queues and request records without defensive copying.
+every deterministic tie-break). Packets are slotted dataclasses written once, so
+they can sit in event queues and request records without defensive copying
+(`test_engine.py::test_no_golden_run_writes_a_packet_field_twice` checks).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class RreqId(NamedTuple):
     num: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rreq:
     rreq_id: RreqId         # its origin is the node that asked
     dest: NodeId
@@ -28,7 +29,7 @@ class Rreq:
     ttl: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rrep:
     dest: NodeId            # the node that was found
     dest_seq: SeqNum
@@ -36,18 +37,18 @@ class Rrep:
     rreq_id: RreqId         # the request answered; its origin is the node that asked
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rerr:
     # (destination, last known sequence) pairs that became unreachable
     unreachable: tuple[tuple[NodeId, SeqNum], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Hello:
     sender: NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Data:
     src: NodeId
     dst: NodeId

@@ -314,7 +314,7 @@ class ConnectivityState:
     def eligible(self, dest: NodeId, neighbor: NodeId) -> bool:
         """Below the warm-up attempt count every link qualifies; after it the
         index must sit strictly above the threshold."""
-        rec = self.peek(dest, neighbor)
+        rec = self.records.get((dest, neighbor))
         if rec is None or rec.attempts < self.strategy.warmup_attempts:
             return True
         return rec.index > self.strategy.threshold

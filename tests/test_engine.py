@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 
 from aodvsim.cli import main
 from aodvsim.engine import Engine, run
-from aodvsim.node import Node, ProtocolConfig
-from aodvsim.protocol import Hello
+from aodvsim.node import AttemptSweep, DiscoveryDeadline, ForwardDecision, Node, ProtocolConfig
+from aodvsim.protocol import Data, Hello, Rerr, Rrep, Rreq, RreqId
 from aodvsim.scenario import (
     DropEvent,
     LinkEvent,
@@ -378,6 +378,61 @@ def test_no_drawn_run_fires_a_stray_discovery_deadline(doc):
     with _stray_deadlines() as found:
         _run_drawn(doc)
     assert found == []
+
+
+def _write_once(obj, name: str, value) -> None:
+    """A `__setattr__` that sets a slot only while it is unset, as the
+    frozen dataclasses' `__init__` did; a second write raises."""
+    try:
+        getattr(obj, name)
+    except AttributeError:              # a slot not yet set
+        object.__setattr__(obj, name, value)
+        return
+    raise AttributeError(f"{type(obj).__name__}.{name} is written once")
+
+
+def test_no_golden_run_writes_a_packet_field_twice(monkeypatch):
+    # packets and timer kinds are shared between queue entries and request
+    # records, so a step builds a new one rather than change one it holds.
+    # A second write raises in the run, and `main` exits 2 naming it.
+    for cls in (Rreq, Rrep, Rerr, Hello, Data, DiscoveryDeadline, AttemptSweep, ForwardDecision):
+        monkeypatch.setattr(cls, "__setattr__", _write_once)
+    rrep = Rrep(dest=1, dest_seq=1, hop_count=0, rreq_id=RreqId(0, 0))
+    with pytest.raises(AttributeError, match="Rrep.hop_count is written once"):
+        rrep.hop_count += 1             # the setter is in place
+    _run_golden_corpus()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_hello_stamps_only_the_recipients_whose_link_is_still_up(traced):
+    # s's HELLO from tick 10 lands on a and b at 12 in one delivery, but s-b
+    # went down at 11: a stamps s at 12, b keeps the stamp of tick 0's HELLO.
+    # The trace lines of such a delivery are pinned by
+    # test_a_scripted_link_up_gives_delay_one_among_slower_listed_links
+    sc = Scenario(
+        name="hello-cut",
+        nodes=[NodeSpec(l) for l in "sab"],
+        links=[LinkSpec("s", "a", 2), LinkSpec("s", "b", 2)],
+        traffic=[TrafficSpec("a", "b", start=12)],
+        events=[LinkEvent(at=11, kind="link_down", a="s", b="b")],
+        t_max=12,
+    )
+    buf = io.StringIO() if traced else None
+    eng = Engine(sc, trace=buf)
+    eng.run()
+    assert (eng.nodes[1].neighbors[0], eng.nodes[2].neighbors[0]) == (12, 2)
+
+
+def test_no_reply_finds_its_link_new_on_a_static_run(monkeypatch):
+    # with no scripted link_up, no link is new: every reply passes False
+    flags, real = [], Node.on_rrep
+
+    def on_rrep(node, rrep, frm, now, link_is_new=False):
+        flags.append(link_is_new)
+        real(node, rrep, frm, now, link_is_new)
+    monkeypatch.setattr(Node, "on_rrep", on_rrep)
+    run(builtin("random-20"))
+    assert flags and not any(flags)
 
 
 def test_sends_and_timers_of_one_step_keep_their_order_on_a_shared_tick():

@@ -347,6 +347,17 @@ def test_route_freshness_equal_sequence_prefers_fewer_hops():
     assert node.routes[5].next_hop == 2
 
 
+def test_a_reply_notes_its_sequence_only_with_the_route_it_installs():
+    node = make_node(neighbors=[1, 2])
+    node.on_rrep(make_rrep(seq=4, hop=1), frm=1, now=0)
+    assert node.dest_seq_memory == {5: 4}
+    node.on_rrep(make_rrep(seq=3, hop=0), frm=2, now=1)     # stale sequence
+    node.on_rrep(make_rrep(seq=4, hop=3), frm=2, now=2)     # same sequence, longer
+    assert node.routes[5].next_hop == 1 and node.dest_seq_memory == {5: 4}
+    node.on_rrep(make_rrep(seq=6, hop=3), frm=2, now=3)     # fresher sequence
+    assert node.routes[5].next_hop == 2 and node.dest_seq_memory == {5: 6}
+
+
 def test_relay_fans_reply_to_every_reverse_sender_once():
     node = make_node(me=2, neighbors=[1, 3, 4])
     node.on_rreq(make_rreq(origin=3, dest=5), frm=1, now=0)

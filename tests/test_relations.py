@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from aodvsim.cli import build_parser, load_scenario
 from aodvsim.engine import Engine
 from aodvsim.metrics import MetricsReport
+from aodvsim.node import Node
 from aodvsim.scenario import Scenario, parse_scenario
 from aodvsim.suppression import (
     Connectivity,
@@ -50,6 +51,14 @@ def _parsed(doc: dict) -> Scenario | None:
         return parse_scenario(json.dumps(doc))
     except ValidationError:
         return None     # a drawn doc may break a rule across fields, such as round spacing
+
+
+def _corpus_scenario(scenario: str, options: str) -> Scenario:
+    """A golden corpus entry's scenario, built as `aodvsim run` builds it."""
+    source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
+    args = build_parser().parse_args(["run", "--scenario", source,
+                                      *(["--strategy", *options.split()] if options else [])])
+    return load_scenario(args, args.strategy)
 
 
 def golden_examples(**extra):
@@ -293,8 +302,42 @@ def test_no_request_record_is_read_past_its_horizon(doc):
 
 @pytest.mark.parametrize("scenario,options", corpus(), ids=[entry_id(*e) for e in corpus()])
 def test_no_request_record_is_read_past_its_horizon_on_the_golden_corpus(scenario, options):
-    source = str(GOLDEN / scenario) if scenario.endswith(".json") else scenario
-    args = build_parser().parse_args(["run", "--scenario", source,
-                                      *(["--strategy", *options.split()] if options else [])])
-    oldest, horizon = _oldest_read(load_scenario(args, args.strategy))
+    oldest, horizon = _oldest_read(_corpus_scenario(scenario, options))
     assert oldest <= horizon
+
+
+# --- sequence numbers: no route is fresher than its node's memory ---------
+
+def _routes_above_memory(sc: Scenario) -> list[tuple[int, int, int]]:
+    """(node, dest, tick) for every route whose `dest_seq` exceeds its
+    node's `dest_seq_memory` after some `on_rrep`. None means a reply that
+    installs no route has no number to note: its `dest_seq` is at most its
+    dest's valid route's, which is at most the memory."""
+    found = []
+    real = Node.on_rrep
+
+    def on_rrep(node, rrep, frm, now, link_is_new=False):
+        real(node, rrep, frm, now, link_is_new)
+        memory = node.dest_seq_memory
+        found.extend((node.me, dest, now) for dest, entry in node.routes.items()
+                     if entry.dest_seq > memory.get(dest, -1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Node, "on_rrep", on_rrep)
+        Engine(sc).run()
+    return found
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@golden_examples()
+@given(doc=valid_scenarios())
+def test_no_route_is_fresher_than_its_nodes_sequence_memory(doc):
+    sc = _parsed(doc)
+    if sc is None:
+        return
+    assert _routes_above_memory(sc) == []
+
+
+@pytest.mark.parametrize("scenario,options", corpus(), ids=[entry_id(*e) for e in corpus()])
+def test_no_route_is_fresher_than_its_nodes_sequence_memory_on_the_golden_corpus(
+        scenario, options):
+    assert _routes_above_memory(_corpus_scenario(scenario, options)) == []
